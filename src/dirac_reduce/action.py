@@ -16,13 +16,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Poly, _coerce
+from .poly import Poly, _coerce, _from_dict
 from .polyfield import (
     PolyOneForm,
     PolySection,
     PolyVectorField,
-    pushforward_field,
-    pushforward_oneform,
+    _fraction_matrix,
+    _pushforward_components,
 )
 from .subspace import DEFAULT_TOL, Subspace, span
 
@@ -471,17 +471,17 @@ def _exact_matrix(matrix) -> list:
     return [[_coerce(entry) for entry in row] for row in np.asarray(matrix, dtype=float)]
 
 
-# Powers of i as (re, im) pairs, indexed by the exponent mod 4.
-_I_POW = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
-
-
-def _gmul(a, b):
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _times_i_power(g, k: int):
+    """The Gaussian integer ``g`` (a ``(re, im)`` pair) times i**k."""
+    re, im = g
+    k %= 4
+    if k == 0:
+        return g
+    if k == 1:
+        return (-im, re)
+    if k == 2:
+        return (-re, -im)
+    return (im, -re)
 
 
 def _circle_node_count(
@@ -496,7 +496,7 @@ def _circle_node_count(
             f"{n_nodes} quadrature nodes cannot integrate trigonometric degree "
             f"{needed - 1} exactly; use at least {needed}",
             ExactnessWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
     return n_nodes
 
@@ -508,28 +508,42 @@ def _circle_quadrature_poly(f: Poly, pairs, n_nodes: int) -> Poly:
     rotates.  In complex coordinates z = x + iy the node substitutions become
     harmonic factors e^{i k theta_r}, and the uniform node average of e^{i k
     theta} is 1 when N divides k and 0 otherwise, so the quadrature sum can
-    be carried out in rational arithmetic without floating-point nodes.
+    be carried out without floating-point nodes.
+
+    The change to z, zbar divides a term of degree d in the rotated
+    coordinates by 2^d; every other step multiplies by integers and powers
+    of i.  So the work is done on Gaussian-integer numerators over the one
+    denominator lcm(denominators) * 2^top, top the largest such d, and the
+    division happens once at the end.
     """
+    if not f.terms:
+        return f
+    rotated = [i for ix, iy, _w in pairs for i in (ix, iy)]
+    top = max(sum(m[i] for i in rotated) for m, _ in f.terms)
+    lcm = math.lcm(*(c.denominator for _, c in f.terms))
+    terms = {
+        m: ((c.numerator * (lcm // c.denominator)) << (top - sum(m[i] for i in rotated)), 0)
+        for m, c in f.terms
+    }
     # Change of basis x^p y^q -> z^a zbar^b; the z exponent is stored in the
     # x slot and the zbar exponent in the y slot.
-    terms = {exps: (c, Fraction(0)) for exps, c in f.terms}
     for ix, iy, _w in pairs:
         expanded: dict = {}
         for exps, coeff in terms.items():
             p, q = exps[ix], exps[iy]
-            base = _gmul(
-                (coeff[0] / 2 ** (p + q), coeff[1] / 2 ** (p + q)), _I_POW[(-q) % 4]
-            )
+            base = _times_i_power(coeff, -q)
             for a in range(p + 1):
                 for b in range(q + 1):
-                    scale = math.comb(p, a) * math.comb(q, b) * (-1) ** ((q - b) % 2)
-                    g = (base[0] * scale, base[1] * scale)
+                    scale = math.comb(p, a) * math.comb(q, b) * (-1 if (q - b) & 1 else 1)
                     e = list(exps)
                     e[ix] = a + b
                     e[iy] = (p - a) + (q - b)
                     key = tuple(e)
                     acc = expanded.get(key)
-                    expanded[key] = (g[0] + acc[0], g[1] + acc[1]) if acc else g
+                    if acc:
+                        expanded[key] = (acc[0] + base[0] * scale, acc[1] + base[1] * scale)
+                    else:
+                        expanded[key] = (base[0] * scale, base[1] * scale)
         terms = expanded
     # z^a zbar^b picks up e^{i w (a - b) theta} at each node; only exponents
     # aliased to zero survive the average.
@@ -544,22 +558,26 @@ def _circle_quadrature_poly(f: Poly, pairs, n_nodes: int) -> Poly:
             a, b = exps[ix], exps[iy]
             for aa in range(a + 1):
                 for bb in range(b + 1):
-                    ip = _I_POW[((a - aa) - (b - bb)) % 4]
                     scale = math.comb(a, aa) * math.comb(b, bb)
-                    g = _gmul(coeff, (ip[0] * scale, ip[1] * scale))
+                    g = _times_i_power(coeff, (a - aa) - (b - bb))
                     e = list(exps)
                     e[ix] = aa + bb
                     e[iy] = (a - aa) + (b - bb)
                     key = tuple(e)
                     acc = collapsed.get(key)
-                    collapsed[key] = (g[0] + acc[0], g[1] + acc[1]) if acc else g
+                    if acc:
+                        collapsed[key] = (acc[0] + g[0] * scale, acc[1] + g[1] * scale)
+                    else:
+                        collapsed[key] = (g[0] * scale, g[1] * scale)
         terms = collapsed
+    denominator = lcm << top
     real = {}
     for exps, (re, im) in terms.items():
-        assert im == 0  # the average of a real polynomial is real
+        if im:
+            raise RuntimeError("circle average of a real polynomial has an imaginary part")
         if re:
-            real[exps] = re
-    return Poly(f.n_vars, real)
+            real[exps] = Fraction(re, denominator)
+    return _from_dict(f.n_vars, real)
 
 
 def _base_pairs(circle: CircleFactor):
@@ -576,89 +594,81 @@ def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int
     n = len(components)
     bundled: dict = {}
     for i, p in enumerate(components):
+        frame = tuple(1 if t == i else 0 for t in range(n))
         for exps, c in p.terms:
-            key = exps + tuple(1 if t == i else 0 for t in range(n))
-            bundled[key] = bundled.get(key, Fraction(0)) + c
+            bundled[exps + frame] = c
     pairs = list(_base_pairs(circle))
     pairs += [(n + ix, n + iy, w) for ix, iy, w in _base_pairs(circle)]
-    avg = _circle_quadrature_poly(Poly(2 * n, bundled), pairs, n_nodes)
+    avg = _circle_quadrature_poly(_from_dict(2 * n, bundled), pairs, n_nodes)
     out: list = [{} for _ in range(n)]
     for exps, c in avg.terms:
         frame = exps[n:]
-        assert sum(frame) == 1  # averaging preserves the frame degree
+        if sum(frame) != 1:
+            raise RuntimeError("circle average changed the degree in the frame variables")
         out[frame.index(1)][exps[:n]] = c
-    return tuple(Poly(n, d) for d in out)
+    return tuple(_from_dict(n, d) for d in out)
+
+
+def _haar_average(groups, spec: ActionSpec, kind: str, nodes: int | None) -> tuple:
+    """The G-invariant average of each tuple of component polynomials.
+
+    ``kind`` "function" averages each polynomial as a function, f(g x);
+    "field" averages each tuple as the components of a vector field or
+    one-form, g^T C(g x).  The node count follows the highest degree over
+    all groups.
+    """
+    weight = Fraction(1, spec.finite.order)
+    totals = [[Poly.zero(spec.n)] * len(comps) for comps in groups]
+    for g in spec.finite.elements:
+        rows = _fraction_matrix(_exact_matrix(g)) if kind == "field" else _exact_matrix(g)
+        for total, comps in zip(totals, groups):
+            if kind == "field":
+                moved = _pushforward_components(rows, comps)
+            else:
+                moved = [c.subs_linear(rows) for c in comps]
+            total[:] = [a + b for a, b in zip(total, moved)]
+    averaged = [tuple(c * weight for c in total) for total in totals]
+    if spec.circle is None:
+        return tuple(averaged)
+    degree = max(c.degree() for comps in groups for c in comps)
+    n_nodes = _circle_node_count(spec.circle, degree, kind, nodes)
+    if kind == "field":
+        return tuple(
+            _circle_quadrature_components(comps, spec.circle, n_nodes) for comps in averaged
+        )
+    pairs = _base_pairs(spec.circle)
+    return tuple(
+        tuple(_circle_quadrature_poly(c, pairs, n_nodes) for c in comps) for comps in averaged
+    )
 
 
 def haar_average_function(f: Poly, spec: ActionSpec, nodes: int | None = None) -> Poly:
     """The G-invariant average of a polynomial function."""
-    mats = [_exact_matrix(g) for g in spec.finite.elements]
-    total = Poly.zero(f.n_vars)
-    for m in mats:
-        total = total + f.subs_linear(m)
-    avg = total * Fraction(1, len(mats))
-    if spec.circle is not None:
-        n_nodes = _circle_node_count(spec.circle, f.degree(), "function", nodes)
-        avg = _circle_quadrature_poly(avg, _base_pairs(spec.circle), n_nodes)
-    return avg
+    return _haar_average(((f,),), spec, "function", nodes)[0][0]
 
 
 def haar_average_field(
     x: PolyVectorField, spec: ActionSpec, nodes: int | None = None
 ) -> PolyVectorField:
     """The G-invariant average of a vector field."""
-    mats = [_exact_matrix(g) for g in spec.finite.elements]
-    total = PolyVectorField.zero(x.base_dim)
-    for m in mats:
-        total = total + pushforward_field(m, x)
-    avg = total * Fraction(1, len(mats))
-    if spec.circle is not None:
-        n_nodes = _circle_node_count(spec.circle, x.degree(), "field", nodes)
-        avg = PolyVectorField(
-            _circle_quadrature_components(avg.components, spec.circle, n_nodes)
-        )
-    return avg
+    return PolyVectorField(_haar_average((x.components,), spec, "field", nodes)[0])
 
 
 def haar_average_oneform(
     alpha: PolyOneForm, spec: ActionSpec, nodes: int | None = None
 ) -> PolyOneForm:
     """The G-invariant average of a one-form."""
-    mats = [_exact_matrix(g) for g in spec.finite.elements]
-    total = PolyOneForm.zero(alpha.base_dim)
-    for m in mats:
-        total = total + pushforward_oneform(m, alpha)
-    avg = total * Fraction(1, len(mats))
-    if spec.circle is not None:
-        n_nodes = _circle_node_count(spec.circle, alpha.degree(), "field", nodes)
-        avg = PolyOneForm(
-            _circle_quadrature_components(avg.components, spec.circle, n_nodes)
-        )
-    return avg
+    return PolyOneForm(_haar_average((alpha.components,), spec, "field", nodes)[0])
 
 
 def haar_average_section(
     s: PolySection, spec: ActionSpec, nodes: int | None = None
 ) -> PolySection:
-    degree = max(s.tangent.degree(), s.covector.degree())
-    mats = [_exact_matrix(g) for g in spec.finite.elements]
-    total = PolySection.zero(s.base_dim)
-    for m in mats:
-        total = total + PolySection(
-            pushforward_field(m, s.tangent), pushforward_oneform(m, s.covector)
-        )
-    avg = total * Fraction(1, len(mats))
-    if spec.circle is not None:
-        n_nodes = _circle_node_count(spec.circle, degree, "field", nodes)
-        avg = PolySection(
-            PolyVectorField(
-                _circle_quadrature_components(avg.tangent.components, spec.circle, n_nodes)
-            ),
-            PolyOneForm(
-                _circle_quadrature_components(avg.covector.components, spec.circle, n_nodes)
-            ),
-        )
-    return avg
+    """The G-invariant average of a section of TM + T*M."""
+    tangent, covector = _haar_average(
+        (s.tangent.components, s.covector.components), spec, "field", nodes
+    )
+    return PolySection(PolyVectorField(tangent), PolyOneForm(covector))
 
 
 # -- the paper's pointwise distributions -------------------------------------

@@ -3,6 +3,10 @@
 Coefficients are ``fractions.Fraction``; floats only appear when a
 polynomial is evaluated at a float point.  Terms are kept in a canonical
 sorted order with no zero coefficients, so ``==`` is structural equality.
+
+The public constructor validates and canonicalises its input.  Results of
+arithmetic are canonical by construction and go through ``_trusted``, which
+skips that work.
 """
 
 from __future__ import annotations
@@ -10,7 +14,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from numbers import Rational
+from operator import add
 
 Monomial = tuple[int, ...]
 
@@ -72,7 +78,7 @@ class Poly:
 
     @classmethod
     def zero(cls, n_vars: int) -> "Poly":
-        return cls(n_vars, ())
+        return _trusted(n_vars, ())
 
     @classmethod
     def one(cls, n_vars: int) -> "Poly":
@@ -80,14 +86,15 @@ class Poly:
 
     @classmethod
     def constant(cls, value, n_vars: int) -> "Poly":
-        return cls(n_vars, (((0,) * n_vars, _coerce(value)),))
+        c = _coerce(value)
+        return _trusted(n_vars, (((0,) * n_vars, c),) if c else ())
 
     @classmethod
     def variable(cls, index: int, n_vars: int) -> "Poly":
         if not 0 <= index < n_vars:
             raise ValueError(f"variable index {index} out of range for {n_vars}")
         exps = tuple(1 if i == index else 0 for i in range(n_vars))
-        return cls(n_vars, ((exps, Fraction(1)),))
+        return _trusted(n_vars, ((exps, Fraction(1)),))
 
     # -- queries --------------------------------------------------------
 
@@ -118,13 +125,20 @@ class Poly:
     def __add__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            return Poly(self.n_vars, self.terms + other.terms)
+            if not other.terms:
+                return self
+            if not self.terms:
+                return other
+            merged = dict(self.terms)
+            for m, c in other.terms:
+                merged[m] = merged[m] + c if m in merged else c
+            return _from_dict(self.n_vars, merged)
         return self + Poly.constant(other, self.n_vars)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n_vars, tuple((m, -c) for m, c in self.terms))
+        return _trusted(self.n_vars, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Poly) else Poly.constant(-_coerce(other), self.n_vars))
@@ -138,11 +152,14 @@ class Poly:
             out: dict[Monomial, Fraction] = {}
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
-                    key = tuple(a + b for a, b in zip(m1, m2))
-                    out[key] = out.get(key, Fraction(0)) + c1 * c2
-            return Poly(self.n_vars, out)
+                    key = tuple(map(add, m1, m2))
+                    prod = c1 * c2
+                    out[key] = out[key] + prod if key in out else prod
+            return _from_dict(self.n_vars, out)
         scalar = _coerce(other)
-        return Poly(self.n_vars, tuple((m, c * scalar) for m, c in self.terms))
+        if not scalar:
+            return _trusted(self.n_vars, ())
+        return _trusted(self.n_vars, tuple((m, c * scalar) for m, c in self.terms))
 
     __rmul__ = __mul__
 
@@ -155,8 +172,9 @@ class Poly:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     # -- calculus ---------------------------------------------------------
@@ -165,23 +183,52 @@ class Poly:
         """Partial derivative with respect to variable ``index``."""
         if not 0 <= index < self.n_vars:
             raise ValueError(f"variable index {index} out of range")
+        # Lowering one exponent of every surviving term keeps them distinct
+        # and in lexicographic order.
         out = []
         for m, c in self.terms:
             e = m[index]
             if e:
-                lowered = tuple(
-                    v - 1 if i == index else v for i, v in enumerate(m)
-                )
-                out.append((lowered, c * e))
-        return Poly(self.n_vars, tuple(out))
+                out.append((m[:index] + (e - 1,) + m[index + 1 :], c * e))
+        return _trusted(self.n_vars, tuple(out))
+
+    @cached_property
+    def _float_terms(self) -> tuple:
+        """``(powers, terms)`` for float evaluation: the distinct
+        ``(variable, exponent)`` pairs in use, and per term ``float(c)``
+        with the indices into ``powers`` of its factors, in variable order."""
+        powers: dict = {}
+        terms = []
+        for m, c in self.terms:
+            factors = tuple(
+                powers.setdefault((i, e), len(powers)) for i, e in enumerate(m) if e
+            )
+            terms.append((float(c), factors))
+        return tuple(powers), tuple(terms)
 
     def evaluate(self, point):
-        """Evaluate at a point; exact for rational coordinates."""
+        """Evaluate at a point; exact for rational coordinates.
+
+        At float coordinates the result is the float arithmetic the exact
+        loop would perform: ``float(c) * v**e`` left to right within a
+        term, the terms summed in canonical order.
+        """
         values = list(point)
         if len(values) != self.n_vars:
             raise ValueError(
                 f"point of length {len(values)}, expected {self.n_vars}"
             )
+        if not self.terms:
+            return 0
+        if all(isinstance(v, float) for v in values):
+            powers, terms = self._float_terms
+            table = [float(values[i]) ** e for i, e in powers]
+            total = 0
+            for term, factors in terms:
+                for k in factors:
+                    term = term * table[k]
+                total = total + term
+            return total
         total = 0
         for m, c in self.terms:
             term = c
@@ -200,6 +247,9 @@ class Poly:
         rows = [[_coerce(entry) for entry in row] for row in matrix]
         if len(rows) != self.n_vars or any(len(r) != self.n_vars for r in rows):
             raise ValueError("substitution matrix has the wrong shape")
+        perm = _signed_permutation(rows)
+        if perm is not None:
+            return self._subs_signed_permutation(perm)
         images = [
             Poly(
                 self.n_vars,
@@ -221,6 +271,26 @@ class Poly:
                     term = term * images[i] ** e
             result = result + term
         return result
+
+    def _subs_signed_permutation(self, perm) -> "Poly":
+        """p(M x) for M with the single nonzero entry ``sign_i`` at
+        ``(i, col_i)`` of row i: x_i becomes sign_i * x_{col_i}, so each
+        monomial maps to one monomial and no two collide."""
+        if all(col == i and sign > 0 for i, (col, sign) in enumerate(perm)):
+            return self
+        out = []
+        for m, c in self.terms:
+            e = [0] * self.n_vars
+            negate = False
+            for i, k in enumerate(m):
+                if k:
+                    col, sign = perm[i]
+                    e[col] = k
+                    if sign < 0 and k & 1:
+                        negate = not negate
+            out.append((tuple(e), -c if negate else c))
+        out.sort()
+        return _trusted(self.n_vars, tuple(out))
 
     # -- formatting ---------------------------------------------------------
 
@@ -259,6 +329,37 @@ class Poly:
         return out
 
 
+def _trusted(n_vars: int, terms: tuple) -> Poly:
+    """A Poly from terms already canonical: sorted, distinct monomials of
+    length ``n_vars``, nonzero Fraction coefficients."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "n_vars", n_vars)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _from_dict(n_vars: int, merged: dict) -> Poly:
+    """A Poly from a ``{monomial: Fraction}`` dict of valid monomials."""
+    return _trusted(n_vars, tuple(sorted([(m, c) for m, c in merged.items() if c])))
+
+
+def _signed_permutation(rows) -> list | None:
+    """``[(col_i, sign_i)]`` when every row and column of the square matrix
+    holds exactly one nonzero entry, and that entry is +1 or -1."""
+    perm = []
+    used = set()
+    for row in rows:
+        nonzero = [(j, c) for j, c in enumerate(row) if c]
+        if len(nonzero) != 1:
+            return None
+        col, c = nonzero[0]
+        if (c != 1 and c != -1) or col in used:
+            return None
+        used.add(col)
+        perm.append((col, 1 if c > 0 else -1))
+    return perm
+
+
 def default_var_names(n_vars: int) -> list[str]:
     if n_vars <= 4:
         return ["x", "y", "z", "w"][:n_vars]
@@ -288,7 +389,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
 
 
 class _Parser:
-    """Recursive-descent parser for +, -, *, ^ and parentheses."""
+    """Recursive-descent parser for +, -, *, ^ and parentheses.
+
+    A product of numbers and variables is collected as one coefficient and
+    one exponent vector, then added into the sum's ``{monomial: Fraction}``
+    dict; only parenthesised factors are multiplied as polynomials.
+    """
 
     def __init__(self, tokens, n_vars: int, names: dict[str, int]):
         self.tokens = tokens
@@ -305,65 +411,83 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
+        out: dict[Monomial, Fraction] = {}
         kind, value = self.peek()
         negate = False
         if kind == "op" and value in "+-":
             self.take()
             negate = value == "-"
-        result = self.term()
-        if negate:
-            result = -result
+        self.term(out, negate)
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                rhs = self.term()
-                result = result - rhs if value == "-" else result + rhs
+                self.term(out, value == "-")
             else:
-                return result
+                return _from_dict(self.n_vars, out)
 
-    def term(self) -> Poly:
-        result = self.factor()
+    def term(self, out: dict, negate: bool) -> None:
+        """Parse one product and add it into ``out``."""
+        # [coefficient, exponent vector, product of parenthesised factors]
+        product = [Fraction(-1 if negate else 1), [0] * self.n_vars, None]
+        self.factor(product)
         while True:
             kind, value = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.factor()
+                self.factor(product)
             else:
-                return result
+                break
+        coeff, exps, group = product
+        if group is None:
+            items = [(tuple(exps), coeff)]
+        else:
+            items = [(tuple(map(add, m, exps)), c * coeff) for m, c in group.terms]
+        for m, c in items:
+            out[m] = out[m] + c if m in out else c
 
-    def factor(self) -> Poly:
+    def factor(self, product: list) -> None:
+        """Parse one factor and multiply it into ``product``."""
         kind, value = self.peek()
         if kind == "op" and value == "-":
             self.take()
-            return -self.factor()
-        base = self.atom()
-        kind, value = self.peek()
-        if kind == "op" and value == "^":
-            self.take()
-            kind, value = self.take()
-            if kind != "number" or not value.isdigit():
-                raise PolyParseError("exponent must be a nonnegative integer")
-            return base ** int(value)
-        return base
-
-    def atom(self) -> Poly:
+            product[0] = -product[0]
+            return self.factor(product)
         kind, value = self.take()
         if kind == "number":
-            return Poly.constant(Fraction(value), self.n_vars)
-        if kind == "name":
+            try:
+                number = Fraction(value)
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator in {value!r}") from None
+        elif kind == "name":
             if value not in self.names:
                 raise PolyParseError(f"unknown variable {value!r}")
-            return Poly.variable(self.names[value], self.n_vars)
-        if kind == "op" and value == "(":
+        elif kind == "op" and value == "(":
             inner = self.expr()
-            kind, value = self.take()
-            if not (kind == "op" and value == ")"):
+            if self.take() != ("op", ")"):
                 raise PolyParseError("missing closing parenthesis")
-            return inner
-        if kind is None:
+        elif kind is None:
             raise PolyParseError("unexpected end of input")
-        raise PolyParseError(f"unexpected token {value!r}")
+        else:
+            raise PolyParseError(f"unexpected token {value!r}")
+        power = self.exponent()
+        if kind == "number":
+            product[0] *= number**power
+        elif kind == "name":
+            product[1][self.names[value]] += power
+        else:
+            inner = inner**power
+            product[2] = inner if product[2] is None else product[2] * inner
+
+    def exponent(self) -> int:
+        kind, value = self.peek()
+        if not (kind == "op" and value == "^"):
+            return 1
+        self.take()
+        kind, value = self.take()
+        if kind != "number" or not value.isdigit():
+            raise PolyParseError("exponent must be a nonnegative integer")
+        return int(value)
 
 
 def parse_poly(text: str, n_vars: int, names: list[str] | None = None) -> Poly:

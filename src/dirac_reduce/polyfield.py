@@ -360,7 +360,8 @@ def _pushforward_components(rows, comps):
     for i in range(n):
         total = Poly.zero(n)
         for j in range(n):
-            total = total + rows[j][i] * composed[j]
+            if rows[j][i]:
+                total = total + rows[j][i] * composed[j]
         out.append(total)
     return tuple(out)
 

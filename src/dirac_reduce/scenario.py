@@ -10,6 +10,7 @@ same seed, same bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,14 +124,17 @@ def _need(mapping: dict, key: str, context: str):
 def _as_number(value, context: str) -> float:
     if isinstance(value, bool):
         raise ScenarioError(f"{context}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(_coerce(value))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ScenarioError(f"{context}: not a number: {value!r}") from exc
-    raise ScenarioError(f"{context}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise ScenarioError(f"{context}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(_coerce(value)) if isinstance(value, str) else float(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{context}: not a number: {value!r}") from exc
+    except OverflowError:
+        raise ScenarioError(f"{context}: number out of the float range") from None
+    if not math.isfinite(number):
+        raise ScenarioError(f"{context}: not a finite number: {value!r}")
+    return number
 
 
 def _as_matrix(value, context: str) -> list:
@@ -148,6 +152,8 @@ def _as_poly(value, n: int, context: str) -> Poly:
     if isinstance(value, bool):
         raise ScenarioError(f"{context}: expected a polynomial, got a boolean")
     if isinstance(value, (int, float)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ScenarioError(f"{context}: not a finite number: {value!r}")
         return Poly.constant(_coerce(value), n)
     if isinstance(value, str):
         try:

@@ -126,6 +126,47 @@ def test_tolerances_must_be_positive():
         scenario_from_dict(data)
 
 
+def _run_cli_on(tmp_path, data) -> int:
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))  # json.dumps writes NaN and Infinity
+    return main(["run", str(path)])
+
+
+def test_zero_denominator_in_polynomial_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, "1/0*x"], ["-1/0*x", 0]]}
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "dirac.two_form[0][1]: zero denominator in '1/0'" in capsys.readouterr().err
+
+
+def test_nan_polynomial_entry_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, float("nan")], [float("nan"), 0]]}
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "dirac.two_form[0][1]: not a finite number: nan" in capsys.readouterr().err
+
+
+def test_nan_sample_point_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["samples"]["explicit"][0] = [float("nan"), 0.0]
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "samples.explicit[0]: not a finite number: nan" in capsys.readouterr().err
+
+
+def test_infinite_random_box_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["samples"]["random"] = {"count": 3, "seed": 1, "box": [[0, float("inf")], [0, 1]]}
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "samples.random.box[0]: not a finite number: inf" in capsys.readouterr().err
+
+
+def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["samples"]["explicit"][0] = [10**400, 0.0]
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "samples.explicit[0]: number out of the float range" in capsys.readouterr().err
+
+
 def test_json_syntax_errors_report_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "version": }\n')
