@@ -11,6 +11,7 @@ skips that work.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -211,7 +212,8 @@ class Poly:
 
         At float coordinates the result is the float arithmetic the exact
         loop would perform: ``float(c) * v**e`` left to right within a
-        term, the terms summed in canonical order.
+        term, the terms summed in canonical order.  A result (or a power on
+        the way) beyond the float range raises OverflowError.
         """
         values = list(point)
         if len(values) != self.n_vars:
@@ -222,12 +224,20 @@ class Poly:
             return 0
         if all(isinstance(v, float) for v in values):
             powers, terms = self._float_terms
-            table = [float(values[i]) ** e for i, e in powers]
-            total = 0
-            for term, factors in terms:
-                for k in factors:
-                    term = term * table[k]
-                total = total + term
+            try:
+                table = [float(values[i]) ** e for i, e in powers]
+                total = 0
+                for term, factors in terms:
+                    for k in factors:
+                        term = term * table[k]
+                    total = total + term
+            except OverflowError:
+                total = math.inf
+            if not math.isfinite(total):
+                raise OverflowError(
+                    f"polynomial value at point {tuple(float(v) for v in values)} "
+                    "is out of the float range"
+                )
             return total
         total = 0
         for m, c in self.terms:
@@ -366,6 +376,29 @@ def default_var_names(n_vars: int) -> list[str]:
     return [f"x{i}" for i in range(n_vars)]
 
 
+# What one polynomial string may expand to, checked from closed-form bounds
+# before the work is done, so that a short string cannot stall the parser.
+# The bundled scenarios and generated workloads use no parenthesised powers
+# and degrees of at most 8.
+MAX_EXPONENT = 1000  # a literal exponent, and the degree a power may produce
+MAX_TERMS = 1000  # terms all parenthesised powers and products of one string may produce
+MAX_COEFF_BITS = 3000  # bits of a coefficient a power may produce
+
+
+def _check_power(coefficients, degree: int, power: int) -> int:
+    """Bound ``base**power`` before expanding it and return its term bound:
+    for k terms of ``bits`` total coefficient bits it has at most
+    C(power+k-1, k-1) terms, and numerators and denominators of at most
+    power * (bits + log2 k) bits."""
+    k = len(coefficients)
+    bits = sum(c.numerator.bit_length() + c.denominator.bit_length() for c in coefficients)
+    if power * degree > MAX_EXPONENT:
+        raise PolyParseError(f"^{power} gives degree above {MAX_EXPONENT}")
+    if power * (bits + k.bit_length()) > MAX_COEFF_BITS:
+        raise PolyParseError(f"^{power} may give coefficients of more than {MAX_COEFF_BITS} bits")
+    return math.comb(power + k - 1, power) if k else 1
+
+
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+/\d+|\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<op>[\^*+\-()]))"
@@ -401,6 +434,13 @@ class _Parser:
         self.pos = 0
         self.n_vars = n_vars
         self.names = names
+        self.budget = MAX_TERMS
+
+    def spend(self, terms: int, what: str) -> None:
+        """Charge an expansion's term bound to the string, before the work."""
+        self.budget -= terms
+        if self.budget < 0:
+            raise PolyParseError(f"{what} takes the expansion past {MAX_TERMS} terms")
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -459,6 +499,8 @@ class _Parser:
                 number = Fraction(value)
             except ZeroDivisionError:
                 raise PolyParseError(f"zero denominator in {value!r}") from None
+            except ValueError:  # more digits than int() converts
+                raise PolyParseError(f"number of {len(value)} characters is too long") from None
         elif kind == "name":
             if value not in self.names:
                 raise PolyParseError(f"unknown variable {value!r}")
@@ -472,11 +514,18 @@ class _Parser:
             raise PolyParseError(f"unexpected token {value!r}")
         power = self.exponent()
         if kind == "number":
+            if power > 1:
+                _check_power((number,), 0, power)
             product[0] *= number**power
         elif kind == "name":
             product[1][self.names[value]] += power
         else:
+            if power > 1:
+                bound = _check_power([c for _, c in inner.terms], inner.degree(), power)
+                self.spend(bound, f"^{power} of a {len(inner.terms)}-term factor")
             inner = inner**power
+            if product[2] is not None:
+                self.spend(len(product[2].terms) * len(inner.terms), "a parenthesised product")
             product[2] = inner if product[2] is None else product[2] * inner
 
     def exponent(self) -> int:
@@ -487,7 +536,10 @@ class _Parser:
         kind, value = self.take()
         if kind != "number" or not value.isdigit():
             raise PolyParseError("exponent must be a nonnegative integer")
-        return int(value)
+        digits = value.lstrip("0") or "0"  # int() refuses very long strings
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+            raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}")
+        return int(digits)
 
 
 def parse_poly(text: str, n_vars: int, names: list[str] | None = None) -> Poly:

@@ -49,6 +49,7 @@ __all__ = [
     "DiracFieldSpec",
     "generating_sections",
     "evaluate_at",
+    "evaluate_fibers",
     "BracketResidual",
     "SampleCheckReport",
     "integrability_check",
@@ -539,27 +540,32 @@ class SampleCheckReport:
     failures: tuple
     skipped: tuple
 
-    def describe(self) -> str:
-        state = "pass" if self.ok else "fail"
-        msg = f"{self.kind}: {state} (max residual {self.max_residual:.3e})"
-        if self.skipped:
-            msg += f", skipped points {list(self.skipped)}"
-        return msg
-
 
 def _membership_residual(value: np.ndarray, projector: np.ndarray) -> float:
     defect = value - projector @ value
     return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(value)))
 
 
-def _sampled_check(kind, spec, derived, samples, tol):
+def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> list:
+    """D(m) at each sample, in order; where the sections degenerate, the
+    DegeneratePointError raised there takes the fiber's place."""
+    fibers = []
+    for point in samples:
+        try:
+            fibers.append(evaluate_at(spec, point, tol))
+        except DegeneratePointError as exc:
+            fibers.append(exc)
+    return fibers
+
+
+def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
+    if fibers is None:
+        fibers = evaluate_fibers(spec, samples, tol)
     failures = []
     skipped = []
     max_residual = 0.0
-    for p_idx, point in enumerate(samples):
-        try:
-            fiber = evaluate_at(spec, point, tol)
-        except DegeneratePointError:
+    for p_idx, (point, fiber) in enumerate(zip(samples, fibers)):
+        if isinstance(fiber, DegeneratePointError):
             skipped.append(p_idx)
             continue
         projector = fiber.space.projector()
@@ -579,12 +585,13 @@ def _sampled_check(kind, spec, derived, samples, tol):
 
 
 def integrability_check(
-    spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL
+    spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL, fibers=None
 ) -> SampleCheckReport:
     """Courant brackets of generating sections stay in the structure.
 
     Sampled proxy for closedness: for every pair of generating sections the
-    bracket value at each sample must lie in the fiber there.
+    bracket value at each sample must lie in the fiber there.  ``fibers``:
+    the samples' :func:`evaluate_fibers`, if already computed.
     """
     sections = generating_sections(spec)
     derived = [
@@ -592,17 +599,17 @@ def integrability_check(
         for i in range(len(sections))
         for j in range(i + 1, len(sections))
     ]
-    return _sampled_check("integrability", spec, derived, samples, tol)
+    return _sampled_check("integrability", spec, derived, samples, tol, fibers)
 
 
 def infinitesimal_invariance(
-    spec: DiracFieldSpec, action, samples, tol: float = DEFAULT_TOL
+    spec: DiracFieldSpec, action, samples, tol: float = DEFAULT_TOL, fibers=None
 ) -> SampleCheckReport:
     """Lie derivatives along the circle generator stay in the structure.
 
     ``action`` only needs a ``circle`` attribute (or None); finite factors
     contribute nothing infinitesimal, so an action without a circle passes
-    vacuously.
+    vacuously.  ``fibers``: the samples' :func:`evaluate_fibers`, if computed.
     """
     circle = getattr(action, "circle", None)
     if circle is None:
@@ -627,4 +634,4 @@ def infinitesimal_invariance(
         )
         for k, s in enumerate(sections)
     ]
-    return _sampled_check("invariance", spec, derived, samples, tol)
+    return _sampled_check("invariance", spec, derived, samples, tol, fibers)

@@ -46,18 +46,20 @@ __all__ = [
     "InternalConsistencyError",
     "QuotientModel",
     "RankDims",
-    "RankRow",
     "RankClass",
     "RankReport",
     "RouteComparison",
+    "PointGeometry",
     "PointReduction",
     "k_perp",
+    "point_geometry",
     "restrict_to_stratum",
     "reduce_isotropy_route",
     "reduce_orbit_route",
     "compare_routes",
     "rank_report",
     "reduce_point",
+    "rank_classes",
     "descriptor_classes",
 ]
 
@@ -79,7 +81,6 @@ class QuotientModel:
     ``total``); restricted to the representative it is an isometry.
     """
 
-    point: np.ndarray
     total: Subspace
     vertical: Subspace
     representative: Subspace
@@ -90,7 +91,7 @@ class QuotientModel:
         return self.representative.dim
 
 
-def _make_model(point, total: Subspace, vertical: Subspace, tol: float) -> QuotientModel:
+def _make_model(total: Subspace, vertical: Subspace, tol: float) -> QuotientModel:
     basis = total.basis  # (t, n) orthonormal rows
     if vertical.dim:
         local = vertical.basis @ basis.T  # vertical in total coordinates
@@ -99,15 +100,136 @@ def _make_model(point, total: Subspace, vertical: Subspace, tol: float) -> Quoti
         rep_local = np.eye(total.dim)
     projection = rep_local @ basis
     representative = Subspace(total.ambient_dim, projection, tol)
-    point = np.array(point, dtype=float)
-    point.setflags(write=False)
-    return QuotientModel(point, total, vertical, representative, projection)
+    return QuotientModel(total, vertical, representative, projection)
+
+
+def _k_perp_space(v_ann: Subspace) -> Subspace:
+    """R^n + V° inside R^2n, for V° in R^n."""
+    return direct_sum(Subspace.full(v_ann.ambient_dim, v_ann.tol), v_ann)
 
 
 def k_perp(action: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     """The smooth-orthogonal window R^n + V°(m) inside R^2n."""
-    return direct_sum(
-        Subspace.full(action.n, tol), v_annihilator(action, m, tol)
+    return _k_perp_space(v_annihilator(action, m, tol))
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Every pointwise object the two routes and the dimension table read,
+    built once per sample point by :func:`point_geometry`."""
+
+    tol: float
+    descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
+    projector: np.ndarray  # P, the average over G_m
+    fix: Subspace  # Fix(G_m) = T_G(m)
+    vertical: Subspace  # V(m)
+    tangent: Subspace  # T(m) = Fix + V
+    v_ann: Subspace  # V°(m)
+    v_g_ann: Subspace  # V_G°(m)
+    fiber: LinearDirac  # D(m)
+    d_q: LinearDirac  # D_Q(m), on Fix coordinates
+    v_q: Subspace  # V ∩ Fix
+    descending: Subspace  # D(m) ∩ (T + (V_G° + ann T))
+
+    def route_a(self):
+        """Isotropy route: D_Q pushed through the quotient of Fix by V ∩ Fix.
+
+        Returns (QuotientModel, ForwardImage); the image's ``lagrangian``
+        flag records whether the push-forward produced a Dirac structure (it
+        does whenever the constant-rank hypothesis holds at m).
+        """
+        model = _make_model(self.fix, self.v_q, self.tol)
+        phi = model.projection @ self.fix.basis.T  # stratum coords -> representative
+        return model, forward_image(phi, self.d_q)
+
+    def route_b(self):
+        """Orbit route: the descending values pushed to the quotient of T by V.
+
+        Tangent parts lie along the orbit-type tangent and covectors are
+        admissible once restricted to it, so both components descend
+        through the quotient projection.
+        """
+        v = self.vertical
+        n = v.ambient_dim
+        model = _make_model(self.tangent, v, self.tol)
+        c = model.projection
+        rows = []
+        for row in self.descending.basis:
+            alpha = row[n:]
+            if v.dim:
+                leak = float(np.linalg.norm(v.basis @ alpha))
+                if leak > 1e4 * self.tol * max(1.0, float(np.linalg.norm(alpha))):
+                    raise InternalConsistencyError(
+                        f"descending covector does not annihilate the vertical "
+                        f"space (residual {leak:.3e})"
+                    )
+            rows.append(np.concatenate([c @ row[:n], c @ alpha]))
+        r = model.reduced_dim
+        space = span(rows, ambient_dim=2 * r, tol=self.tol)
+        image = ForwardImage(
+            base_dim=r,
+            space=space,
+            lagrangian=is_lagrangian(space),
+            surjective=True,
+        )
+        return model, image
+
+    def dims(self) -> tuple["RankDims", bool]:
+        """The dimension table and the I_q dimension identity flag."""
+        s = self.fix.dim
+        vq_local = span(self.v_q.basis @ self.fix.basis.T, ambient_dim=s, tol=self.tol)
+        dq_k = self.d_q.space.intersect(_k_perp_space(vq_local.annihilator())).dim
+        d_t_vg = self.descending.dim
+        dims = RankDims(
+            vertical=self.vertical.dim,
+            v_annihilator=self.v_ann.dim,
+            v_g_annihilator=self.v_g_ann.dim,
+            tangent_isotropy=s,
+            tangent_orbit=self.tangent.dim,
+            d_cap_k_perp=self.fiber.space.intersect(_k_perp_space(self.v_ann)).dim,
+            d_cap_t_vg=d_t_vg,
+            dq_cap_kq_perp=dq_k,
+        )
+        return dims, dq_k == d_t_vg
+
+
+def point_geometry(
+    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL, fiber=None
+) -> PointGeometry:
+    """Build the geometry at m once.
+
+    ``fiber`` is D(m) when already evaluated (or the DegeneratePointError its
+    evaluation raised); ``None`` evaluates it here.  Isotropy is decided
+    first, so a guard-band point is reported as such even where the fiber
+    degenerates.
+    """
+    h = isotropy(action, m, tol)
+    if fiber is None:
+        fiber = evaluate_at(spec, m, tol)
+    if isinstance(fiber, DegeneratePointError):
+        raise fiber
+    fix = fixed_subspace(h, action, tol)
+    v = vertical_space(action, m, tol)
+    t = fix.sum(v)
+    p = average_projector(h, action)
+    v_ann = v.annihilator()
+    v_g_ann = span(v_ann.basis @ p, ambient_dim=action.n, tol=tol)
+    # Covector condition taken on the stratum: alpha restricted to T must
+    # descend, i.e. alpha in V_G° + ann(T).
+    window = direct_sum(t, v_g_ann.sum(t.annihilator()))
+    return PointGeometry(
+        tol=tol,
+        descriptor=h,
+        projector=p,
+        fix=fix,
+        vertical=v,
+        tangent=t,
+        v_ann=v_ann,
+        v_g_ann=v_g_ann,
+        fiber=fiber,
+        d_q=backward_image(fix.basis.T, fiber),
+        v_q=v.intersect(fix),
+        descending=fiber.space.intersect(window),
     )
 
 
@@ -118,75 +240,23 @@ def restrict_to_stratum(
 
     Coordinates on the stratum are an orthonormal basis of Fix(G_m).
     """
-    fix = fixed_subspace(isotropy(action, m, tol), action, tol)
-    d = evaluate_at(spec, m, tol)
-    return backward_image(fix.basis.T, d)
+    return point_geometry(spec, action, m, tol).d_q
 
 
 def reduce_isotropy_route(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
 ):
-    """Restrict to the isotropy stratum, then quotient the vertical part.
-
-    Returns (QuotientModel, ForwardImage); the image's ``lagrangian`` flag
-    records whether the push-forward produced a Dirac structure (it does
-    whenever the constant-rank hypothesis holds at m).
-    """
-    h = isotropy(action, m, tol)
-    fix = fixed_subspace(h, action, tol)
-    d = evaluate_at(spec, m, tol)
-    d_q = backward_image(fix.basis.T, d)
-    v_q = vertical_space(action, m, tol).intersect(fix)
-    model = _make_model(m, fix, v_q, tol)
-    phi = model.projection @ fix.basis.T  # stratum coords -> representative
-    return model, forward_image(phi, d_q)
+    """Restrict to the isotropy stratum, then quotient the vertical part
+    (see :meth:`PointGeometry.route_a`)."""
+    return point_geometry(spec, action, m, tol).route_a()
 
 
 def reduce_orbit_route(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
 ):
-    """Span of descending-section values, pushed to the orbit-type quotient.
-
-    The fiber is intersected with T(m) + (V_G°(m) + ann T(m)): tangent parts
-    along the orbit-type tangent, covectors admissible once restricted to
-    it.  Both components then descend through the quotient projection.
-    """
-    h = isotropy(action, m, tol)
-    fix = fixed_subspace(h, action, tol)
-    v = vertical_space(action, m, tol)
-    t = fix.sum(v)
-    p = average_projector(h, action)
-    v_ann = v.annihilator()
-    v_g_ann = span(v_ann.basis @ p, ambient_dim=action.n, tol=tol)
-    d = evaluate_at(spec, m, tol)
-
-    admissible = v_g_ann.sum(t.annihilator())
-    window = direct_sum(t, admissible)
-    s_space = d.space.intersect(window)
-
-    n = action.n
-    model = _make_model(m, t, v, tol)
-    c = model.projection
-    rows = []
-    for row in s_space.basis:
-        alpha = row[n:]
-        if v.dim:
-            leak = float(np.linalg.norm(v.basis @ alpha))
-            if leak > 1e4 * tol * max(1.0, float(np.linalg.norm(alpha))):
-                raise InternalConsistencyError(
-                    f"descending covector does not annihilate the vertical "
-                    f"space (residual {leak:.3e})"
-                )
-        rows.append(np.concatenate([c @ row[:n], c @ alpha]))
-    r = model.reduced_dim
-    space = span(rows, ambient_dim=2 * r, tol=tol)
-    image = ForwardImage(
-        base_dim=r,
-        space=space,
-        lagrangian=is_lagrangian(space),
-        surjective=True,
-    )
-    return model, image
+    """Span of descending-section values, pushed to the orbit-type quotient
+    (see :meth:`PointGeometry.route_b`)."""
+    return point_geometry(spec, action, m, tol).route_b()
 
 
 @dataclass(frozen=True)
@@ -208,10 +278,8 @@ def compare_routes(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = 1e-8
 ) -> RouteComparison:
     """Run both routes at m and compare them in route B's model."""
-    rank_tol = min(DEFAULT_TOL, tol)
-    model_a, image_a = reduce_isotropy_route(spec, action, m, rank_tol)
-    model_b, image_b = reduce_orbit_route(spec, action, m, rank_tol)
-    return _compare_reduced(model_a, image_a, model_b, image_b, tol)
+    geometry = point_geometry(spec, action, m, min(DEFAULT_TOL, tol))
+    return _compare_reduced(*geometry.route_a(), *geometry.route_b(), tol)
 
 
 # -- rank bookkeeping ----------------------------------------------------------
@@ -241,55 +309,6 @@ class RankDims:
             "D_cap_T_plus_VG": self.d_cap_t_vg,
             "DQ_cap_KQ_perp": self.dq_cap_kq_perp,
         }
-
-
-def _point_dims(spec, action, m, tol) -> tuple[IsotropyDescriptor, RankDims, bool]:
-    """Descriptor, dimension table, and the I_q dimension identity flag."""
-    h = isotropy(action, m, tol)
-    fix = fixed_subspace(h, action, tol)
-    v = vertical_space(action, m, tol)
-    t = fix.sum(v)
-    p = average_projector(h, action)
-    v_ann = v.annihilator()
-    v_g_ann = span(v_ann.basis @ p, ambient_dim=action.n, tol=tol)
-    d = evaluate_at(spec, m, tol)
-
-    k_perp_space = direct_sum(Subspace.full(action.n, tol), v_ann)
-    d_k = d.space.intersect(k_perp_space).dim
-    # Covector condition taken on the stratum: alpha restricted to T must
-    # descend, i.e. alpha in V_G° + ann(T).  This is the window the
-    # descending-sections route intersects with.
-    d_t_vg = d.space.intersect(direct_sum(t, v_g_ann.sum(t.annihilator()))).dim
-
-    d_q = backward_image(fix.basis.T, d)
-    v_q = v.intersect(fix)
-    s = fix.dim
-    vq_local = span(v_q.basis @ fix.basis.T, ambient_dim=s, tol=tol)
-    kq_perp = direct_sum(Subspace.full(s, tol), vq_local.annihilator())
-    dq_k = d_q.space.intersect(kq_perp).dim
-
-    dims = RankDims(
-        vertical=v.dim,
-        v_annihilator=v_ann.dim,
-        v_g_annihilator=v_g_ann.dim,
-        tangent_isotropy=fix.dim,
-        tangent_orbit=t.dim,
-        d_cap_k_perp=d_k,
-        d_cap_t_vg=d_t_vg,
-        dq_cap_kq_perp=dq_k,
-    )
-    return h, dims, dq_k == d_t_vg
-
-
-@dataclass(frozen=True)
-class RankRow:
-    index: int
-    point: tuple
-    status: str
-    reason: str | None
-    descriptor: IsotropyDescriptor | None
-    dims: RankDims | None
-    iq_identity: bool | None
 
 
 @dataclass(frozen=True)
@@ -333,6 +352,24 @@ def descriptor_classes(descriptors, angle_tol: float = 1e-7) -> list:
     return classes
 
 
+def rank_classes(rows) -> tuple:
+    """Group the ok rows (anything with ``status``, ``descriptor`` and
+    ``dims``) by isotropy descriptor; ``indices`` are positions in ``rows``."""
+    ok = [(i, r) for i, r in enumerate(rows) if r.status == STATUS_OK]
+    classes = []
+    for members in descriptor_classes([r.descriptor for _, r in ok]):
+        group = [ok[j] for j in members]
+        first = group[0][1]
+        classes.append(
+            RankClass(
+                indices=tuple(i for i, _ in group),
+                descriptor=first.descriptor,
+                constant=all(r.dims == first.dims for _, r in group),
+            )
+        )
+    return tuple(classes)
+
+
 def rank_report(
     spec: DiracFieldSpec, action: ActionSpec, samples, tol: float = DEFAULT_TOL
 ) -> RankReport:
@@ -342,49 +379,8 @@ def rank_report(
     sampled stand-in for the constant-rank hypothesis; it is evidence, not
     proof, and is reported rather than asserted.
     """
-    rows = []
-    for index, m in enumerate(samples):
-        try:
-            h, dims, iq = _point_dims(spec, action, m, tol)
-            rows.append(
-                RankRow(index, tuple(float(c) for c in m), STATUS_OK, None, h, dims, iq)
-            )
-        except AmbiguousIsotropyError as exc:
-            rows.append(
-                RankRow(
-                    index,
-                    tuple(float(c) for c in m),
-                    STATUS_BOUNDARY,
-                    str(exc),
-                    None,
-                    None,
-                    None,
-                )
-            )
-        except DegeneratePointError as exc:
-            rows.append(
-                RankRow(
-                    index,
-                    tuple(float(c) for c in m),
-                    STATUS_DEGENERATE,
-                    str(exc),
-                    None,
-                    None,
-                    None,
-                )
-            )
-    ok_rows = [r for r in rows if r.status == STATUS_OK]
-    classes = []
-    for members in descriptor_classes([r.descriptor for r in ok_rows]):
-        group = [ok_rows[i] for i in members]
-        classes.append(
-            RankClass(
-                indices=tuple(r.index for r in group),
-                descriptor=group[0].descriptor,
-                constant=all(r.dims == group[0].dims for r in group),
-            )
-        )
-    return RankReport(rows=tuple(rows), classes=tuple(classes))
+    rows = tuple(reduce_point(spec, action, m, tol) for m in samples)
+    return RankReport(rows=rows, classes=rank_classes(rows))
 
 
 # -- one-point pipeline ----------------------------------------------------------
@@ -414,25 +410,24 @@ def reduce_point(
     m,
     rank_tol: float = DEFAULT_TOL,
     agree_tol: float = 1e-8,
+    fiber=None,
 ) -> PointReduction:
     """Run the full per-point pipeline, classifying boundary and degenerate
-    points as skips.  Internal-consistency violations propagate."""
+    points as skips.  Internal-consistency violations propagate.
+
+    ``fiber`` is D(m) already evaluated at ``rank_tol`` (see
+    :func:`point_geometry`); ``None`` evaluates it here."""
     point = tuple(float(c) for c in m)
     try:
-        h, dims, iq = _point_dims(spec, action, m, rank_tol)
-        d_q = restrict_to_stratum(spec, action, m, rank_tol)
-        model_a, image_a = reduce_isotropy_route(spec, action, m, rank_tol)
-        model_b, image_b = reduce_orbit_route(spec, action, m, rank_tol)
-    except AmbiguousIsotropyError as exc:
-        return PointReduction(
-            point, STATUS_BOUNDARY, str(exc), None, None, None, None, None,
-            None, None, None, None,
+        geometry = point_geometry(spec, action, m, rank_tol, fiber)
+    except (AmbiguousIsotropyError, DegeneratePointError) as exc:
+        status = (
+            STATUS_BOUNDARY if isinstance(exc, AmbiguousIsotropyError) else STATUS_DEGENERATE
         )
-    except DegeneratePointError as exc:
-        return PointReduction(
-            point, STATUS_DEGENERATE, str(exc), None, None, None, None, None,
-            None, None, None, None,
-        )
+        return PointReduction(point, status, str(exc), *[None] * 9)
+    dims, iq = geometry.dims()
+    model_a, image_a = geometry.route_a()
+    model_b, image_b = geometry.route_b()
     lagrangian_ok = image_a.lagrangian and image_b.lagrangian
     if lagrangian_ok:
         comparison = _compare_reduced(model_a, image_a, model_b, image_b, agree_tol)
@@ -443,10 +438,10 @@ def reduce_point(
         point=point,
         status=STATUS_OK,
         reason=None,
-        descriptor=h,
+        descriptor=geometry.descriptor,
         dims=dims,
         iq_identity=iq,
-        d_q=d_q,
+        d_q=geometry.d_q,
         route_a=image_a,
         route_b=image_b,
         lagrangian_ok=lagrangian_ok,

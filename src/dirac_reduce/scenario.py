@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +26,6 @@ from .action import (
 from .poly import Poly, PolyParseError, _coerce, parse_poly
 from .polyfield import (
     BivectorSpec,
-    DegeneratePointError,
     DiracFieldSpec,
     DistributionSpec,
     PolyOneForm,
@@ -39,17 +36,12 @@ from .polyfield import (
     SectionsSpec,
     TwoFormSpec,
     _sampled_check,
+    evaluate_fibers,
     generating_sections,
     infinitesimal_invariance,
     integrability_check,
 )
-from .reduction import (
-    STATUS_OK,
-    PointReduction,
-    RankClass,
-    descriptor_classes,
-    reduce_point,
-)
+from .reduction import STATUS_OK, PointReduction, rank_classes, reduce_point
 from .subspace import span
 
 __all__ = [
@@ -152,14 +144,18 @@ def _as_poly(value, n: int, context: str) -> Poly:
     if isinstance(value, bool):
         raise ScenarioError(f"{context}: expected a polynomial, got a boolean")
     if isinstance(value, (int, float)):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ScenarioError(f"{context}: not a finite number: {value!r}")
+        _as_number(value, context)  # finite and within the float range
         return Poly.constant(_coerce(value), n)
     if isinstance(value, str):
         try:
-            return parse_poly(value, n)
+            poly = parse_poly(value, n)
+            for _, c in poly.terms:
+                float(c)  # OverflowError beyond the float range
         except PolyParseError as exc:
             raise ScenarioError(f"{context}: {exc}") from exc
+        except OverflowError:
+            raise ScenarioError(f"{context}: coefficient out of the float range") from None
+        return poly
     raise ScenarioError(
         f"{context}: expected a number or polynomial string, got {type(value).__name__}"
     )
@@ -230,7 +226,7 @@ def _parse_dirac(value, n: int) -> DiracFieldSpec:
             tuple(sections),
             tuple(_as_number(c, "dirac.basepoint") for c in basepoint),
         )
-    except (ValueError, DegeneratePointError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"dirac.sections: {exc}") from exc
 
 
@@ -396,26 +392,22 @@ def load_scenario(path: str) -> Scenario:
 # -- canonical serialization -----------------------------------------------------
 
 
-def _poly_str(p: Poly) -> str:
-    return p.to_str()
-
-
 def _dirac_to_dict(spec: DiracFieldSpec) -> dict:
     if isinstance(spec, BivectorSpec):
         return {
-            "bivector": [[_poly_str(p) for p in row] for row in spec.matrix.entries]
+            "bivector": [[p.to_str() for p in row] for row in spec.matrix.entries]
         }
     if isinstance(spec, TwoFormSpec):
         return {
-            "two_form": [[_poly_str(p) for p in row] for row in spec.matrix.entries]
+            "two_form": [[p.to_str() for p in row] for row in spec.matrix.entries]
         }
     if isinstance(spec, DistributionSpec):
         return {"distribution": [list(map(float, row)) for row in spec.subspace.basis]}
     return {
         "sections": [
             {
-                "tangent": [_poly_str(p) for p in s.tangent.components],
-                "covector": [_poly_str(p) for p in s.covector.components],
+                "tangent": [p.to_str() for p in s.tangent.components],
+                "covector": [p.to_str() for p in s.covector.components],
             }
             for s in spec.sections
         ],
@@ -475,23 +467,7 @@ class RunReport:
     circle_average: SampleCheckReport | None
 
 
-def _thread_count(n_points: int) -> int:
-    raw = os.environ.get("DIRAC_REDUCE_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ScenarioError(
-                f"DIRAC_REDUCE_THREADS: expected a positive integer, got {raw!r}"
-            ) from None
-        if cap < 1:
-            raise ScenarioError("DIRAC_REDUCE_THREADS: expected a positive integer")
-    return max(1, min(cap, n_points))
-
-
-def _circle_average_check(s: Scenario, points) -> SampleCheckReport | None:
+def _circle_average_check(s: Scenario, points, fibers) -> SampleCheckReport | None:
     """Circle-averaged generating sections must remain in the structure.
 
     A necessary condition for circle invariance, computed through the exact
@@ -504,43 +480,34 @@ def _circle_average_check(s: Scenario, points) -> SampleCheckReport | None:
         (0, k, haar_average_section(sec, circle_only, s.quadrature_nodes))
         for k, sec in enumerate(generating_sections(s.dirac))
     ]
-    return _sampled_check("circle-average", s.dirac, derived, points, s.rank_tol)
+    return _sampled_check("circle-average", s.dirac, derived, points, s.rank_tol, fibers)
 
 
 def run_scenario(s: Scenario) -> RunReport:
-    """Reduce every sample point along both routes and run the whole-scenario
-    checks.  Per-point work may run on a thread pool (DIRAC_REDUCE_THREADS);
-    results are assembled in input order either way."""
+    """Reduce every sample point along both routes, in input order, and run
+    the whole-scenario checks.  Each fiber D(m) is evaluated once and shared
+    by the reduction and the three sampled checks."""
     points = sample_points(s)
-
-    def work(m) -> PointReduction:
-        return reduce_point(s.dirac, s.action, m, s.rank_tol, s.agree_tol)
-
-    workers = _thread_count(len(points))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(work, points))
-    else:
-        rows = tuple(work(m) for m in points)
-
-    ok = [(i, r) for i, r in enumerate(rows) if r.status == STATUS_OK]
-    classes = []
-    for members in descriptor_classes([r.descriptor for _, r in ok]):
-        group = [ok[j] for j in members]
-        classes.append(
-            RankClass(
-                indices=tuple(i for i, _ in group),
-                descriptor=group[0][1].descriptor,
-                constant=all(r.dims == group[0][1].dims for _, r in group),
-            )
+    try:  # every polynomial evaluation at the samples happens here
+        fibers = evaluate_fibers(s.dirac, points, s.rank_tol)
+        integrability = integrability_check(s.dirac, points, s.rank_tol, fibers)
+        invariance = infinitesimal_invariance(
+            s.dirac, s.action, points, s.rank_tol, fibers
         )
+        circle_average = _circle_average_check(s, points, fibers)
+    except OverflowError as exc:
+        raise ScenarioError(f"sample evaluation: {exc}") from None
+    rows = tuple(
+        reduce_point(s.dirac, s.action, m, s.rank_tol, s.agree_tol, fiber)
+        for m, fiber in zip(points, fibers)
+    )
     return RunReport(
         scenario=s,
         points=rows,
-        classes=tuple(classes),
-        integrability=integrability_check(s.dirac, points, s.rank_tol),
-        invariance=infinitesimal_invariance(s.dirac, s.action, points, s.rank_tol),
-        circle_average=_circle_average_check(s, points),
+        classes=rank_classes(rows),
+        integrability=integrability,
+        invariance=invariance,
+        circle_average=circle_average,
     )
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+_DIAGONAL_ATOL = 1e-8 + 1e-5  # allclose's atol + rtol * |1|
 
 __all__ = [
     "DEFAULT_TOL",
@@ -88,8 +89,12 @@ class Subspace:
                 f"ambient dimension is {self.ambient_dim}"
             )
         if basis.shape[0]:
+            # np.allclose(gram, I, atol=1e-8) without its overhead: |G_ij| <= atol
+            # off the diagonal, |G_ii - 1| <= atol + rtol on it; NaN fails both.
             gram = basis @ basis.T
-            if not np.allclose(gram, np.eye(basis.shape[0]), atol=1e-8):
+            diagonal = np.abs(gram.diagonal() - 1.0)
+            gram.flat[:: basis.shape[0] + 1] = 0.0
+            if not (np.abs(gram).max() <= 1e-8 and diagonal.max() <= _DIAGONAL_ATOL):
                 raise ValueError("basis rows are not orthonormal; build with span()")
         basis = basis.copy()
         basis.setflags(write=False)
@@ -184,8 +189,8 @@ class Subspace:
     # -- metric ---------------------------------------------------------
 
     def distance(self, other: "Subspace") -> float:
-        """Operator-norm distance of orthogonal projectors; lies in [0, 1]
-        for subspaces of equal dimension and in [0, 1] in general."""
+        """Operator-norm distance of orthogonal projectors; lies in [0, 1],
+        and equals 1 when the dimensions differ."""
         self._check_same_ambient(other)
         if self.ambient_dim == 0:
             return 0.0

@@ -85,6 +85,21 @@ def test_parse_errors():
             parse_poly(bad, 2)
 
 
+def test_parse_limits_charge_only_expansions():
+    """Parentheses without a power, long literals and a 1000-term sum are
+    no expansion, so the limits leave them alone; a long literal beyond
+    what int() reads is a parse error, not a ValueError."""
+    long_sum = " + ".join(f"x^{i}*y" for i in range(1000))
+    assert len(parse_poly(f"-({long_sum})", 2).terms) == 1000
+    assert parse_poly(f"({'7' * 1000})*x", 2).terms[0][1] == int("7" * 1000)
+    assert parse_poly("-(x^600*y^600 - x^601*y^599)", 2).degree() == 1200
+    assert parse_poly("(x + y)^300", 2).degree() == 300
+    with pytest.raises(PolyParseError, match="too long"):
+        parse_poly("1" * 5000, 2)
+    with pytest.raises(PolyParseError, match="exponent exceeds"):
+        parse_poly("x^" + "1" * 5000, 2)
+
+
 def test_str_uses_default_names():
     p = Fraction(3, 2) * X * Y**2 - Y + 1
     assert str(p) == "3/2*x*y^2 - y + 1"

@@ -1,13 +1,18 @@
 """Both reduction routes on worked examples with frozen outcomes, plus the
 rank bookkeeping that the runner reports."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_reduce.action import isotropy
 from dirac_reduce.poly import parse_poly
 from dirac_reduce.polyfield import (
     BivectorSpec,
+    DegeneratePointError,
     DistributionSpec,
     PolyOneForm,
     PolySection,
@@ -17,6 +22,7 @@ from dirac_reduce.polyfield import (
     TwoFormSpec,
     evaluate_at,
     Poly,
+    evaluate_fibers,
 )
 from dirac_reduce.reduction import (
     STATUS_BOUNDARY,
@@ -31,6 +37,7 @@ from dirac_reduce.reduction import (
     reduce_point,
     restrict_to_stratum,
 )
+from dirac_reduce.scenario import load_scenario, sample_points
 from dirac_reduce.subspace import Subspace, span
 
 from helpers import (
@@ -340,3 +347,63 @@ def test_reduce_point_skips_boundary_without_comparisons():
     assert out.status == STATUS_BOUNDARY
     assert out.reason
     assert out.distance is None and out.agree is None and out.route_a is None
+
+
+def test_reduce_point_decides_isotropy_before_using_a_degenerate_fiber():
+    x = parse_poly("x", 2)
+    zero = Poly.zero(2)
+    spec = SectionsSpec(
+        (
+            PolySection(PolyVectorField((x, zero)), PolyOneForm.zero(2)),
+            PolySection(PolyVectorField((zero, x)), PolyOneForm.zero(2)),
+        ),
+        basepoint=(1.0, 0.0),
+    )
+    m = np.array([0.0, 1e-8])  # sections vanish, reflection fixes m only in the guard band
+    fiber = evaluate_fibers(spec, [m])[0]
+    assert isinstance(fiber, DegeneratePointError)
+    out = reduce_point(spec, z2_reflection_action(), m, fiber=fiber)
+    assert out.status == STATUS_BOUNDARY
+    moved = np.array([0.0, 1.0])
+    out = reduce_point(spec, z2_reflection_action(), moved, fiber=evaluate_fibers(spec, [moved])[0])
+    assert out.status == STATUS_DEGENERATE and "rank" in out.reason
+
+
+BUNDLED = {
+    path.name: load_scenario(str(path))
+    for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_reduce_point_equals_the_public_views_bit_for_bit(data):
+    """At a sample point of a bundled scenario moved by a random group
+    element and scale (so every sampled stratum is visited), the runner's
+    reduce_point, fed the pre-evaluated fiber, returns exactly what the
+    public per-object functions return."""
+    s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
+    points = sample_points(s)
+    base = points[data.draw(st.integers(0, len(points) - 1))]
+    g = s.action.finite.elements[data.draw(st.integers(0, s.action.finite.order - 1))]
+    if s.action.circle is not None:
+        g = g @ s.action.circle.rotation(data.draw(st.floats(0.0, 2 * np.pi)))
+    m = g @ (data.draw(st.floats(0.5, 2.0)) * base)
+    tol = s.rank_tol
+    fiber = evaluate_fibers(s.dirac, [m], tol)[0]
+    out = reduce_point(s.dirac, s.action, m, tol, s.agree_tol, fiber)
+    row = rank_report(s.dirac, s.action, [m], tol).rows[0]
+    assert (out.status, out.reason, out.descriptor, out.dims, out.iq_identity) == (
+        row.status, row.reason, row.descriptor, row.dims, row.iq_identity
+    )
+    if out.status != STATUS_OK:
+        return
+    d_q = restrict_to_stratum(s.dirac, s.action, m, tol)
+    assert np.array_equal(out.d_q.space.basis, d_q.space.basis)
+    _, route_a = reduce_isotropy_route(s.dirac, s.action, m, tol)
+    _, route_b = reduce_orbit_route(s.dirac, s.action, m, tol)
+    for mine, theirs in ((out.route_a, route_a), (out.route_b, route_b)):
+        assert (mine.base_dim, mine.lagrangian, mine.surjective) == (
+            theirs.base_dim, theirs.lagrangian, theirs.surjective
+        )
+        assert np.array_equal(mine.space.basis, theirs.space.basis)

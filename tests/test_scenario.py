@@ -1,9 +1,11 @@
 """Scenario files, the runner, report emission, and the command line."""
 
 import copy
+import importlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,63 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "samples.explicit[0]: number out of the float range" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("(x + y + x*y + 1)^40", "^40 of a 4-term factor takes the expansion past 1000 terms"),
+        ("(x + y + x*y + 1)^80", "^80 of a 4-term factor takes the expansion past 1000 terms"),
+        ("3*(x + y + x*y + 1)^12 - (x + y + x*y + 1)^12 + (x + y + x*y + 1)^12",
+         "^12 of a 4-term factor takes the expansion past 1000 terms"),
+        ("(x + y + x*y + 1)^5*(x + y + x*y + 1)^5",
+         "a parenthesised product takes the expansion past 1000 terms"),
+        ("9^999999999*x", "exponent exceeds 1000"),
+        ("x^2000", "exponent exceeds 1000"),
+        ("((9)^100)^100*x", "^100 may give coefficients of more than 3000 bits"),
+        ("(x^10)^101", "^101 gives degree above 1000"),
+    ],
+)
+def test_oversized_expansion_exits_2_promptly(tmp_path, capsys, entry, message):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, entry], [f"-({entry})", 0]]}
+    start = time.perf_counter()
+    assert _run_cli_on(tmp_path, data) == 2
+    assert time.perf_counter() - start < 1.0
+    assert f"dirac.two_form[0][1]: {message}" in capsys.readouterr().err
+
+
+def test_coefficient_beyond_float_range_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, "10^400*x"], ["-10^400*x", 0]]}
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "dirac.two_form[0][1]: coefficient out of the float range" in capsys.readouterr().err
+
+
+def test_evaluation_overflow_names_the_sample_point(tmp_path, capsys):
+    data = base_scenario()
+    # each power is finite at (3, 3); the products overflow to inf silently
+    # and their difference is NaN
+    entry = "x^600*y^600 - x^601*y^599"
+    data["dirac"] = {"two_form": [[0, entry], [f"-({entry})", 0]]}
+    data["samples"]["explicit"] = [[0.5, 0.0], [3.0, 3.0]]
+    assert _run_cli_on(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "sample evaluation: polynomial value at point (3.0, 3.0)" in err
+    assert "out of the float range" in err
+
+
+def test_sections_basepoint_overflow_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {
+        "sections": [
+            {"tangent": ["x^1000", 0], "covector": [0, 0]},
+            {"tangent": [0, 0], "covector": [0, 1]},
+        ],
+        "basepoint": [3.0, 0.0],
+    }
+    assert _run_cli_on(tmp_path, data) == 2
+    assert "dirac.sections: polynomial value at point (3.0, 0.0)" in capsys.readouterr().err
+
+
 def test_json_syntax_errors_report_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{\n  "version": }\n')
@@ -282,20 +341,39 @@ def test_unknown_format_is_rejected():
         emit_report(run_scenario(s), "yaml")
 
 
-def test_thread_count_env_does_not_change_output(monkeypatch):
-    s = load_scenario(str(SCENARIO_DIR / "circle_canonical_poisson.json"))
-    monkeypatch.setenv("DIRAC_REDUCE_THREADS", "1")
-    serial = emit_report(run_scenario(s), "json")
-    monkeypatch.setenv("DIRAC_REDUCE_THREADS", "4")
-    threaded = emit_report(run_scenario(s), "json")
-    assert serial == threaded
+def _count_calls(monkeypatch, module: str, name: str) -> list:
+    """Count calls of ``dirac_reduce.<module>.<name>`` through every
+    ``dirac_reduce`` module that bound it."""
+    original = getattr(importlib.import_module(f"dirac_reduce.{module}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "dirac_reduce":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
 
 
-def test_invalid_thread_count_env_is_an_input_error(monkeypatch):
-    s = load_scenario(str(SCENARIO_DIR / "z2_reflection_area_form.json"))
-    monkeypatch.setenv("DIRAC_REDUCE_THREADS", "many")
-    with pytest.raises(ScenarioError, match="DIRAC_REDUCE_THREADS"):
-        run_scenario(s)
+@pytest.mark.parametrize("name", ["z2_circle_r3_two_form.json", "dihedral_distribution.json"])
+def test_run_builds_each_point_once(monkeypatch, name):
+    s = load_scenario(str(SCENARIO_DIR / name))
+    calls = {
+        func: _count_calls(monkeypatch, module, func)
+        for module, func in (
+            ("action", "isotropy"),
+            ("polyfield", "evaluate_at"),
+            ("lindirac", "backward_image"),
+        )
+    }
+    report = run_scenario(s)
+    assert all(r.status == "ok" for r in report.points)
+    n_points = len(report.points)
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, n_points)
 
 
 # -- command line ---------------------------------------------------------------

@@ -27,6 +27,47 @@ def test_orthonormal_rows_rank_matches_numpy():
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
 
 
+def test_non_orthonormal_basis_is_rejected():
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, np.array([[1.0, 1.0]]))
+
+
+@pytest.mark.parametrize(
+    "basis", [[[np.nan, 0.0]], [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0]]]
+)
+def test_non_finite_basis_is_rejected(basis):
+    with pytest.raises(ValueError, match="orthonormal"):
+        Subspace(2, np.array(basis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dim=st.integers(1, 4),
+    extra=st.integers(0, 2),
+    diagonal=st.floats(-1.5, 1.5),
+    off_diagonal=st.floats(-1.5, 1.5),
+)
+def test_orthonormality_check_matches_allclose(seed, dim, extra, diagonal, off_diagonal):
+    """Perturb one Gram diagonal entry by about 1e-8 + 1e-5 and one
+    off-diagonal entry by about 1e-8, on either side of the bounds: the
+    basis is accepted exactly when np.allclose(G, I, atol=1e-8) holds."""
+    rng = np.random.default_rng(seed)
+    n = dim + extra
+    basis = random_orthogonal(rng, n)[:dim].copy()
+    i, j = (int(k) for k in rng.integers(dim, size=2))
+    basis[i] *= np.sqrt(1.0 + diagonal * (1e-8 + 1e-5))
+    if i != j:
+        basis[j] += off_diagonal * 1e-8 * basis[i]
+    expected = bool(np.allclose(basis @ basis.T, np.eye(dim), atol=1e-8))
+    try:
+        Subspace(n, basis)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+
+
 def test_nullspace_rank_nullity():
     rng = np.random.default_rng(1)
     for _ in range(50):
