@@ -436,10 +436,11 @@ def average_projector(h: IsotropyDescriptor, spec: ActionSpec) -> np.ndarray:
 
 
 def fixed_subspace(
-    h: IsotropyDescriptor, spec: ActionSpec, tol: float = DEFAULT_TOL
+    h: IsotropyDescriptor, spec: ActionSpec, tol: float = DEFAULT_TOL, projector=None
 ) -> Subspace:
-    """Fix(H) = image of the averaging projector."""
-    p = average_projector(h, spec)
+    """Fix(H) = image of the averaging projector (``projector``, when the
+    caller already holds :func:`average_projector` of h)."""
+    p = average_projector(h, spec) if projector is None else projector
     _, s, vh = np.linalg.svd(p)
     return Subspace(spec.n, vh[s > 0.5], tol)
 

@@ -18,6 +18,7 @@ is induced by inclusion of the fixed space into the orbit-type tangent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "RankClass",
     "RankReport",
     "RouteComparison",
+    "ActionGeometry",
     "PointGeometry",
     "PointReduction",
     "k_perp",
@@ -113,22 +115,83 @@ def k_perp(action: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     return _k_perp_space(v_annihilator(action, m, tol))
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """Every pointwise object the two routes and the dimension table read,
-    built once per sample point by :func:`point_geometry`."""
+@dataclass(frozen=True, eq=False)
+class ActionGeometry:
+    """The action side at a point: every object that depends only on the
+    isotropy subgroup h and V(m).  Each is built on first use and kept, so
+    the points that share one instance build it once."""
 
     tol: float
     descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
     projector: np.ndarray  # P, the average over G_m
     fix: Subspace  # Fix(G_m) = T_G(m)
     vertical: Subspace  # V(m)
-    tangent: Subspace  # T(m) = Fix + V
-    v_ann: Subspace  # V°(m)
-    v_g_ann: Subspace  # V_G°(m)
+
+    @cached_property
+    def tangent(self) -> Subspace:
+        """T(m) = Fix + V."""
+        return self.fix.sum(self.vertical)
+
+    @property
+    def v_ann(self) -> Subspace:
+        """V°(m) (kept by the Subspace itself)."""
+        return self.vertical.annihilator()
+
+    @cached_property
+    def v_g_ann(self) -> Subspace:
+        """V_G°(m), the image of V° under P."""
+        n = self.fix.ambient_dim
+        return span(self.v_ann.basis @ self.projector, ambient_dim=n, tol=self.tol)
+
+    @cached_property
+    def window(self) -> Subspace:
+        """T + (V_G° + ann T): the covector condition taken on the stratum,
+        alpha restricted to T must descend."""
+        t = self.tangent
+        return direct_sum(t, self.v_g_ann.sum(t.annihilator()))
+
+    @cached_property
+    def v_q(self) -> Subspace:
+        """V ∩ Fix."""
+        return self.vertical.intersect(self.fix)
+
+    @cached_property
+    def model_a(self) -> QuotientModel:
+        """Route A's quotient of Fix by V ∩ Fix."""
+        return _make_model(self.fix, self.v_q, self.tol)
+
+    @cached_property
+    def phi_a(self) -> np.ndarray:
+        """Stratum coordinates -> route A's representative."""
+        return self.model_a.projection @ self.fix.basis.T
+
+    @cached_property
+    def model_b(self) -> QuotientModel:
+        """Route B's quotient of T by V."""
+        return _make_model(self.tangent, self.vertical, self.tol)
+
+    @cached_property
+    def k_perp(self) -> Subspace:
+        """R^n + V°."""
+        return _k_perp_space(self.v_ann)
+
+    @cached_property
+    def kq_perp(self) -> Subspace:
+        """R^s + (V ∩ Fix)° on Fix coordinates."""
+        s = self.fix.dim
+        vq_local = span(self.v_q.basis @ self.fix.basis.T, ambient_dim=s, tol=self.tol)
+        return _k_perp_space(vq_local.annihilator())
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """Every pointwise object the two routes and the dimension table read,
+    built once per sample point by :func:`point_geometry`: the action side
+    and the fiber side."""
+
+    action: ActionGeometry
     fiber: LinearDirac  # D(m)
     d_q: LinearDirac  # D_Q(m), on Fix coordinates
-    v_q: Subspace  # V ∩ Fix
     descending: Subspace  # D(m) ∩ (T + (V_G° + ann T))
 
     def route_a(self):
@@ -138,9 +201,7 @@ class PointGeometry:
         flag records whether the push-forward produced a Dirac structure (it
         does whenever the constant-rank hypothesis holds at m).
         """
-        model = _make_model(self.fix, self.v_q, self.tol)
-        phi = model.projection @ self.fix.basis.T  # stratum coords -> representative
-        return model, forward_image(phi, self.d_q)
+        return self.action.model_a, forward_image(self.action.phi_a, self.d_q)
 
     def route_b(self):
         """Orbit route: the descending values pushed to the quotient of T by V.
@@ -149,23 +210,24 @@ class PointGeometry:
         admissible once restricted to it, so both components descend
         through the quotient projection.
         """
-        v = self.vertical
+        tol = self.action.tol
+        v = self.action.vertical
         n = v.ambient_dim
-        model = _make_model(self.tangent, v, self.tol)
+        model = self.action.model_b
         c = model.projection
         rows = []
         for row in self.descending.basis:
             alpha = row[n:]
             if v.dim:
                 leak = float(np.linalg.norm(v.basis @ alpha))
-                if leak > 1e4 * self.tol * max(1.0, float(np.linalg.norm(alpha))):
+                if leak > 1e4 * tol * max(1.0, float(np.linalg.norm(alpha))):
                     raise InternalConsistencyError(
                         f"descending covector does not annihilate the vertical "
                         f"space (residual {leak:.3e})"
                     )
             rows.append(np.concatenate([c @ row[:n], c @ alpha]))
         r = model.reduced_dim
-        space = span(rows, ambient_dim=2 * r, tol=self.tol)
+        space = span(rows, ambient_dim=2 * r, tol=tol)
         image = ForwardImage(
             base_dim=r,
             space=space,
@@ -176,25 +238,52 @@ class PointGeometry:
 
     def dims(self) -> tuple["RankDims", bool]:
         """The dimension table and the I_q dimension identity flag."""
-        s = self.fix.dim
-        vq_local = span(self.v_q.basis @ self.fix.basis.T, ambient_dim=s, tol=self.tol)
-        dq_k = self.d_q.space.intersect(_k_perp_space(vq_local.annihilator())).dim
+        a = self.action
+        dq_k = self.d_q.space.intersect(a.kq_perp).dim
         d_t_vg = self.descending.dim
         dims = RankDims(
-            vertical=self.vertical.dim,
-            v_annihilator=self.v_ann.dim,
-            v_g_annihilator=self.v_g_ann.dim,
-            tangent_isotropy=s,
-            tangent_orbit=self.tangent.dim,
-            d_cap_k_perp=self.fiber.space.intersect(_k_perp_space(self.v_ann)).dim,
+            vertical=a.vertical.dim,
+            v_annihilator=a.v_ann.dim,
+            v_g_annihilator=a.v_g_ann.dim,
+            tangent_isotropy=a.fix.dim,
+            tangent_orbit=a.tangent.dim,
+            d_cap_k_perp=self.fiber.space.intersect(a.k_perp).dim,
             d_cap_t_vg=d_t_vg,
             dq_cap_kq_perp=dq_k,
         )
         return dims, dq_k == d_t_vg
 
 
+def _action_geometry(
+    action: ActionSpec, h: IsotropyDescriptor, v: Subspace, tol: float, classes: dict
+) -> ActionGeometry:
+    """The action side for isotropy h and vertical space V(m).
+
+    ``classes`` maps the exact descriptor (tolerance-equal descriptors can
+    differ in the last bits of their angles, and so in P) to the class's
+    ActionGeometry with V = 0, built on first sight.  Where V(m) = 0, T = Fix and every object
+    of the action side is a function of h, so that instance is returned; a
+    point the circle moves gets its own instance over the class's P and Fix
+    (whose annihilator is then built once too).
+    """
+    key = (h.continuous_circle, h.pairs)
+    shared = classes.get(key)
+    if shared is None:
+        p = average_projector(h, action)
+        fix = fixed_subspace(h, action, tol, p)
+        shared = classes[key] = ActionGeometry(tol, h, p, fix, Subspace.zero(action.n, tol))
+    if v.dim == 0:
+        return shared
+    return ActionGeometry(tol, h, shared.projector, shared.fix, v)
+
+
 def point_geometry(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL, fiber=None
+    spec: DiracFieldSpec,
+    action: ActionSpec,
+    m,
+    tol: float = DEFAULT_TOL,
+    fiber=None,
+    classes: dict | None = None,
 ) -> PointGeometry:
     """Build the geometry at m once.
 
@@ -202,34 +291,24 @@ def point_geometry(
     evaluation raised); ``None`` evaluates it here.  Isotropy is decided
     first, so a guard-band point is reported as such even where the fiber
     degenerates.
+
+    ``classes`` is a dict that the points of one run (one action, one
+    ``tol``) share, keyed by the exact isotropy descriptor: P and Fix are
+    built once per class, and where V(m) = 0 the whole action side is.
+    ``None`` builds the action side for this point alone.
     """
     h = isotropy(action, m, tol)
     if fiber is None:
         fiber = evaluate_at(spec, m, tol)
     if isinstance(fiber, DegeneratePointError):
         raise fiber
-    fix = fixed_subspace(h, action, tol)
     v = vertical_space(action, m, tol)
-    t = fix.sum(v)
-    p = average_projector(h, action)
-    v_ann = v.annihilator()
-    v_g_ann = span(v_ann.basis @ p, ambient_dim=action.n, tol=tol)
-    # Covector condition taken on the stratum: alpha restricted to T must
-    # descend, i.e. alpha in V_G° + ann(T).
-    window = direct_sum(t, v_g_ann.sum(t.annihilator()))
+    a = _action_geometry(action, h, v, tol, {} if classes is None else classes)
     return PointGeometry(
-        tol=tol,
-        descriptor=h,
-        projector=p,
-        fix=fix,
-        vertical=v,
-        tangent=t,
-        v_ann=v_ann,
-        v_g_ann=v_g_ann,
+        action=a,
         fiber=fiber,
-        d_q=backward_image(fix.basis.T, fiber),
-        v_q=v.intersect(fix),
-        descending=fiber.space.intersect(window),
+        d_q=backward_image(a.fix.basis.T, fiber),
+        descending=fiber.space.intersect(a.window),
     )
 
 
@@ -411,15 +490,17 @@ def reduce_point(
     rank_tol: float = DEFAULT_TOL,
     agree_tol: float = 1e-8,
     fiber=None,
+    classes: dict | None = None,
 ) -> PointReduction:
     """Run the full per-point pipeline, classifying boundary and degenerate
     points as skips.  Internal-consistency violations propagate.
 
-    ``fiber`` is D(m) already evaluated at ``rank_tol`` (see
-    :func:`point_geometry`); ``None`` evaluates it here."""
+    ``fiber`` is D(m) already evaluated at ``rank_tol`` and ``classes`` the
+    run's shared action sides (see :func:`point_geometry`); ``None``
+    evaluates and builds them here."""
     point = tuple(float(c) for c in m)
     try:
-        geometry = point_geometry(spec, action, m, rank_tol, fiber)
+        geometry = point_geometry(spec, action, m, rank_tol, fiber, classes)
     except (AmbiguousIsotropyError, DegeneratePointError) as exc:
         status = (
             STATUS_BOUNDARY if isinstance(exc, AmbiguousIsotropyError) else STATUS_DEGENERATE
@@ -438,7 +519,7 @@ def reduce_point(
         point=point,
         status=STATUS_OK,
         reason=None,
-        descriptor=geometry.descriptor,
+        descriptor=geometry.action.descriptor,
         dims=dims,
         iq_identity=iq,
         d_q=geometry.d_q,

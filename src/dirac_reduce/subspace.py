@@ -12,6 +12,7 @@ annihilators are computed as Euclidean orthogonal complements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class Subspace:
 
     ``basis`` has shape ``(dim, ambient_dim)``; the zero subspace has an
     empty basis.  Equality is projector equality at the larger of the two
-    tolerances.
+    tolerances.  Instances are immutable, so the projector and the
+    annihilator are computed once per instance and shared.
     """
 
     ambient_dim: int
@@ -117,10 +119,17 @@ class Subspace:
         return self.basis.shape[0]
 
     def projector(self) -> np.ndarray:
-        """Orthogonal projector onto the subspace (n x n)."""
+        """Orthogonal projector onto the subspace (n x n), read-only."""
+        return self._projector
+
+    @cached_property
+    def _projector(self) -> np.ndarray:
         if self.dim == 0:
-            return np.zeros((self.ambient_dim, self.ambient_dim))
-        return self.basis.T @ self.basis
+            p = np.zeros((self.ambient_dim, self.ambient_dim))
+        else:
+            p = self.basis.T @ self.basis
+        p.setflags(write=False)
+        return p
 
     def contains(self, vector: np.ndarray) -> bool:
         vector = np.asarray(vector, dtype=float)
@@ -151,6 +160,10 @@ class Subspace:
     def annihilator(self) -> "Subspace":
         """Annihilator in the dual, identified with the Euclidean
         orthogonal complement."""
+        return self._annihilator
+
+    @cached_property
+    def _annihilator(self) -> "Subspace":
         return Subspace(self.ambient_dim, nullspace(self.basis, self.tol), self.tol)
 
     def intersect(self, other: "Subspace") -> "Subspace":

@@ -1,6 +1,7 @@
 """Both reduction routes on worked examples with frozen outcomes, plus the
 rank bookkeeping that the runner reports."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +38,13 @@ from dirac_reduce.reduction import (
     reduce_point,
     restrict_to_stratum,
 )
-from dirac_reduce.scenario import load_scenario, sample_points
+from dirac_reduce.scenario import (
+    VERSION,
+    load_scenario,
+    run_scenario,
+    sample_points,
+    scenario_from_dict,
+)
 from dirac_reduce.subspace import Subspace, span
 
 from helpers import (
@@ -407,3 +414,86 @@ def test_reduce_point_equals_the_public_views_bit_for_bit(data):
             theirs.base_dim, theirs.lagrangian, theirs.surjective
         )
         assert np.array_equal(mine.space.basis, theirs.space.basis)
+
+
+def _cube_lie_poisson():
+    """so(3)* Lie-Poisson under the 24 rotations of the cube, sampled at
+    the origin, along a four-, a three- and a two-fold rotation axis and at
+    generic points."""
+    rotations = []
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product([1, -1], repeat=3):
+            f = np.zeros((3, 3), dtype=int)
+            for row, (col, sign) in enumerate(zip(perm, signs)):
+                f[row, col] = sign
+            if round(np.linalg.det(f)) == 1:
+                rotations.append(f)
+    rotations.sort(key=lambda f: not np.array_equal(f, np.eye(3)))
+    axes = [(0, 0, 1), (1, 1, 1), (1, -1, 0)]
+    points = [[0.0, 0.0, 0.0]]
+    points += [[t * c for c in axis] for axis in axes for t in (0.6, -1.1, 1.4)]
+    points += [[0.3, -0.8, 1.1], [1.2, 0.5, -0.4], [-0.9, 0.2, 0.7]]
+    return scenario_from_dict(
+        {
+            "version": VERSION,
+            "n": 3,
+            "dirac": {"bivector": [["0", "z", "-y"], ["-z", "0", "x"], ["y", "-x", "0"]]},
+            "action": {"finite": [f.tolist() for f in rotations]},
+            "samples": {"explicit": points},
+        }
+    )
+
+
+def _twisted_circle_symplectic():
+    """The symplectic form on C^2 = R^4 under the circle e^{it}(z1, z2) times
+    the order-4 group generated by (z1, z2) -> (i z1, -i z2).  The generator
+    fixes points of the z1-plane together with the angle 3pi/2 and points of
+    the z2-plane with the angle pi/2: same element, different subgroup."""
+    j = np.array([[0, -1], [1, 0]])
+    f = np.block([[j, np.zeros((2, 2))], [np.zeros((2, 2)), -j]])
+    group = [np.linalg.matrix_power(f, k).round().astype(int) for k in range(4)]
+    omega = np.block([[j.T, np.zeros((2, 2))], [np.zeros((2, 2)), j.T]])
+    points = [
+        [0.8, 0.3, 0.0, 0.0],
+        [0.0, 0.0, 0.6, -0.9],
+        [-0.5, 1.1, 0.0, 0.0],
+        [0.0, 0.0, 1.2, 0.4],
+        [0.3, -0.7, 0.9, 0.2],
+        [0.0, 0.0, 0.0, 0.0],
+    ]
+    return scenario_from_dict(
+        {
+            "version": VERSION,
+            "n": 4,
+            "dirac": {"bivector": omega.tolist()},
+            "action": {"finite": [g.tolist() for g in group], "circle": {"weights": [1, 1]}},
+            "samples": {"explicit": points},
+        }
+    )
+
+
+BUILT = {"cube_lie_poisson": _cube_lie_poisson, "twisted_circle": _twisted_circle_symplectic}
+
+
+@pytest.mark.parametrize("name", [*sorted(BUNDLED), *BUILT])
+def test_run_rows_equal_standalone_reduce_point_bit_for_bit(name):
+    """The action side a run shares within an isotropy class gives every ok
+    row exactly what reduce_point computes at that point on its own."""
+    s = BUILT[name]() if name in BUILT else BUNDLED[name]
+    report = run_scenario(s)
+    ok_rows = [r for r in report.points if r.status == STATUS_OK]
+    assert ok_rows
+    if name == "cube_lie_poisson":  # every point ok, three per non-trivial class
+        assert len(ok_rows) == len(report.points) > len(report.classes)
+    for row in ok_rows:
+        alone = reduce_point(s.dirac, s.action, row.point, s.rank_tol, s.agree_tol)
+        assert (row.descriptor, row.dims, row.iq_identity, row.lagrangian_ok) == (
+            alone.descriptor, alone.dims, alone.iq_identity, alone.lagrangian_ok
+        )
+        assert (row.distance, row.agree) == (alone.distance, alone.agree)
+        assert np.array_equal(row.d_q.space.basis, alone.d_q.space.basis)
+        for mine, theirs in ((row.route_a, alone.route_a), (row.route_b, alone.route_b)):
+            assert (mine.base_dim, mine.lagrangian, mine.surjective) == (
+                theirs.base_dim, theirs.lagrangian, theirs.surjective
+            )
+            assert np.array_equal(mine.space.basis, theirs.space.basis)

@@ -370,10 +370,51 @@ def test_run_builds_each_point_once(monkeypatch, name):
             ("lindirac", "backward_image"),
         )
     }
+    per_class = {
+        func: _count_calls(monkeypatch, "action", func)
+        for func in ("fixed_subspace", "average_projector")
+    }
     report = run_scenario(s)
     assert all(r.status == "ok" for r in report.points)
     n_points = len(report.points)
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, n_points)
+    if s.action.circle is None:
+        # V = 0 at every point: P and Fix are built once per isotropy class
+        n_classes = len(report.classes)
+        assert n_classes < n_points
+        assert {k: len(v) for k, v in per_class.items()} == dict.fromkeys(
+            per_class, n_classes
+        )
+
+
+def _fresh_json(path) -> bytes:
+    cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
+    return subprocess.run(cmd, capture_output=True, check=True).stdout
+
+
+def test_interleaved_runs_share_no_class_geometry(tmp_path):
+    """Two scenarios whose isotropy descriptors coincide but mean different
+    subgroups (the reflection y -> -y, then x -> -x), run alternately in one
+    process, each report exactly what a fresh interpreter reports."""
+    first = SCENARIO_DIR / "z2_reflection_area_form.json"
+    mirrored = tmp_path / "mirrored.json"
+    mirrored.write_text(
+        json.dumps(
+            {
+                "version": VERSION,
+                "n": 2,
+                "dirac": {"distribution": [[0, 1]]},
+                "action": {"finite": [[[1, 0], [0, 1]], [[-1, 0], [0, 1]]]},
+                "samples": {
+                    "explicit": [[0.0, 0.4], [0.0, 1.2], [0.0, -0.7], [0.5, 0.3]]
+                },
+            }
+        )
+    )
+    expected = {path: _fresh_json(path) for path in (first, mirrored)}
+    for path in (first, mirrored, first):
+        report = run_scenario(load_scenario(str(path)))
+        assert emit_report(report, "json").encode() == expected[path]
 
 
 # -- command line ---------------------------------------------------------------

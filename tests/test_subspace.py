@@ -96,6 +96,19 @@ def test_projector_idempotent_symmetric():
         assert abs(np.trace(p) - s.dim) < 1e-9
 
 
+def test_projector_and_annihilator_are_built_once_and_read_only():
+    rng = np.random.default_rng(5)
+    for dim in (0, 2, 4):
+        s = random_subspace(rng, 4, dim)
+        p, ann = s.projector(), s.annihilator()
+        assert s.projector() is p and s.annihilator() is ann
+        assert not p.flags.writeable
+        with pytest.raises(ValueError):
+            p[0, 0] = 2.0
+        assert np.array_equal(p, s.basis.T @ s.basis)
+        assert np.array_equal(ann.basis, nullspace(s.basis, s.tol))
+
+
 def test_sum_intersect_dimension_formula():
     # dim(A) + dim(B) = dim(A+B) + dim(A cap B)
     rng = np.random.default_rng(3)
