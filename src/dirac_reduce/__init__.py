@@ -12,21 +12,12 @@ from .action import (
     ExactnessWarning,
     FiniteGroupRep,
     IsotropyDescriptor,
-    ZeroAlgebraError,
     average_projector,
     default_quadrature_nodes,
     fixed_subspace,
-    fundamental_vector_field,
-    haar_average_field,
-    haar_average_function,
-    haar_average_oneform,
     haar_average_section,
     isotropy,
     quadrature_nodes_required,
-    tangent_isotropy_type,
-    tangent_orbit_type,
-    v_G_annihilator,
-    v_annihilator,
     validate_action,
     vertical_space,
 )
@@ -34,14 +25,12 @@ from .lindirac import (
     ForwardImage,
     LinearDirac,
     NotLagrangianError,
-    SplitVector,
     backward_image,
     forward_image,
     from_bivector,
     from_distribution,
     from_two_form,
     is_lagrangian,
-    pairing,
     pairing_matrix,
     transform,
 )
@@ -76,7 +65,6 @@ from .reduction import (
     RankReport,
     RouteComparison,
     compare_routes,
-    k_perp,
     rank_report,
     reduce_isotropy_route,
     reduce_orbit_route,

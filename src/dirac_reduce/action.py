@@ -3,8 +3,9 @@
 The group G = F x S^1 acts on R^n by orthogonal matrices, the circle in
 standard block form (2x2 rotation blocks with integer weights, identity on
 the remaining coordinates).  This module computes isotropy subgroups
-exactly, averaging projectors, Haar averages of polynomial objects, and the
-pointwise distributions V, V°, V_G°, T_G, T used by the reduction routes.
+exactly, averaging projectors and fixed subspaces, the vertical space V(m),
+and Haar averages of polynomial sections.  The subspaces the reduction
+routes build from these at a point live on ``reduction.ActionGeometry``.
 """
 
 from __future__ import annotations
@@ -29,28 +30,19 @@ from .subspace import DEFAULT_TOL, Subspace, span
 __all__ = [
     "ActionValidationError",
     "AmbiguousIsotropyError",
-    "ZeroAlgebraError",
     "ExactnessWarning",
     "FiniteGroupRep",
     "CircleFactor",
     "ActionSpec",
     "IsotropyDescriptor",
     "validate_action",
-    "fundamental_vector_field",
     "vertical_space",
     "isotropy",
     "average_projector",
     "fixed_subspace",
-    "haar_average_function",
-    "haar_average_field",
-    "haar_average_oneform",
     "haar_average_section",
     "quadrature_nodes_required",
     "default_quadrature_nodes",
-    "v_annihilator",
-    "v_G_annihilator",
-    "tangent_isotropy_type",
-    "tangent_orbit_type",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -62,10 +54,6 @@ class ActionValidationError(ValueError):
 
 class AmbiguousIsotropyError(ValueError):
     """Point too close to a stratum boundary to classify safely."""
-
-
-class ZeroAlgebraError(ValueError):
-    """An infinitesimal operation was requested of a finite group."""
 
 
 class ExactnessWarning(UserWarning):
@@ -211,16 +199,6 @@ def validate_action(spec: ActionSpec, tol: float = DEFAULT_TOL) -> ActionSpec:
     if violations:
         raise ActionValidationError("; ".join(violations))
     return spec
-
-
-def fundamental_vector_field(spec: ActionSpec, xi=1) -> PolyVectorField:
-    """The linear field m -> xi * A m of the circle direction xi."""
-    if spec.circle is None:
-        raise ZeroAlgebraError("the action has no circle factor")
-    coeff = _coerce(xi)
-    a = spec.circle.generator()
-    rows = [[coeff * Fraction(int(entry)) for entry in row] for row in a]
-    return PolyVectorField.from_linear(rows)
 
 
 def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
@@ -485,11 +463,9 @@ def _times_i_power(g, k: int):
     return (im, -re)
 
 
-def _circle_node_count(
-    circle: CircleFactor, degree: int, kind: str, nodes: int | None
-) -> int:
-    needed = quadrature_nodes_required(circle, degree, kind)
-    n_nodes = default_quadrature_nodes(circle, degree, kind) if nodes is None else int(nodes)
+def _circle_node_count(circle: CircleFactor, degree: int, nodes: int | None) -> int:
+    needed = quadrature_nodes_required(circle, degree)
+    n_nodes = default_quadrature_nodes(circle, degree) if nodes is None else int(nodes)
     if n_nodes < 1:
         raise ValueError("quadrature node count must be positive")
     if n_nodes < needed:
@@ -610,56 +586,26 @@ def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int
     return tuple(_from_dict(n, d) for d in out)
 
 
-def _haar_average(groups, spec: ActionSpec, kind: str, nodes: int | None) -> tuple:
-    """The G-invariant average of each tuple of component polynomials.
-
-    ``kind`` "function" averages each polynomial as a function, f(g x);
-    "field" averages each tuple as the components of a vector field or
-    one-form, g^T C(g x).  The node count follows the highest degree over
-    all groups.
+def _haar_average(groups, spec: ActionSpec, nodes: int | None) -> tuple:
+    """The G-invariant average of each tuple of component polynomials, taken
+    as the components of a vector field or one-form, g^T C(g x).  The node
+    count follows the highest degree over all groups.
     """
     weight = Fraction(1, spec.finite.order)
     totals = [[Poly.zero(spec.n)] * len(comps) for comps in groups]
     for g in spec.finite.elements:
-        rows = _fraction_matrix(_exact_matrix(g)) if kind == "field" else _exact_matrix(g)
+        rows = _fraction_matrix(_exact_matrix(g))
         for total, comps in zip(totals, groups):
-            if kind == "field":
-                moved = _pushforward_components(rows, comps)
-            else:
-                moved = [c.subs_linear(rows) for c in comps]
+            moved = _pushforward_components(rows, comps)
             total[:] = [a + b for a, b in zip(total, moved)]
     averaged = [tuple(c * weight for c in total) for total in totals]
     if spec.circle is None:
         return tuple(averaged)
     degree = max(c.degree() for comps in groups for c in comps)
-    n_nodes = _circle_node_count(spec.circle, degree, kind, nodes)
-    if kind == "field":
-        return tuple(
-            _circle_quadrature_components(comps, spec.circle, n_nodes) for comps in averaged
-        )
-    pairs = _base_pairs(spec.circle)
+    n_nodes = _circle_node_count(spec.circle, degree, nodes)
     return tuple(
-        tuple(_circle_quadrature_poly(c, pairs, n_nodes) for c in comps) for comps in averaged
+        _circle_quadrature_components(comps, spec.circle, n_nodes) for comps in averaged
     )
-
-
-def haar_average_function(f: Poly, spec: ActionSpec, nodes: int | None = None) -> Poly:
-    """The G-invariant average of a polynomial function."""
-    return _haar_average(((f,),), spec, "function", nodes)[0][0]
-
-
-def haar_average_field(
-    x: PolyVectorField, spec: ActionSpec, nodes: int | None = None
-) -> PolyVectorField:
-    """The G-invariant average of a vector field."""
-    return PolyVectorField(_haar_average((x.components,), spec, "field", nodes)[0])
-
-
-def haar_average_oneform(
-    alpha: PolyOneForm, spec: ActionSpec, nodes: int | None = None
-) -> PolyOneForm:
-    """The G-invariant average of a one-form."""
-    return PolyOneForm(_haar_average((alpha.components,), spec, "field", nodes)[0])
 
 
 def haar_average_section(
@@ -667,33 +613,6 @@ def haar_average_section(
 ) -> PolySection:
     """The G-invariant average of a section of TM + T*M."""
     tangent, covector = _haar_average(
-        (s.tangent.components, s.covector.components), spec, "field", nodes
+        (s.tangent.components, s.covector.components), spec, nodes
     )
     return PolySection(PolyVectorField(tangent), PolyOneForm(covector))
-
-
-# -- the paper's pointwise distributions -------------------------------------
-
-
-def v_annihilator(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
-    """V°(m), the annihilator of the vertical space."""
-    return vertical_space(spec, m, tol).annihilator()
-
-
-def v_G_annihilator(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
-    """V_G°(m): the G_m-invariant part of V°(m) (image of the dual averaging
-    projector, which for orthogonal actions is the averaging projector itself)."""
-    h = isotropy(spec, m, tol)
-    p = average_projector(h, spec)
-    v_ann = v_annihilator(spec, m, tol)
-    return span(v_ann.basis @ p, ambient_dim=spec.n, tol=tol)
-
-
-def tangent_isotropy_type(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
-    """T_G(m) = Fix(G_m), the tangent space of the isotropy-type manifold."""
-    return fixed_subspace(isotropy(spec, m, tol), spec, tol)
-
-
-def tangent_orbit_type(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
-    """T(m) = T_G(m) + V(m), the tangent space of the orbit-type manifold."""
-    return tangent_isotropy_type(spec, m, tol).sum(vertical_space(spec, m, tol))

@@ -28,10 +28,8 @@ from .subspace import (
 
 __all__ = [
     "NotLagrangianError",
-    "SplitVector",
     "LinearDirac",
     "ForwardImage",
-    "pairing",
     "pairing_matrix",
     "max_self_pairing",
     "is_lagrangian",
@@ -46,48 +44,6 @@ __all__ = [
 
 class NotLagrangianError(ValueError):
     """A subspace fails the Lagrangian conditions (dimension or pairing)."""
-
-
-@dataclass(frozen=True)
-class SplitVector:
-    """An element (tangent, covector) of R^n (+) (R^n)*."""
-
-    tangent: np.ndarray
-    covector: np.ndarray
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.tangent, dtype=float)
-        c = np.asarray(self.covector, dtype=float)
-        if t.ndim != 1 or c.ndim != 1 or t.shape != c.shape:
-            raise DimensionMismatchError(
-                "tangent and covector must be 1-d arrays of equal length"
-            )
-        object.__setattr__(self, "tangent", t)
-        object.__setattr__(self, "covector", c)
-
-    @property
-    def base_dim(self) -> int:
-        return self.tangent.shape[0]
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.tangent, self.covector])
-
-    @classmethod
-    def from_vector(cls, x: np.ndarray) -> "SplitVector":
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or x.shape[0] % 2:
-            raise DimensionMismatchError("expected a flat vector of even length")
-        n = x.shape[0] // 2
-        return cls(x[:n], x[n:])
-
-
-def pairing(p: SplitVector, q: SplitVector) -> float:
-    """<(u, a), (v, b)> = b(u) + a(v)."""
-    if p.base_dim != q.base_dim:
-        raise DimensionMismatchError(
-            f"split vectors on R^{p.base_dim} and R^{q.base_dim}"
-        )
-    return float(q.covector @ p.tangent + p.covector @ q.tangent)
 
 
 def pairing_matrix(n: int) -> np.ndarray:
@@ -142,10 +98,6 @@ class LinearDirac:
     @property
     def tol(self) -> float:
         return self.space.tol
-
-    def sections(self) -> list[SplitVector]:
-        """Basis elements as split vectors."""
-        return [SplitVector.from_vector(row) for row in self.space.basis]
 
 
 # -- constructors ------------------------------------------------------

@@ -38,9 +38,6 @@ __all__ = [
     "lie_derivative_oneform",
     "courant_bracket",
     "dorfman_bracket",
-    "section_pairing",
-    "pushforward_field",
-    "pushforward_oneform",
     "pushforward_section",
     "BivectorSpec",
     "TwoFormSpec",
@@ -311,11 +308,6 @@ def lie_derivative_oneform(x: PolyVectorField, alpha: PolyOneForm) -> PolyOneFor
     return contract(x, d_oneform(alpha)) + d_function(alpha.pair(x))
 
 
-def section_pairing(s1: PolySection, s2: PolySection) -> Poly:
-    """<s1, s2> = alpha(Y) + beta(X) as a polynomial function."""
-    return s1.covector.pair(s2.tangent) + s2.covector.pair(s1.tangent)
-
-
 def courant_bracket(s1: PolySection, s2: PolySection) -> PolySection:
     """([X,Y], L_X beta - L_Y alpha + 1/2 d(alpha(Y) - beta(X)))."""
     x, alpha = s1.tangent, s1.covector
@@ -367,27 +359,15 @@ def _pushforward_components(rows, comps):
     return tuple(out)
 
 
-def pushforward_field(matrix, field: PolyVectorField) -> PolyVectorField:
-    """(Phi_g)_* X at m, i.e. g^T X(g m), for orthogonal g."""
-    rows = _fraction_matrix(matrix)
-    if len(rows) != field.base_dim:
-        raise ValueError("matrix and field dimensions differ")
-    return PolyVectorField(_pushforward_components(rows, field.components))
-
-
-def pushforward_oneform(matrix, alpha: PolyOneForm) -> PolyOneForm:
-    """Push-forward of a one-form; same formula as for fields since g is
-    orthogonal (g^{-T} = g)."""
-    rows = _fraction_matrix(matrix)
-    if len(rows) != alpha.base_dim:
-        raise ValueError("matrix and one-form dimensions differ")
-    return PolyOneForm(_pushforward_components(rows, alpha.components))
-
-
 def pushforward_section(matrix, section: PolySection) -> PolySection:
+    """(Phi_g)_* s at m, i.e. g^T s(g m) in both parts, for orthogonal g: a
+    one-form moves by the same formula as a field since g^{-T} = g."""
+    rows = _fraction_matrix(matrix)
+    if len(rows) != section.base_dim:
+        raise ValueError("matrix and section dimensions differ")
     return PolySection(
-        pushforward_field(matrix, section.tangent),
-        pushforward_oneform(matrix, section.covector),
+        PolyVectorField(_pushforward_components(rows, section.tangent.components)),
+        PolyOneForm(_pushforward_components(rows, section.covector.components)),
     )
 
 

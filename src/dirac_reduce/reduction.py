@@ -29,7 +29,6 @@ from .action import (
     average_projector,
     fixed_subspace,
     isotropy,
-    v_annihilator,
     vertical_space,
 )
 from .lindirac import (
@@ -53,7 +52,6 @@ __all__ = [
     "ActionGeometry",
     "PointGeometry",
     "PointReduction",
-    "k_perp",
     "point_geometry",
     "restrict_to_stratum",
     "reduce_isotropy_route",
@@ -108,11 +106,6 @@ def _make_model(total: Subspace, vertical: Subspace, tol: float) -> QuotientMode
 def _k_perp_space(v_ann: Subspace) -> Subspace:
     """R^n + V° inside R^2n, for V° in R^n."""
     return direct_sum(Subspace.full(v_ann.ambient_dim, v_ann.tol), v_ann)
-
-
-def k_perp(action: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
-    """The smooth-orthogonal window R^n + V°(m) inside R^2n."""
-    return _k_perp_space(v_annihilator(action, m, tol))
 
 
 @dataclass(frozen=True, eq=False)

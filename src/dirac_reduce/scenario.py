@@ -183,6 +183,14 @@ def _poly_components(value, n: int, context: str) -> tuple:
     return tuple(_as_poly(entry, n, f"{context}[{i}]") for i, entry in enumerate(value))
 
 
+def _as_section(value, n: int, context: str) -> PolySection:
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    tangent = _poly_components(_need(value, "tangent", context), n, f"{context}.tangent")
+    covector = _poly_components(_need(value, "covector", context), n, f"{context}.covector")
+    return PolySection(PolyVectorField(tangent), PolyOneForm(covector))
+
+
 def _parse_dirac(value, n: int) -> DiracFieldSpec:
     if not isinstance(value, dict):
         raise ScenarioError("dirac: expected an object")
@@ -207,17 +215,7 @@ def _parse_dirac(value, n: int) -> DiracFieldSpec:
     pairs = value["sections"]
     if not isinstance(pairs, list):
         raise ScenarioError("dirac.sections: expected a list of sections")
-    sections = []
-    for i, pair in enumerate(pairs):
-        if not isinstance(pair, dict):
-            raise ScenarioError(f"dirac.sections[{i}]: expected an object")
-        tangent = _poly_components(
-            _need(pair, "tangent", f"dirac.sections[{i}]"), n, f"dirac.sections[{i}].tangent"
-        )
-        covector = _poly_components(
-            _need(pair, "covector", f"dirac.sections[{i}]"), n, f"dirac.sections[{i}].covector"
-        )
-        sections.append(PolySection(PolyVectorField(tangent), PolyOneForm(covector)))
+    sections = [_as_section(pair, n, f"dirac.sections[{i}]") for i, pair in enumerate(pairs)]
     basepoint = _need(value, "basepoint", "dirac.sections")
     if not isinstance(basepoint, list) or len(basepoint) != n:
         raise ScenarioError("dirac.basepoint: expected a point with n coordinates")
@@ -374,15 +372,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path: str) -> Scenario:
-    """Load and fully validate a scenario file."""
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    """Load and fully validate a scenario file."""
+    data = _read_json(path)
     try:
         return scenario_from_dict(data)
     except ScenarioError as exc:
@@ -726,13 +728,7 @@ def emit_report(report: RunReport, format: str = "text") -> str:
 
 def load_bracket_payload(path: str):
     """Load a two-section payload for the symbolic bracket command."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: expected a JSON object")
     version = data.get("version", VERSION)
@@ -741,14 +737,4 @@ def load_bracket_payload(path: str):
     n = _need(data, "n", "payload")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError("payload: n must be a positive integer")
-    out = []
-    for key in ("s1", "s2"):
-        raw = _need(data, key, "payload")
-        if not isinstance(raw, dict):
-            raise ScenarioError(f"payload.{key}: expected an object")
-        tangent = _poly_components(_need(raw, "tangent", f"payload.{key}"), n, f"payload.{key}.tangent")
-        covector = _poly_components(
-            _need(raw, "covector", f"payload.{key}"), n, f"payload.{key}.covector"
-        )
-        out.append(PolySection(PolyVectorField(tangent), PolyOneForm(covector)))
-    return out[0], out[1]
+    return tuple(_as_section(_need(data, k, "payload"), n, f"payload.{k}") for k in ("s1", "s2"))

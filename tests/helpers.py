@@ -12,7 +12,9 @@ from dirac_reduce import (
     CircleFactor,
     FiniteGroupRep,
     LinearDirac,
+    PolyTwoForm,
     Subspace,
+    TwoFormSpec,
     from_bivector,
     from_distribution,
     from_two_form,
@@ -22,6 +24,7 @@ from dirac_reduce import (
 )
 from dirac_reduce.poly import Poly
 from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField
+from dirac_reduce.reduction import ActionGeometry, point_geometry
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -112,6 +115,12 @@ def product_action_r3() -> ActionSpec:
             CircleFactor((1,), fixed_dim=1),
         )
     )
+
+
+def action_geometry(act: ActionSpec, m) -> ActionGeometry:
+    """The action side of :func:`point_geometry` at m; it does not depend on
+    the fiber, so the zero two-form stands in for the Dirac structure."""
+    return point_geometry(TwoFormSpec(PolyTwoForm.zero(act.n)), act, np.asarray(m, float)).action
 
 
 def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:

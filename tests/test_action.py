@@ -11,28 +11,26 @@ from dirac_reduce.action import (
     CircleFactor,
     ExactnessWarning,
     FiniteGroupRep,
-    ZeroAlgebraError,
     average_projector,
     default_quadrature_nodes,
     fixed_subspace,
-    fundamental_vector_field,
-    haar_average_field,
-    haar_average_function,
     haar_average_section,
     isotropy,
     quadrature_nodes_required,
-    tangent_isotropy_type,
-    tangent_orbit_type,
-    v_G_annihilator,
-    v_annihilator,
     validate_action,
     vertical_space,
 )
 from dirac_reduce.poly import Poly, parse_poly
-from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField
+from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, d_function
 from dirac_reduce.subspace import span
 
-from helpers import assert_subspace_close, circle_action, d4_action, z2_reflection_action
+from helpers import (
+    action_geometry,
+    assert_subspace_close,
+    circle_action,
+    d4_action,
+    z2_reflection_action,
+)
 
 
 def test_circle_generator_and_rotation():
@@ -97,10 +95,8 @@ def test_product_action_validates():
 
 def test_fundamental_vector_field():
     act = circle_action((1,))
-    xi = fundamental_vector_field(act)
+    xi = PolyVectorField.from_linear(act.circle.generator())
     assert xi.components == (parse_poly("-y", 2), parse_poly("x", 2))
-    with pytest.raises(ZeroAlgebraError):
-        fundamental_vector_field(z2_reflection_action())
 
 
 def test_vertical_space():
@@ -233,44 +229,54 @@ def test_fixed_subspace_product_action():
     )
 
 
+def exact_section(f: Poly) -> PolySection:
+    """(0, df): pull-back commutes with d, so its average is (0, d(avg f))."""
+    return PolySection(PolyVectorField.zero(f.n_vars), d_function(f))
+
+
+def average_of_d(f: Poly, act, nodes=None) -> PolyOneForm:
+    """avg(df) = d(avg f), through :func:`haar_average_section`."""
+    avg = haar_average_section(exact_section(f), act, nodes)
+    assert all(p.is_zero() for p in avg.tangent.components)
+    return avg.covector
+
+
 def test_haar_average_function_frozen():
     """x^2 averaged over the weight-1 circle is (x^2 + y^2)/2, exactly."""
     act = circle_action((1,))
     f = parse_poly("x^2", 2)
-    avg = haar_average_function(f, act)
-    assert avg == parse_poly("1/2*x^2 + 1/2*y^2", 2)
+    assert average_of_d(f, act) == d_function(parse_poly("1/2*x^2 + 1/2*y^2", 2))
 
 
 def test_haar_average_field_frozen():
     act = circle_action((1,))
     x_dx = PolyVectorField((parse_poly("x", 2), Poly.zero(2)))
-    avg = haar_average_field(x_dx, act)
+    avg = haar_average_section(PolySection(x_dx, PolyOneForm.zero(2)), act).tangent
     assert avg.components == (parse_poly("1/2*x", 2), parse_poly("1/2*y", 2))
     const = PolyVectorField((Poly.one(2), Poly.zero(2)))
-    assert all(p.is_zero() for p in haar_average_field(const, act).components)
+    avg_const = haar_average_section(PolySection(const, PolyOneForm.zero(2)), act)
+    assert all(p.is_zero() for p in avg_const.tangent.components)
 
 
 def test_haar_average_finite_reflection():
     act = z2_reflection_action()
     f = parse_poly("y + x*y + x^2", 2)
     # odd-in-y terms cancel
-    assert haar_average_function(f, act) == parse_poly("x^2", 2)
+    assert average_of_d(f, act) == d_function(parse_poly("x^2", 2))
 
 
 def test_haar_average_is_idempotent():
     act = circle_action((2,))
     f = parse_poly("x^2*y - x + 2", 2)
-    once = haar_average_function(f, act)
-    assert haar_average_function(once, act) == once
+    once = haar_average_section(exact_section(f), act)
+    assert haar_average_section(once, act) == once
 
 
 def test_haar_node_doubling_is_exact():
     act = circle_action((3,))
     f = parse_poly("x^3 - x*y^2 + y", 2)
-    n = default_quadrature_nodes(act.circle, f.degree(), "function")
-    assert haar_average_function(f, act, nodes=n) == haar_average_function(
-        f, act, nodes=2 * n
-    )
+    n = default_quadrature_nodes(act.circle, d_function(f).degree(), "field")
+    assert average_of_d(f, act, nodes=n) == average_of_d(f, act, nodes=2 * n)
 
 
 def test_quadrature_node_counts():
@@ -287,7 +293,7 @@ def test_too_few_nodes_warns():
     act = circle_action((1,))
     f = parse_poly("x^2", 2)
     with pytest.warns(ExactnessWarning):
-        haar_average_function(f, act, nodes=2)
+        average_of_d(f, act, nodes=2)
 
 
 def test_haar_average_section_kills_constant_poisson_frame():
@@ -305,21 +311,18 @@ def test_haar_average_section_kills_constant_poisson_frame():
 
 
 def test_v_annihilator_example():
-    act = circle_action((1,))
-    ann = v_annihilator(act, np.array([1.0, 0.0]))
+    ann = action_geometry(circle_action((1,)), [1.0, 0.0]).v_ann
     assert_subspace_close(ann, span(np.array([[1.0, 0.0]]), ambient_dim=2))
 
 
 def test_v_g_annihilator_reflection():
-    act = z2_reflection_action()
-    out = v_G_annihilator(act, np.array([1.0, 0.0]))
+    out = action_geometry(z2_reflection_action(), [1.0, 0.0]).v_g_ann
     assert_subspace_close(out, span(np.array([[1.0, 0.0]]), ambient_dim=2))
 
 
 def test_v_g_annihilator_free_circle_point_is_v_annihilator():
-    act = circle_action((1,))
-    m = np.array([0.8, 0.3])
-    assert_subspace_close(v_G_annihilator(act, m), v_annihilator(act, m))
+    geometry = action_geometry(circle_action((1,)), [0.8, 0.3])
+    assert_subspace_close(geometry.v_g_ann, geometry.v_ann)
 
 
 def test_tangent_spaces_product_action():
@@ -329,12 +332,12 @@ def test_tangent_spaces_product_action():
         CircleFactor((1,), fixed_dim=1),
     )
     validate_action(act)
-    m = np.array([0.8, 0.5, 0.0])
-    t_g = tangent_isotropy_type(act, m)
-    t = tangent_orbit_type(act, m)
+    geometry = action_geometry(act, [0.8, 0.5, 0.0])
+    t_g = geometry.fix
+    t = geometry.tangent
     assert t_g.dim == 2 and t.dim == 2
     # central circle: the vertical sits inside the isotropy-type tangent
-    assert all(t_g.contains(row) for row in vertical_space(act, m).basis)
+    assert all(t_g.contains(row) for row in geometry.vertical.basis)
     assert_subspace_close(t_g, t)
 
 
@@ -349,6 +352,6 @@ def test_vertical_inside_fixed_subspace_everywhere():
     rng = np.random.default_rng(31)
     for _ in range(10):
         m = rng.uniform(0.3, 1.5, size=3)
-        fix = tangent_isotropy_type(act, m)
-        for row in vertical_space(act, m).basis:
-            assert fix.contains(row)
+        geometry = action_geometry(act, m)
+        for row in geometry.vertical.basis:
+            assert geometry.fix.contains(row)

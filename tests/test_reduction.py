@@ -31,7 +31,6 @@ from dirac_reduce.reduction import (
     STATUS_OK,
     compare_routes,
     descriptor_classes,
-    k_perp,
     rank_report,
     reduce_isotropy_route,
     reduce_orbit_route,
@@ -48,6 +47,7 @@ from dirac_reduce.scenario import (
 from dirac_reduce.subspace import Subspace, span
 
 from helpers import (
+    action_geometry,
     assert_subspace_close,
     circle_action,
     d4_action,
@@ -72,14 +72,14 @@ def trivial_action(n: int):
 
 def test_k_perp_finite_action_is_everything():
     # no continuous directions: V = 0, so the window is all of R^n + (R^n)*
-    w = k_perp(z2_reflection_action(), np.array([0.7, 0.3]))
+    w = action_geometry(z2_reflection_action(), [0.7, 0.3]).k_perp
     assert_subspace_close(w, Subspace.full(4))
 
 
 def test_k_perp_circle_dimensions():
     act = circle_action((1,))
-    assert k_perp(act, np.array([1.0, 0.0])).dim == 3
-    assert k_perp(act, np.zeros(2)).dim == 4
+    assert action_geometry(act, [1.0, 0.0]).k_perp.dim == 3
+    assert action_geometry(act, np.zeros(2)).k_perp.dim == 4
 
 
 # -- restriction to the isotropy stratum --------------------------------------

@@ -493,6 +493,57 @@ def test_cli_bracket_worked_example(tmp_path, capsys):
     assert data["dorfman"]["tangent"] == ["-x", "y"]
 
 
+def _sections_scenario(sections) -> dict:
+    data = base_scenario()
+    data["dirac"] = {"sections": sections, "basepoint": [1.0, 0.0]}
+    return data
+
+
+def _bracket_payload(**sections) -> dict:
+    payload = {
+        "version": VERSION,
+        "n": 2,
+        "s1": {"tangent": ["y", "0"], "covector": ["0", "0"]},
+        "s2": {"tangent": ["0", "x"], "covector": ["x*y", "1"]},
+    }
+    payload.update(sections)
+    return payload
+
+
+GOOD_SECTION = {"tangent": ["1", "0"], "covector": ["0", "0"]}
+
+
+@pytest.mark.parametrize(
+    "command, data, message",
+    [
+        (
+            "run",
+            _sections_scenario([GOOD_SECTION, {"tangent": ["0", "1"]}]),
+            "dirac.sections[1]: missing required field 'covector'",
+        ),
+        (
+            "run",
+            _sections_scenario([["1", "0"], GOOD_SECTION]),
+            "dirac.sections[0]: expected an object",
+        ),
+        ("bracket", _bracket_payload(s2=["0", "x"]), "payload.s2: expected an object"),
+        (
+            "bracket",
+            _bracket_payload(s1={"tangent": ["y"], "covector": ["0", "0"]}),
+            "payload.s1.tangent: expected 2 components",
+        ),
+    ],
+    ids=["scenario-missing-covector", "scenario-non-object", "payload-non-object",
+         "payload-short-tangent"],
+)
+def test_malformed_sections_exit_2_naming_the_field(tmp_path, capsys, command, data, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f": {message}\n"), err
+
+
 def test_bracket_payload_version_checked(tmp_path):
     path = tmp_path / "sections.json"
     path.write_text(json.dumps({"version": "other/1", "n": 1, "s1": {}, "s2": {}}))
