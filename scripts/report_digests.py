@@ -3,8 +3,10 @@
 
 Runs ``load_scenario -> run_scenario -> emit_report(json)`` on every given
 file (default: ``scenarios/*.json``) and prints ``sha256  name`` per file.
-Comparing the output of two checkouts shows whether a change left every
-report byte-identical:
+A file that is not a valid scenario gets an ``error:`` line on stderr, the
+remaining files are still digested, and the exit status is 2.  Comparing the
+output of two checkouts shows whether a change left every report
+byte-identical:
 
     python3 scripts/report_digests.py                 # the bundled scenarios
     python3 scripts/report_digests.py a.json b.json   # any scenario files
@@ -19,7 +21,12 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from dirac_reduce.scenario import emit_report, load_scenario, run_scenario  # noqa: E402
+from dirac_reduce.scenario import (  # noqa: E402
+    ScenarioError,
+    emit_report,
+    load_scenario,
+    run_scenario,
+)
 
 
 def digest(path: pathlib.Path) -> str:
@@ -29,9 +36,14 @@ def digest(path: pathlib.Path) -> str:
 
 def main(argv: list[str]) -> int:
     paths = [pathlib.Path(a) for a in argv] or sorted((ROOT / "scenarios").glob("*.json"))
+    status = 0
     for path in paths:
-        print(f"{digest(path)}  {path.name}")
-    return 0
+        try:
+            print(f"{digest(path)}  {path.name}")
+        except ScenarioError as exc:  # the message starts with the path
+            print(f"error: {exc}", file=sys.stderr)
+            status = 2
+    return status
 
 
 if __name__ == "__main__":

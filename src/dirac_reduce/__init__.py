@@ -61,7 +61,6 @@ from .polyfield import (
 from .reduction import (
     InternalConsistencyError,
     PointReduction,
-    QuotientModel,
     RankReport,
     RouteComparison,
     compare_routes,

@@ -2,17 +2,21 @@
 
 Two routes are computed and compared at each sample point m:
 
-* isotropy route: restrict to the fixed space of the isotropy subgroup
-  (a backward image), then push forward along the quotient by the
-  remaining group directions;
-* orbit route: intersect the fiber with the descending window
-  (orbit-type tangent plus admissible covectors) and map both components
-  onto the representative of the quotient.
+* isotropy route: restrict to the fixed space Fix(G_m) of the isotropy
+  subgroup (a backward image), then push forward along the quotient by the
+  vertical space V(m);
+* orbit route: intersect the fiber with the descending window (orbit-type
+  tangent plus admissible covectors) and map both components onto the
+  quotient.
 
-Quotient tangent spaces are modeled by Euclidean orthogonal complements of
-the vertical inside the total, which is legitimate because the action is
-orthogonal.  The canonical identification between the two quotient models
-is induced by inclusion of the fixed space into the orbit-type tangent.
+The circle factor commutes with every finite element (``validate_action``
+enforces it), so each h in G_m fixes the orbit directions:
+h.(xi.m) = xi.(h.m) = xi.m.  Hence V(m) lies in Fix(G_m), the orbit-type
+tangent T(m) = Fix(G_m) + V(m) is Fix(G_m) itself, and both routes land in
+one quotient model: the Euclidean complement of V(m) inside Fix(G_m), which
+models the quotient because the action is orthogonal.  A point where V(m)
+leaves Fix(G_m) (an action built without ``validate_action``) raises
+:class:`InternalConsistencyError`.
 """
 
 from __future__ import annotations
@@ -37,14 +41,12 @@ from .lindirac import (
     backward_image,
     forward_image,
     is_lagrangian,
-    transform,
 )
 from .polyfield import DegeneratePointError, DiracFieldSpec, evaluate_at
 from .subspace import DEFAULT_TOL, Subspace, direct_sum, nullspace, span
 
 __all__ = [
     "InternalConsistencyError",
-    "QuotientModel",
     "RankDims",
     "RankClass",
     "RankReport",
@@ -69,38 +71,7 @@ STATUS_DEGENERATE = "skipped-degenerate"
 
 
 class InternalConsistencyError(RuntimeError):
-    """A covector that must annihilate the vertical space does not."""
-
-
-@dataclass(frozen=True)
-class QuotientModel:
-    """Linear model of a quotient tangent space at one point.
-
-    ``projection`` maps ambient coordinates to coordinates on the
-    representative (the Euclidean complement of ``vertical`` inside
-    ``total``); restricted to the representative it is an isometry.
-    """
-
-    total: Subspace
-    vertical: Subspace
-    representative: Subspace
-    projection: np.ndarray  # (r, n)
-
-    @property
-    def reduced_dim(self) -> int:
-        return self.representative.dim
-
-
-def _make_model(total: Subspace, vertical: Subspace, tol: float) -> QuotientModel:
-    basis = total.basis  # (t, n) orthonormal rows
-    if vertical.dim:
-        local = vertical.basis @ basis.T  # vertical in total coordinates
-        rep_local = nullspace(local, tol)
-    else:
-        rep_local = np.eye(total.dim)
-    projection = rep_local @ basis
-    representative = Subspace(total.ambient_dim, projection, tol)
-    return QuotientModel(total, vertical, representative, projection)
+    """V(m) leaves Fix(G_m), or a covector that must annihilate V(m) does not."""
 
 
 def _k_perp_space(v_ann: Subspace) -> Subspace:
@@ -117,13 +88,8 @@ class ActionGeometry:
     tol: float
     descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
     projector: np.ndarray  # P, the average over G_m
-    fix: Subspace  # Fix(G_m) = T_G(m)
-    vertical: Subspace  # V(m)
-
-    @cached_property
-    def tangent(self) -> Subspace:
-        """T(m) = Fix + V."""
-        return self.fix.sum(self.vertical)
+    fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
+    vertical: Subspace  # V(m), inside Fix
 
     @property
     def v_ann(self) -> Subspace:
@@ -140,28 +106,21 @@ class ActionGeometry:
     def window(self) -> Subspace:
         """T + (V_G° + ann T): the covector condition taken on the stratum,
         alpha restricted to T must descend."""
-        t = self.tangent
-        return direct_sum(t, self.v_g_ann.sum(t.annihilator()))
+        return direct_sum(self.fix, self.v_g_ann.sum(self.fix.annihilator()))
 
     @cached_property
-    def v_q(self) -> Subspace:
-        """V ∩ Fix."""
-        return self.vertical.intersect(self.fix)
+    def quotient(self) -> Subspace:
+        """The quotient model, the complement of V inside Fix; its basis rows
+        are the quotient projection from ambient coordinates."""
+        if not self.vertical.dim:
+            return self.fix
+        local = nullspace(self.vertical.basis @ self.fix.basis.T, self.tol)
+        return Subspace(self.fix.ambient_dim, local @ self.fix.basis, self.tol)
 
     @cached_property
-    def model_a(self) -> QuotientModel:
-        """Route A's quotient of Fix by V ∩ Fix."""
-        return _make_model(self.fix, self.v_q, self.tol)
-
-    @cached_property
-    def phi_a(self) -> np.ndarray:
-        """Stratum coordinates -> route A's representative."""
-        return self.model_a.projection @ self.fix.basis.T
-
-    @cached_property
-    def model_b(self) -> QuotientModel:
-        """Route B's quotient of T by V."""
-        return _make_model(self.tangent, self.vertical, self.tol)
+    def phi(self) -> np.ndarray:
+        """Stratum (Fix) coordinates -> quotient coordinates."""
+        return self.quotient.basis @ self.fix.basis.T
 
     @cached_property
     def k_perp(self) -> Subspace:
@@ -170,10 +129,8 @@ class ActionGeometry:
 
     @cached_property
     def kq_perp(self) -> Subspace:
-        """R^s + (V ∩ Fix)° on Fix coordinates."""
-        s = self.fix.dim
-        vq_local = span(self.v_q.basis @ self.fix.basis.T, ambient_dim=s, tol=self.tol)
-        return _k_perp_space(vq_local.annihilator())
+        """R^s + V° on Fix coordinates, where V° is the row space of phi."""
+        return _k_perp_space(Subspace(self.fix.dim, self.phi, self.tol))
 
 
 @dataclass(frozen=True)
@@ -188,26 +145,20 @@ class PointGeometry:
     descending: Subspace  # D(m) ∩ (T + (V_G° + ann T))
 
     def route_a(self):
-        """Isotropy route: D_Q pushed through the quotient of Fix by V ∩ Fix.
-
-        Returns (QuotientModel, ForwardImage); the image's ``lagrangian``
-        flag records whether the push-forward produced a Dirac structure (it
-        does whenever the constant-rank hypothesis holds at m).
-        """
-        return self.action.model_a, forward_image(self.action.phi_a, self.d_q)
+        """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
+        image's ``lagrangian`` flag records whether the push-forward produced
+        a Dirac structure (it does wherever the constant-rank hypothesis
+        holds at m)."""
+        return self.action.quotient, forward_image(self.action.phi, self.d_q)
 
     def route_b(self):
-        """Orbit route: the descending values pushed to the quotient of T by V.
-
-        Tangent parts lie along the orbit-type tangent and covectors are
-        admissible once restricted to it, so both components descend
-        through the quotient projection.
-        """
+        """Orbit route: (quotient, span of the descending values projected
+        onto the quotient)."""
         tol = self.action.tol
         v = self.action.vertical
         n = v.ambient_dim
-        model = self.action.model_b
-        c = model.projection
+        quotient = self.action.quotient
+        c = quotient.basis
         rows = []
         for row in self.descending.basis:
             alpha = row[n:]
@@ -219,7 +170,7 @@ class PointGeometry:
                         f"space (residual {leak:.3e})"
                     )
             rows.append(np.concatenate([c @ row[:n], c @ alpha]))
-        r = model.reduced_dim
+        r = quotient.dim
         space = span(rows, ambient_dim=2 * r, tol=tol)
         image = ForwardImage(
             base_dim=r,
@@ -227,7 +178,7 @@ class PointGeometry:
             lagrangian=is_lagrangian(space),
             surjective=True,
         )
-        return model, image
+        return quotient, image
 
     def dims(self) -> tuple["RankDims", bool]:
         """The dimension table and the I_q dimension identity flag."""
@@ -239,7 +190,7 @@ class PointGeometry:
             v_annihilator=a.v_ann.dim,
             v_g_annihilator=a.v_g_ann.dim,
             tangent_isotropy=a.fix.dim,
-            tangent_orbit=a.tangent.dim,
+            tangent_orbit=a.fix.dim,
             d_cap_k_perp=self.fiber.space.intersect(a.k_perp).dim,
             d_cap_t_vg=d_t_vg,
             dq_cap_kq_perp=dq_k,
@@ -254,10 +205,10 @@ def _action_geometry(
 
     ``classes`` maps the exact descriptor (tolerance-equal descriptors can
     differ in the last bits of their angles, and so in P) to the class's
-    ActionGeometry with V = 0, built on first sight.  Where V(m) = 0, T = Fix and every object
-    of the action side is a function of h, so that instance is returned; a
-    point the circle moves gets its own instance over the class's P and Fix
-    (whose annihilator is then built once too).
+    ActionGeometry with V = 0, built on first sight.  Where V(m) = 0 every
+    object of the action side is a function of h, so that instance is
+    returned; a point the circle moves gets its own instance over the
+    class's P and Fix, once V(m) is checked to lie in Fix.
     """
     key = (h.continuous_circle, h.pairs)
     shared = classes.get(key)
@@ -267,6 +218,12 @@ def _action_geometry(
         shared = classes[key] = ActionGeometry(tol, h, p, fix, Subspace.zero(action.n, tol))
     if v.dim == 0:
         return shared
+    residual = float(np.linalg.norm(v.basis - v.basis @ shared.fix.projector()))
+    if residual > 1e4 * tol:
+        raise InternalConsistencyError(
+            f"vertical space leaves the fixed space of the isotropy subgroup "
+            f"(residual {residual:.3e}); the circle must commute with the finite group"
+        )
     return ActionGeometry(tol, h, shared.projector, shared.fix, v)
 
 
@@ -337,21 +294,19 @@ class RouteComparison:
     distance: float
 
 
-def _compare_reduced(model_a, image_a, model_b, image_b, tol: float) -> RouteComparison:
-    """Transport route A through the inclusion-induced isomorphism and
-    measure the subspace distance to route B."""
-    phi_hat = model_b.projection @ model_a.projection.T
-    transported = transform(phi_hat, image_a.dirac)
-    distance = transported.space.distance(image_b.space)
+def _compare_reduced(image_a, image_b, tol: float) -> RouteComparison:
+    """Subspace distance between the two routes' images in the one quotient
+    model."""
+    distance = image_a.dirac.space.distance(image_b.space)
     return RouteComparison(agree=bool(distance <= tol), distance=distance)
 
 
 def compare_routes(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = 1e-8
 ) -> RouteComparison:
-    """Run both routes at m and compare them in route B's model."""
+    """Run both routes at m and compare them."""
     geometry = point_geometry(spec, action, m, min(DEFAULT_TOL, tol))
-    return _compare_reduced(*geometry.route_a(), *geometry.route_b(), tol)
+    return _compare_reduced(geometry.route_a()[1], geometry.route_b()[1], tol)
 
 
 # -- rank bookkeeping ----------------------------------------------------------
@@ -500,11 +455,11 @@ def reduce_point(
         )
         return PointReduction(point, status, str(exc), *[None] * 9)
     dims, iq = geometry.dims()
-    model_a, image_a = geometry.route_a()
-    model_b, image_b = geometry.route_b()
+    _, image_a = geometry.route_a()
+    _, image_b = geometry.route_b()
     lagrangian_ok = image_a.lagrangian and image_b.lagrangian
     if lagrangian_ok:
-        comparison = _compare_reduced(model_a, image_a, model_b, image_b, agree_tol)
+        comparison = _compare_reduced(image_a, image_b, agree_tol)
         distance, agree = comparison.distance, comparison.agree
     else:
         distance, agree = None, None

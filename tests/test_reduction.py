@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_reduce.action import isotropy
+from dirac_reduce.action import ActionSpec, CircleFactor, FiniteGroupRep, isotropy
 from dirac_reduce.poly import parse_poly
 from dirac_reduce.polyfield import (
     BivectorSpec,
@@ -29,6 +29,7 @@ from dirac_reduce.reduction import (
     STATUS_BOUNDARY,
     STATUS_DEGENERATE,
     STATUS_OK,
+    InternalConsistencyError,
     compare_routes,
     descriptor_classes,
     rank_report,
@@ -112,11 +113,12 @@ def test_restrict_distribution_to_dihedral_diagonal():
 
 
 def test_quotient_model_projection_is_isometry_killing_vertical():
-    model, _ = reduce_isotropy_route(PI_SPEC, circle_action((1,)), np.array([1.0, 0.0]))
-    p = model.projection
-    assert model.reduced_dim == 1
+    act, m = circle_action((1,)), np.array([1.0, 0.0])
+    quotient, _ = reduce_isotropy_route(PI_SPEC, act, m)
+    p = quotient.basis
+    assert quotient.dim == 1
     np.testing.assert_allclose(p @ p.T, np.eye(1), atol=1e-12)
-    np.testing.assert_allclose(p @ model.vertical.basis.T, 0.0, atol=1e-12)
+    np.testing.assert_allclose(p @ action_geometry(act, m).vertical.basis.T, 0.0, atol=1e-12)
 
 
 def test_free_circle_point_reduces_to_pure_covector_line():
@@ -161,8 +163,8 @@ def test_full_isotropy_origin_gives_zero_dimensional_quotient():
 
 def test_trivial_action_routes_recover_the_structure():
     m = np.array([0.4, -1.2])
-    model, image = reduce_isotropy_route(PI_SPEC, trivial_action(2), m)
-    np.testing.assert_allclose(model.projection, np.eye(2), atol=1e-12)
+    quotient, image = reduce_isotropy_route(PI_SPEC, trivial_action(2), m)
+    np.testing.assert_allclose(quotient.basis, np.eye(2), atol=1e-12)
     assert image.space.distance(evaluate_at(PI_SPEC, m).space) < 1e-12
     assert compare_routes(PI_SPEC, trivial_action(2), m).agree
 
@@ -172,11 +174,11 @@ def test_product_action_plane_and_axis_points():
     omega = np.zeros((3, 3))
     omega[0, 1], omega[1, 0] = 1.0, -1.0
     spec = TwoFormSpec(PolyTwoForm.from_constant(omega))
-    model, image = reduce_isotropy_route(spec, act, np.array([0.8, 0.5, 0.0]))
-    assert model.reduced_dim == 1
+    quotient, image = reduce_isotropy_route(spec, act, np.array([0.8, 0.5, 0.0]))
+    assert quotient.dim == 1
     assert_subspace_close(image.space, span(np.array([[0.0, 1.0]]), ambient_dim=2))
-    model, image = reduce_isotropy_route(spec, act, np.array([0.0, 0.0, 1.3]))
-    assert model.reduced_dim == 1
+    quotient, image = reduce_isotropy_route(spec, act, np.array([0.0, 0.0, 1.3]))
+    assert quotient.dim == 1
     assert_subspace_close(image.space, span(np.array([[1.0, 0.0]]), ambient_dim=2))
     for pt in ([0.8, 0.5, 0.0], [0.0, 0.0, 1.3], [0.6, -0.4, 0.9]):
         out = compare_routes(spec, act, np.array(pt))
@@ -376,6 +378,15 @@ def test_reduce_point_decides_isotropy_before_using_a_degenerate_fiber():
     assert out.status == STATUS_DEGENERATE and "rank" in out.reason
 
 
+def test_vertical_space_outside_the_fixed_space_raises():
+    """A circle that does not commute with the finite group (an ActionSpec
+    built without validate_action) moves V(m) out of Fix(G_m); the point
+    raises instead of reporting a row."""
+    act = ActionSpec(2, FiniteGroupRep((np.eye(2), np.diag([1.0, -1.0]))), CircleFactor((1,)))
+    with pytest.raises(InternalConsistencyError, match=r"residual \d"):
+        reduce_point(AREA_SPEC, act, np.array([1.0, 0.0]))
+
+
 BUNDLED = {
     path.name: load_scenario(str(path))
     for path in sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
@@ -497,3 +508,13 @@ def test_run_rows_equal_standalone_reduce_point_bit_for_bit(name):
                 theirs.base_dim, theirs.lagrangian, theirs.surjective
             )
             assert np.array_equal(mine.space.basis, theirs.space.basis)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_reported_route_images_compare_directly(name):
+    """Both routes are given in one quotient model, so wherever the report
+    says they agree, the two reported images are the same subspace."""
+    s = BUNDLED[name]
+    for row in run_scenario(s).points:
+        if row.status == STATUS_OK and row.agree:
+            assert row.route_a.space.distance(row.route_b.space) <= s.agree_tol, row.point

@@ -1,6 +1,7 @@
 """Scenario files, the runner, report emission, and the command line."""
 
 import copy
+import hashlib
 import importlib
 import json
 import subprocess
@@ -541,7 +542,8 @@ def test_malformed_sections_exit_2_naming_the_field(tmp_path, capsys, command, d
     path.write_text(json.dumps(data))
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.endswith(f": {message}\n"), err
+    assert err.startswith(f"error: {path}: ") and err.endswith(f": {message}\n"), err
+    assert err.count(str(path)) == 1, err
 
 
 def test_bracket_payload_version_checked(tmp_path):
@@ -549,6 +551,24 @@ def test_bracket_payload_version_checked(tmp_path):
     path.write_text(json.dumps({"version": "other/1", "n": 1, "s1": {}, "s2": {}}))
     with pytest.raises(ScenarioError, match="version"):
         load_bracket_payload(str(path))
+
+
+def test_report_digests_names_a_non_scenario_file_and_goes_on(tmp_path):
+    """A non-scenario JSON among the inputs (such as a workload's
+    ``*.expect.json`` side file) gets one error line naming it; the next
+    file is still digested and the script exits 2."""
+    scenario = tmp_path / "area.json"
+    scenario.write_bytes((SCENARIO_DIR / "z2_reflection_area_form.json").read_bytes())
+    other = tmp_path / "area.expect.json"
+    other.write_text(json.dumps({"points": 3, "skipped": 0}))
+    script = SCENARIO_DIR.parent / "scripts" / "report_digests.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(other), str(scenario)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    report = emit_report(run_scenario(load_scenario(str(scenario))), "json")
+    assert proc.stdout == f"{hashlib.sha256(report.encode('utf-8')).hexdigest()}  area.json\n"
+    assert proc.stderr.startswith(f"error: {other}: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_module_entry_point_is_byte_deterministic():
