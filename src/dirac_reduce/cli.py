@@ -11,6 +11,7 @@ from .polyfield import courant_bracket, dorfman_bracket
 from .reduction import InternalConsistencyError
 from .scenario import (
     ScenarioError,
+    check_tolerance,
     dirac_kind,
     emit_report,
     exit_code,
@@ -75,12 +76,10 @@ def _cmd_validate(args) -> int:
 
 
 def _apply_overrides(scenario, args):
-    if args.rank_tol is not None or args.agree_tol is not None:
-        rank_tol = scenario.rank_tol if args.rank_tol is None else args.rank_tol
-        agree_tol = scenario.agree_tol if args.agree_tol is None else args.agree_tol
-        if rank_tol <= 0 or agree_tol <= 0:
-            raise ScenarioError("tolerance overrides must be positive")
-        scenario = replace(scenario, rank_tol=rank_tol, agree_tol=agree_tol)
+    if args.rank_tol is not None:
+        scenario = replace(scenario, rank_tol=check_tolerance(args.rank_tol, "--rank-tol"))
+    if args.agree_tol is not None:
+        scenario = replace(scenario, agree_tol=check_tolerance(args.agree_tol, "--agree-tol"))
     if args.samples is not None or args.seed is not None:
         if scenario.samples.count is None:
             raise ScenarioError(

@@ -91,22 +91,23 @@ class ActionGeometry:
     fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
     vertical: Subspace  # V(m), inside Fix
 
-    @property
-    def v_ann(self) -> Subspace:
-        """V°(m) (kept by the Subspace itself)."""
-        return self.vertical.annihilator()
-
     @cached_property
+    def v_ann(self) -> Subspace:
+        """V°(m) = (Fix ⊖ V) ⊕ ann(Fix), as V lies in Fix: the quotient's and
+        the class's ann(Fix) bases are orthogonal, so they stack with no SVD."""
+        rows = np.vstack([self.quotient.basis, self.fix.annihilator().basis])
+        return Subspace(self.fix.ambient_dim, rows, self.tol)
+
+    @property
     def v_g_ann(self) -> Subspace:
-        """V_G°(m), the image of V° under P."""
-        n = self.fix.ambient_dim
-        return span(self.v_ann.basis @ self.projector, ambient_dim=n, tol=self.tol)
+        """V_G°(m) = P V° = Fix ⊖ V (P projects onto Fix ⊇ V): the quotient."""
+        return self.quotient
 
     @cached_property
     def window(self) -> Subspace:
-        """T + (V_G° + ann T): the covector condition taken on the stratum,
-        alpha restricted to T must descend."""
-        return direct_sum(self.fix, self.v_g_ann.sum(self.fix.annihilator()))
+        """T + (V_G° + ann T), where alpha restricted to T descends: with
+        T = Fix, V_G° + ann Fix = V°, so the window is Fix ⊕ V°."""
+        return direct_sum(self.fix, self.v_ann)
 
     @cached_property
     def quotient(self) -> Subspace:

@@ -60,6 +60,7 @@ __all__ = [
     "emit_report",
     "exit_code",
     "load_bracket_payload",
+    "check_tolerance",
 ]
 
 VERSION = "dirac-reduce/1"
@@ -111,6 +112,13 @@ def _need(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ScenarioError(f"{context}: missing required field {key!r}")
     return mapping[key]
+
+
+def check_tolerance(value: float, context: str) -> float:
+    """``value`` if it is a usable rank or agreement tolerance: finite, in (0, 1)."""
+    if not 0.0 < value < 1.0:  # also false for NaN
+        raise ScenarioError(f"{context}: must be a finite number in (0, 1), got {value!r}")
+    return value
 
 
 def _as_number(value, context: str) -> float:
@@ -346,18 +354,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     dirac = _parse_dirac(_need(data, "dirac", "scenario"), n)
     action = _parse_action(data.get("action"), n)
     samples = _parse_samples(data.get("samples"), n)
-    rank_tol, agree_tol = DEFAULT_RANK_TOL, DEFAULT_AGREE_TOL
+    tolerances = {"rank_tol": DEFAULT_RANK_TOL, "agree_tol": DEFAULT_AGREE_TOL}
     if data.get("tolerances") is not None:
         t = data["tolerances"]
-        if not isinstance(t, dict) or set(t) - {"rank_tol", "agree_tol"}:
+        if not isinstance(t, dict) or set(t) - set(tolerances):
             raise ScenarioError("tolerances: expected {rank_tol, agree_tol}")
-        if "rank_tol" in t:
-            rank_tol = _as_number(t["rank_tol"], "tolerances.rank_tol")
-        if "agree_tol" in t:
-            agree_tol = _as_number(t["agree_tol"], "tolerances.agree_tol")
-        for name, value in (("rank_tol", rank_tol), ("agree_tol", agree_tol)):
-            if value <= 0:
-                raise ScenarioError(f"tolerances.{name}: must be positive")
+        for name, value in t.items():
+            context = f"tolerances.{name}"
+            tolerances[name] = check_tolerance(_as_number(value, context), context)
     nodes = data.get("quadrature_nodes")
     if nodes is not None and (not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1):
         raise ScenarioError("quadrature_nodes: expected a positive integer")
@@ -366,9 +370,8 @@ def scenario_from_dict(data: dict) -> Scenario:
         dirac=dirac,
         action=action,
         samples=samples,
-        rank_tol=rank_tol,
-        agree_tol=agree_tol,
         quadrature_nodes=nodes,
+        **tolerances,
     )
 
 

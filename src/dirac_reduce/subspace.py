@@ -3,7 +3,8 @@
 A :class:`Subspace` stores an orthonormal basis (rows) produced by a
 rank-revealing SVD.  All comparisons go through orthogonal projectors, so
 results do not depend on which spanning set was used to build a subspace.
-Rank decisions use a relative singular-value threshold ``tol * s_max``.
+Spans and null spaces keep singular values above the relative ``tol * s_max``;
+an intersection keeps directions whose principal-angle sine is at most the absolute ``tol``.
 
 The dual space (R^n)* is identified with R^n through the standard basis, so
 annihilators are computed as Euclidean orthogonal complements.
@@ -167,9 +168,15 @@ class Subspace:
         return Subspace(self.ambient_dim, nullspace(self.basis, self.tol), self.tol)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, computed as ann(ann(S1) + ann(S2))."""
+        """Intersection from one SVD of B - B P (B this orthonormal basis, P the
+        other's projector), whose singular values are the principal-angle sines."""
         self._check_same_ambient(other)
-        return self.annihilator().sum(other.annihilator()).annihilator()
+        tol = max(self.tol, other.tol)
+        if self.dim == 0 or other.dim == 0:
+            return Subspace.zero(self.ambient_dim, tol)
+        u, s, _ = np.linalg.svd(self.basis - self.basis @ other.projector(), full_matrices=False)
+        rank = int(np.sum(s > tol))
+        return Subspace(self.ambient_dim, u[:, rank:].T @ self.basis, tol)
 
     def orthogonal_wrt_form(self, form: np.ndarray) -> "Subspace":
         """Orthogonal complement with respect to a symmetric nondegenerate

@@ -32,6 +32,7 @@ from dirac_reduce.reduction import (
     InternalConsistencyError,
     compare_routes,
     descriptor_classes,
+    point_geometry,
     rank_report,
     reduce_isotropy_route,
     reduce_orbit_route,
@@ -45,7 +46,7 @@ from dirac_reduce.scenario import (
     sample_points,
     scenario_from_dict,
 )
-from dirac_reduce.subspace import Subspace, span
+from dirac_reduce.subspace import Subspace, direct_sum, span
 
 from helpers import (
     action_geometry,
@@ -518,3 +519,41 @@ def test_reported_route_images_compare_directly(name):
     for row in run_scenario(s).points:
         if row.status == STATUS_OK and row.agree:
             assert row.route_a.space.distance(row.route_b.space) <= s.agree_tol, row.point
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_action_geometry_identities_match_the_general_formulas(name):
+    """With V(m) inside Fix and P the orthogonal projector onto Fix, V_G° = P V°
+    is the quotient, V° is the quotient plus ann Fix, and the window
+    Fix + (V_G° + ann Fix) is Fix + V°: at every ok point each object equals
+    the formula that holds for any V."""
+    s = BUNDLED[name]
+    for row in run_scenario(s).points:
+        if row.status != STATUS_OK:
+            continue
+        a = point_geometry(s.dirac, s.action, row.point, s.rank_tol).action
+        v_ann = a.vertical.annihilator()
+        v_g_ann = span(v_ann.basis @ a.projector, ambient_dim=s.n, tol=s.rank_tol)
+        assert a.quotient == v_g_ann, row.point
+        assert a.v_ann == v_ann, row.point
+        assert a.window == direct_sum(a.fix, v_g_ann.sum(a.fix.annihilator())), row.point
+
+
+@pytest.mark.parametrize(
+    "name, bound", [("z2_circle_r3_two_form.json", 13), ("so3_lie_poisson.json", 11)]
+)
+def test_svd_calls_per_point_stay_bounded(monkeypatch, name, bound):
+    """A timing-free guard on the per-point cost, which numpy's per-call
+    overhead dominates: every np.linalg.svd a run makes is counted.  Each
+    intersection takes one SVD, and the action side of a point the circle
+    moves takes one (the quotient)."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    points = len(run_scenario(BUNDLED[name]).points)
+    assert len(calls) <= bound * points, f"{len(calls) / points:.1f} SVDs per point"

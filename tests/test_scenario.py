@@ -129,6 +129,37 @@ def test_tolerances_must_be_positive():
         scenario_from_dict(data)
 
 
+BAD_TOLERANCES = ["nan", "inf", "1e300", "1.0"]
+
+
+@pytest.mark.parametrize("flag", ["--rank-tol", "--agree-tol"])
+@pytest.mark.parametrize("value", BAD_TOLERANCES)
+def test_bad_tolerance_override_exits_2_naming_the_flag(flag, value):
+    """A tolerance must be finite and in (0, 1): with NaN, infinity or a value
+    of 1 or more no rank or agreement decision means anything, so the run
+    stops with an input error instead of a traceback or a verdict."""
+    cmd = [sys.executable, "-m", "dirac_reduce", "run",
+           str(SCENARIO_DIR / "z2_circle_r3_two_form.json"), flag, value]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {flag}: ") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("field", ["rank_tol", "agree_tol"])
+@pytest.mark.parametrize("value", [float(v) for v in BAD_TOLERANCES])
+def test_bad_tolerance_in_a_scenario_exits_2_naming_the_field(tmp_path, field, value):
+    data = json.loads((SCENARIO_DIR / "z2_circle_r3_two_form.json").read_text())
+    data["tolerances"] = {field: value}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))  # json.dumps writes NaN and Infinity
+    proc = subprocess.run(
+        [sys.executable, "-m", "dirac_reduce", "run", str(path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: {path}: tolerances.{field}: ")
+    assert "Traceback" not in proc.stderr
+
+
 def _run_cli_on(tmp_path, data) -> int:
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))  # json.dumps writes NaN and Infinity

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_reduce.subspace import (
+    DEFAULT_TOL,
     DimensionMismatchError,
     Subspace,
     direct_sum,
@@ -121,6 +122,35 @@ def test_sum_intersect_dimension_formula():
         assert a.dim + b.dim == total.dim + meet.dim
         for row in meet.basis:
             assert a.contains(row) and b.contains(row)
+
+
+def test_intersect_matches_the_annihilator_formula():
+    """The one-SVD intersection spans what ann(ann A + ann B) spans, on
+    generic, nested, equal (other basis), zero and full pairs, and its
+    dimension does not depend on the operand order."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        n = int(rng.integers(1, 8))
+        a = random_subspace(rng, n, int(rng.integers(0, n + 1)))
+        nested = span(rng.standard_normal((int(rng.integers(0, a.dim + 1)), a.dim)) @ a.basis,
+                      ambient_dim=n)
+        rotated = span(random_orthogonal(rng, a.dim) @ a.basis, ambient_dim=n)
+        generic = random_subspace(rng, n, int(rng.integers(0, n + 1)))
+        for b in (generic, nested, rotated, a, Subspace.zero(n), Subspace.full(n)):
+            for x, y in ((a, b), (b, a)):
+                meet = x.intersect(y)
+                reference = x.annihilator().sum(y.annihilator()).annihilator()
+                assert meet.dim == reference.dim == y.intersect(x).dim
+                assert meet.distance(reference) <= 1e-12
+
+
+@pytest.mark.parametrize("sine, dim", [(DEFAULT_TOL / 10, 1), (100 * DEFAULT_TOL, 0)])
+def test_intersect_thresholds_the_principal_angle_sine(sine, dim):
+    """Two lines in R^3 meet in a line when the sine of their angle is below
+    the tolerance, and only in zero when it is well above it."""
+    x = Subspace(3, np.array([[1.0, 0.0, 0.0]]))
+    y = Subspace(3, np.array([[np.sqrt(1.0 - sine**2), sine, 0.0]]))
+    assert x.intersect(y).dim == y.intersect(x).dim == dim
 
 
 def test_annihilator_involution_and_dim():
