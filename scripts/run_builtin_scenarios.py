@@ -2,7 +2,9 @@
 """Run every scenario shipped under scenarios/ and print a one-line verdict.
 
 The noninvariant scenario is expected to exit 1 (its whole point is to show
-the invariance gate tripping); everything else must exit 0.
+the invariance gate tripping); everything else must exit 0.  An uncaught
+exception also exits 1, so a run whose stderr holds a traceback, or an
+expected exit 1 without a final ``summary:`` line, is UNEXPECTED too.
 """
 
 from __future__ import annotations
@@ -25,10 +27,13 @@ def main() -> int:
             text=True,
         )
         expected = EXPECTED_NONZERO.get(path.name, 0)
-        verdict = "ok" if proc.returncode == expected else "UNEXPECTED"
+        summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+        crashed = "Traceback" in proc.stderr or (
+            expected == 1 and not summary.startswith("summary:")
+        )
+        verdict = "ok" if proc.returncode == expected and not crashed else "UNEXPECTED"
         if verdict != "ok":
             bad += 1
-        summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
         print(f"{verdict:>10}  exit={proc.returncode} (want {expected})  {path.name}: {summary}")
         if verdict != "ok":
             sys.stderr.write(proc.stdout + proc.stderr)

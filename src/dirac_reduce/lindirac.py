@@ -103,31 +103,32 @@ class LinearDirac:
 # -- constructors ------------------------------------------------------
 
 
+def _graph(matrix: np.ndarray, tol: float, kind: str) -> LinearDirac:
+    """Graph of an antisymmetric matrix: the rows of [matrixᵀ | I] for a
+    bivector, of [I | matrix] for a two-form.  The identity block gives this
+    n x 2n matrix rank n at any scale, so all n right singular vectors are
+    kept and no rank is decided."""
+    matrix = np.asarray(matrix, dtype=float)
+    n = matrix.shape[0]
+    if matrix.shape != (n, n):
+        raise DimensionMismatchError(f"{kind} matrix must be square")
+    scale = max(1.0, float(np.abs(matrix).max()) if n else 1.0)
+    if np.abs(matrix + matrix.T).max(initial=0.0) > tol * scale:
+        raise ValueError(f"{kind} matrix must be antisymmetric")
+    rows = np.hstack([matrix.T, np.eye(n)] if kind == "bivector" else [np.eye(n), matrix])
+    basis = np.linalg.svd(rows, full_matrices=False)[2] if n else np.zeros((0, 0))
+    return LinearDirac(n, Subspace(2 * n, basis, tol))
+
+
 def from_bivector(pi: np.ndarray, tol: float = DEFAULT_TOL) -> LinearDirac:
     """Graph of a bivector: span of (pi @ e_i, e_i) over the dual basis."""
-    pi = np.asarray(pi, dtype=float)
-    n = pi.shape[0]
-    if pi.shape != (n, n):
-        raise DimensionMismatchError("bivector matrix must be square")
-    scale = max(1.0, float(np.abs(pi).max()) if n else 1.0)
-    if np.abs(pi + pi.T).max(initial=0.0) > tol * scale:
-        raise ValueError("bivector matrix must be antisymmetric")
-    rows = np.hstack([pi.T, np.eye(n)])  # row i = (pi @ e_i, e_i)
-    return LinearDirac(n, Subspace(2 * n, orthonormal_rows(rows, tol), tol))
+    return _graph(pi, tol, "bivector")
 
 
 def from_two_form(omega: np.ndarray, tol: float = DEFAULT_TOL) -> LinearDirac:
     """Graph of a 2-form: span of (e_i, omega contracted with e_i);
     the covector attached to e_i is row i of the matrix."""
-    omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0]
-    if omega.shape != (n, n):
-        raise DimensionMismatchError("two-form matrix must be square")
-    scale = max(1.0, float(np.abs(omega).max()) if n else 1.0)
-    if np.abs(omega + omega.T).max(initial=0.0) > tol * scale:
-        raise ValueError("two-form matrix must be antisymmetric")
-    rows = np.hstack([np.eye(n), omega])  # row i = (e_i, omega[i, :])
-    return LinearDirac(n, Subspace(2 * n, orthonormal_rows(rows, tol), tol))
+    return _graph(omega, tol, "two-form")
 
 
 def from_distribution(delta: Subspace) -> LinearDirac:

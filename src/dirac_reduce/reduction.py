@@ -17,6 +17,12 @@ one quotient model: the Euclidean complement of V(m) inside Fix(G_m), which
 models the quotient because the action is orthogonal.  A point where V(m)
 leaves Fix(G_m) (an action built without ``validate_action``) raises
 :class:`InternalConsistencyError`.
+
+Both routes end in one push-forward, rows (u, a) -> (M u, M a).  Route A maps
+D_Q ∩ K_Q^⊥ by phi = quotient · Fixᵀ, which has orthonormal rows as the
+quotient lies in Fix: so phi is surjective, b = phi phiᵀ b, and
+{(phi v, b) : (v, phiᵀ b) in D_Q} = (phi ⊕ phi)(D_Q ∩ (R^s ⊕ im phiᵀ)), where
+im phiᵀ is V° in Fix coordinates.  Route B maps D ∩ (Fix ⊕ V°) by the quotient.
 """
 
 from __future__ import annotations
@@ -35,13 +41,7 @@ from .action import (
     isotropy,
     vertical_space,
 )
-from .lindirac import (
-    ForwardImage,
-    LinearDirac,
-    backward_image,
-    forward_image,
-    is_lagrangian,
-)
+from .lindirac import ForwardImage, LinearDirac, backward_image, is_lagrangian
 from .polyfield import DegeneratePointError, DiracFieldSpec, evaluate_at
 from .subspace import DEFAULT_TOL, Subspace, direct_sum, nullspace, span
 
@@ -77,6 +77,15 @@ class InternalConsistencyError(RuntimeError):
 def _k_perp_space(v_ann: Subspace) -> Subspace:
     """R^n + V° inside R^2n, for V° in R^n."""
     return direct_sum(Subspace.full(v_ann.ambient_dim, v_ann.tol), v_ann)
+
+
+def _push(space: Subspace, onto: np.ndarray, tol: float) -> ForwardImage:
+    """Span of (M u, M a) over the rows (u, a) of ``space``, for M = ``onto`` with
+    orthonormal rows (so surjective)."""
+    k = onto.shape[1]
+    rows = [np.concatenate([onto @ row[:k], onto @ row[k:]]) for row in space.basis]
+    image = span(rows, ambient_dim=2 * onto.shape[0], tol=tol)
+    return ForwardImage(onto.shape[0], image, is_lagrangian(image), surjective=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,49 +152,35 @@ class PointGeometry:
     action: ActionGeometry
     fiber: LinearDirac  # D(m)
     d_q: LinearDirac  # D_Q(m), on Fix coordinates
+    dq_k_perp: Subspace  # D_Q(m) ∩ K_Q^⊥
     descending: Subspace  # D(m) ∩ (T + (V_G° + ann T))
 
     def route_a(self):
         """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
-        image's ``lagrangian`` flag records whether the push-forward produced
-        a Dirac structure (it does wherever the constant-rank hypothesis
-        holds at m)."""
-        return self.action.quotient, forward_image(self.action.phi, self.d_q)
+        ``lagrangian`` flag records whether it is a Dirac structure (it is
+        wherever the constant-rank hypothesis holds at m)."""
+        a = self.action
+        return a.quotient, _push(self.dq_k_perp, a.phi, a.tol)
 
     def route_b(self):
         """Orbit route: (quotient, span of the descending values projected
         onto the quotient)."""
         tol = self.action.tol
         v = self.action.vertical
-        n = v.ambient_dim
-        quotient = self.action.quotient
-        c = quotient.basis
-        rows = []
-        for row in self.descending.basis:
-            alpha = row[n:]
-            if v.dim:
+        if v.dim:
+            for alpha in self.descending.basis[:, v.ambient_dim :]:
                 leak = float(np.linalg.norm(v.basis @ alpha))
                 if leak > 1e4 * tol * max(1.0, float(np.linalg.norm(alpha))):
                     raise InternalConsistencyError(
                         f"descending covector does not annihilate the vertical "
                         f"space (residual {leak:.3e})"
                     )
-            rows.append(np.concatenate([c @ row[:n], c @ alpha]))
-        r = quotient.dim
-        space = span(rows, ambient_dim=2 * r, tol=tol)
-        image = ForwardImage(
-            base_dim=r,
-            space=space,
-            lagrangian=is_lagrangian(space),
-            surjective=True,
-        )
-        return quotient, image
+        quotient = self.action.quotient
+        return quotient, _push(self.descending, quotient.basis, tol)
 
     def dims(self) -> tuple["RankDims", bool]:
         """The dimension table and the I_q dimension identity flag."""
         a = self.action
-        dq_k = self.d_q.space.intersect(a.kq_perp).dim
-        d_t_vg = self.descending.dim
         dims = RankDims(
             vertical=a.vertical.dim,
             v_annihilator=a.v_ann.dim,
@@ -193,10 +188,10 @@ class PointGeometry:
             tangent_isotropy=a.fix.dim,
             tangent_orbit=a.fix.dim,
             d_cap_k_perp=self.fiber.space.intersect(a.k_perp).dim,
-            d_cap_t_vg=d_t_vg,
-            dq_cap_kq_perp=dq_k,
+            d_cap_t_vg=self.descending.dim,
+            dq_cap_kq_perp=self.dq_k_perp.dim,
         )
-        return dims, dq_k == d_t_vg
+        return dims, dims.dq_cap_kq_perp == dims.d_cap_t_vg
 
 
 def _action_geometry(
@@ -255,10 +250,12 @@ def point_geometry(
         raise fiber
     v = vertical_space(action, m, tol)
     a = _action_geometry(action, h, v, tol, {} if classes is None else classes)
+    d_q = backward_image(a.fix.basis.T, fiber)
     return PointGeometry(
         action=a,
         fiber=fiber,
-        d_q=backward_image(a.fix.basis.T, fiber),
+        d_q=d_q,
+        dq_k_perp=d_q.space.intersect(a.kq_perp),
         descending=fiber.space.intersect(a.window),
     )
 

@@ -5,6 +5,7 @@ rank-revealing SVD.  All comparisons go through orthogonal projectors, so
 results do not depend on which spanning set was used to build a subspace.
 Spans and null spaces keep singular values above the relative ``tol * s_max``;
 an intersection keeps directions whose principal-angle sine is at most the absolute ``tol``.
+The graph constructors in :mod:`.lindirac` take no rank decision at all.
 
 The dual space (R^n)* is identified with R^n through the standard basis, so
 annihilators are computed as Euclidean orthogonal complements.

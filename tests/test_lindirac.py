@@ -101,6 +101,21 @@ def test_backward_image_inclusion_of_area_form():
     assert_subspace_close(dq.space, span(np.array([[1.0, 0.0]]), ambient_dim=2))
 
 
+@pytest.mark.parametrize("k", range(-12, 13))
+def test_graphs_decide_no_rank_at_any_scale(k):
+    """[I | omega] and [pi^T | I] have rank n whatever the size of the
+    entries, so s * J stays a Lagrangian graph for every s = 10^k, including
+    the unit row of the kernel of J, which a relative rank threshold drops once
+    s > 1/tol."""
+    j = 10.0**k * np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    for build, rows in ((from_two_form, np.hstack([np.eye(3), j])),
+                        (from_bivector, np.hstack([j.T, np.eye(3)]))):
+        d = build(j)
+        assert d.space.dim == 3 and is_lagrangian(d.space)
+        for row in rows:
+            assert d.space.contains(row / np.linalg.norm(row)), (build.__name__, row)
+
+
 def test_forward_image_projection_of_canonical_poisson():
     """Projecting (x, y) -> x sends the canonical Poisson graph to {0}+R*."""
     d = from_bivector(CANONICAL_PI)

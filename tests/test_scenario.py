@@ -424,6 +424,32 @@ def _fresh_json(path) -> bytes:
     return subprocess.run(cmd, capture_output=True, check=True).stdout
 
 
+def test_large_fiber_entries_run_without_a_traceback(tmp_path):
+    """omega = x^10 dx^dy on R^3 under z -> -z is invariant and of constant
+    rank; at x = 10 its fiber has entries 1e10, above 1/rank_tol.  The run
+    exits 0, and that point has the dims of a small point of its stratum."""
+    path = tmp_path / "x10.json"
+    path.write_text(
+        json.dumps(
+            {
+                "version": VERSION,
+                "n": 3,
+                "dirac": {"two_form": [[0, "x^10", 0], ["-x^10", 0, 0], [0, 0, 0]]},
+                "action": {"finite": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[1, 0, 0], [0, 1, 0], [0, 0, -1]]]},
+                "samples": {"explicit": [[10, 0.3, 0], [0.5, 0.2, 0], [1, 0.7, 0],
+                                         [0.5, 0.2, 0.4], [10, 0.3, 0.4]]},
+            }
+        )
+    )
+    cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    points = {tuple(p["point"]): p for p in json.loads(proc.stdout)["points"]}
+    assert all(p["status"] == "ok" for p in points.values())
+    assert points[(10.0, 0.3, 0.0)]["dims"] == points[(0.5, 0.2, 0.0)]["dims"]
+
+
 def test_interleaved_runs_share_no_class_geometry(tmp_path):
     """Two scenarios whose isotropy descriptors coincide but mean different
     subgroups (the reflection y -> -y, then x -> -x), run alternately in one
