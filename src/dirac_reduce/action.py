@@ -5,7 +5,8 @@ standard block form (2x2 rotation blocks with integer weights, identity on
 the remaining coordinates).  This module computes isotropy subgroups
 exactly, averaging projectors and fixed subspaces, the vertical space V(m),
 and Haar averages of polynomial sections.  The subspaces the reduction
-routes build from these at a point live on ``reduction.ActionGeometry``.
+routes build from these are computed for a whole isotropy class at once in
+:mod:`.reduction`.
 """
 
 from __future__ import annotations
@@ -201,10 +202,19 @@ def validate_action(spec: ActionSpec, tol: float = DEFAULT_TOL) -> ActionSpec:
     return spec
 
 
+def _circle_fixes(spec: ActionSpec, m: np.ndarray, tol: float) -> bool:
+    """Whether the whole circle fixes m, |A m| <= tol |m| (vacuously true with
+    no circle): the one test by which isotropy puts the circle in G_m and
+    vertical_space sets V(m) = 0, so that V(m) = 0 exactly there."""
+    if spec.circle is None:
+        return True
+    return float(np.linalg.norm(spec.circle.generator() @ m)) <= tol * float(np.linalg.norm(m))
+
+
 def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     """V(m) = span of the fundamental vector fields at m."""
     m = _as_point(spec, m)
-    if spec.circle is None:
+    if _circle_fixes(spec, m, tol):
         return Subspace.zero(spec.n, tol)
     return span([spec.circle.generator() @ m], ambient_dim=spec.n, tol=tol)
 
@@ -315,11 +325,7 @@ def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> IsotropyDescripto
     angle_guard = 1000.0 * angle_atol
 
     circle = spec.circle
-    if circle is None:
-        continuous = True
-    else:
-        a_m = circle.generator() @ m
-        continuous = float(np.linalg.norm(a_m)) <= tol * norm_m
+    continuous = _circle_fixes(spec, m, tol)
 
     pairs = []
     for idx, f in enumerate(spec.finite.elements):

@@ -32,6 +32,7 @@ __all__ = [
     "ForwardImage",
     "pairing_matrix",
     "max_self_pairing",
+    "self_pairings",
     "is_lagrangian",
     "from_bivector",
     "from_two_form",
@@ -54,14 +55,18 @@ def pairing_matrix(n: int) -> np.ndarray:
     return j
 
 
+def self_pairings(basis: np.ndarray) -> np.ndarray:
+    """Largest |<b_i, b_j>| over the rows of ``basis`` (k, 2n), or of every
+    matrix of a stack (..., k, 2n); 0 where k = 0."""
+    gram = basis @ pairing_matrix(basis.shape[-1] // 2) @ np.swapaxes(basis, -1, -2)
+    return np.abs(gram).max(axis=(-2, -1), initial=0.0)
+
+
 def max_self_pairing(space: Subspace) -> float:
     """Largest |<b_i, b_j>| over the (orthonormal) basis of ``space``."""
     if space.ambient_dim % 2:
         raise DimensionMismatchError("ambient dimension must be even")
-    if space.dim == 0:
-        return 0.0
-    gram = space.basis @ pairing_matrix(space.ambient_dim // 2) @ space.basis.T
-    return float(np.max(np.abs(gram)))
+    return float(self_pairings(space.basis))
 
 
 def is_lagrangian(space: Subspace) -> bool:

@@ -1,4 +1,4 @@
-"""Pointwise reduction of a Dirac structure under a compact linear action.
+"""Reduction of a Dirac structure under a compact linear action, at sample points.
 
 Two routes are computed and compared at each sample point m:
 
@@ -23,12 +23,20 @@ D_Q ∩ K_Q^⊥ by phi = quotient · Fixᵀ, which has orthonormal rows as the
 quotient lies in Fix: so phi is surjective, b = phi phiᵀ b, and
 {(phi v, b) : (v, phiᵀ b) in D_Q} = (phi ⊕ phi)(D_Q ∩ (R^s ⊕ im phiᵀ)), where
 im phiᵀ is V° in Fix coordinates.  Route B maps D ∩ (Fix ⊕ V°) by the quotient.
+
+The points of one isotropy class share P, Fix(G_m) and, under the
+constant-rank hypothesis, every rank, so the linear algebra runs on stacks:
+the points with one exact isotropy descriptor (and so V(m) = 0 at all of them
+or at none) form an (N, r, c) stack, and each stage is one stacked numpy call.
+Every slice decides its own rank with the per-point thresholds; a stack whose
+slices disagree at a stage is cut by rank, and each part is reduced as a stack
+of its own.  Per slice the stacked calls are the LAPACK/BLAS calls the
+per-matrix code makes, so a point's result does not depend on its stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,11 +47,19 @@ from .action import (
     average_projector,
     fixed_subspace,
     isotropy,
-    vertical_space,
 )
-from .lindirac import ForwardImage, LinearDirac, backward_image, is_lagrangian
+from .lindirac import ForwardImage, LinearDirac, self_pairings
 from .polyfield import DegeneratePointError, DiracFieldSpec, evaluate_at
-from .subspace import DEFAULT_TOL, Subspace, direct_sum, nullspace, span
+from .subspace import (
+    DEFAULT_TOL,
+    MixedRanksError,
+    Subspace,
+    block_diagonal,
+    check_orthonormal,
+    intersect_rows,
+    nullspace,
+    orthonormal_rows,
+)
 
 __all__ = [
     "InternalConsistencyError",
@@ -74,190 +90,183 @@ class InternalConsistencyError(RuntimeError):
     """V(m) leaves Fix(G_m), or a covector that must annihilate V(m) does not."""
 
 
-def _k_perp_space(v_ann: Subspace) -> Subspace:
-    """R^n + V° inside R^2n, for V° in R^n."""
-    return direct_sum(Subspace.full(v_ann.ambient_dim, v_ann.tol), v_ann)
+def _t(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
 
 
-def _push(space: Subspace, onto: np.ndarray, tol: float) -> ForwardImage:
-    """Span of (M u, M a) over the rows (u, a) of ``space``, for M = ``onto`` with
-    orthonormal rows (so surjective)."""
-    k = onto.shape[1]
-    rows = [np.concatenate([onto @ row[:k], onto @ row[k:]]) for row in space.basis]
-    image = span(rows, ambient_dim=2 * onto.shape[0], tol=tol)
-    return ForwardImage(onto.shape[0], image, is_lagrangian(image), surjective=True)
+def _projector(rows: np.ndarray) -> np.ndarray:
+    """The orthogonal projector onto the span of orthonormal ``rows``."""
+    return _t(rows) @ rows
+
+
+def _push(rows: np.ndarray, onto: np.ndarray, tol: float) -> np.ndarray:
+    """Span of (M u, M a) over the rows (u, a), for M = ``onto`` with
+    orthonormal rows (so surjective); each M x is one matrix-vector product."""
+    (q, k), batch = onto.shape[-2:], rows.shape[:-1]
+    images = onto[..., None, None, :, :] @ rows.reshape(*batch, 2, k, 1)
+    return orthonormal_rows(images.reshape(*batch, 2 * q), tol)
+
+
+def _rows_space(name: str) -> property:
+    """The Subspace spanned by this point's ``rows[name]``, built when read."""
+    return property(lambda self: Subspace(self.rows[name].shape[-1], self.rows[name], self.tol))
 
 
 @dataclass(frozen=True, eq=False)
 class ActionGeometry:
-    """The action side at a point: every object that depends only on the
-    isotropy subgroup h and V(m).  Each is built on first use and kept, so
-    the points that share one instance build it once."""
+    """The action side at a point, cut from its stack: ``rows`` holds this
+    point's basis rows of each subspace below (and phi), wrapped in a
+    :class:`Subspace` only when read."""
 
     tol: float
     descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
     projector: np.ndarray  # P, the average over G_m
     fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
-    vertical: Subspace  # V(m), inside Fix
+    rows: dict
 
-    @cached_property
-    def v_ann(self) -> Subspace:
-        """V°(m) = (Fix ⊖ V) ⊕ ann(Fix), as V lies in Fix: the quotient's and
-        the class's ann(Fix) bases are orthogonal, so they stack with no SVD."""
-        rows = np.vstack([self.quotient.basis, self.fix.annihilator().basis])
-        return Subspace(self.fix.ambient_dim, rows, self.tol)
-
-    @property
-    def v_g_ann(self) -> Subspace:
-        """V_G°(m) = P V° = Fix ⊖ V (P projects onto Fix ⊇ V): the quotient."""
-        return self.quotient
-
-    @cached_property
-    def window(self) -> Subspace:
-        """T + (V_G° + ann T), where alpha restricted to T descends: with
-        T = Fix, V_G° + ann Fix = V°, so the window is Fix ⊕ V°."""
-        return direct_sum(self.fix, self.v_ann)
-
-    @cached_property
-    def quotient(self) -> Subspace:
-        """The quotient model, the complement of V inside Fix; its basis rows
-        are the quotient projection from ambient coordinates."""
-        if not self.vertical.dim:
-            return self.fix
-        local = nullspace(self.vertical.basis @ self.fix.basis.T, self.tol)
-        return Subspace(self.fix.ambient_dim, local @ self.fix.basis, self.tol)
-
-    @cached_property
-    def phi(self) -> np.ndarray:
-        """Stratum (Fix) coordinates -> quotient coordinates."""
-        return self.quotient.basis @ self.fix.basis.T
-
-    @cached_property
-    def k_perp(self) -> Subspace:
-        """R^n + V°."""
-        return _k_perp_space(self.v_ann)
-
-    @cached_property
-    def kq_perp(self) -> Subspace:
-        """R^s + V° on Fix coordinates, where V° is the row space of phi."""
-        return _k_perp_space(Subspace(self.fix.dim, self.phi, self.tol))
+    vertical = _rows_space("vertical")  # V(m), inside Fix
+    quotient = _rows_space("quotient")  # Fix ⊖ V; its rows are the quotient projection
+    v_g_ann = quotient  # V_G° = P V° = Fix ⊖ V, as P projects onto Fix ⊇ V
+    v_ann = _rows_space("v_ann")  # V° = (Fix ⊖ V) ⊕ ann(Fix)
+    window = _rows_space("window")  # T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T descends
+    k_perp = _rows_space("k_perp")  # R^n ⊕ V°
+    kq_perp = _rows_space("kq_perp")  # R^s ⊕ V° on Fix coordinates, the row space of phi
+    phi = property(lambda self: self.rows["phi"])  # Fix coordinates -> quotient coordinates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointGeometry:
-    """Every pointwise object the two routes and the dimension table read,
-    built once per sample point by :func:`point_geometry`: the action side
-    and the fiber side."""
+    """Everything the reduction computes at one sample point."""
 
     action: ActionGeometry
     fiber: LinearDirac  # D(m)
     d_q: LinearDirac  # D_Q(m), on Fix coordinates
-    dq_k_perp: Subspace  # D_Q(m) ∩ K_Q^⊥
-    descending: Subspace  # D(m) ∩ (T + (V_G° + ann T))
+    dims: RankDims
+    route_a: ForwardImage  # isotropy route: D_Q ∩ K_Q^⊥ pushed by phi
+    route_b: ForwardImage  # orbit route: D ∩ (Fix ⊕ V°) pushed by the quotient
+    distance: float  # projector distance of the two route images
 
-    def route_a(self):
-        """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
-        ``lagrangian`` flag records whether it is a Dirac structure (it is
-        wherever the constant-rank hypothesis holds at m)."""
-        a = self.action
-        return a.quotient, _push(self.dq_k_perp, a.phi, a.tol)
 
-    def route_b(self):
-        """Orbit route: (quotient, span of the descending values projected
-        onto the quotient)."""
-        tol = self.action.tol
-        v = self.action.vertical
-        if v.dim:
-            for alpha in self.descending.basis[:, v.ambient_dim :]:
-                leak = float(np.linalg.norm(v.basis @ alpha))
-                if leak > 1e4 * tol * max(1.0, float(np.linalg.norm(alpha))):
-                    raise InternalConsistencyError(
-                        f"descending covector does not annihilate the vertical "
-                        f"space (residual {leak:.3e})"
-                    )
-        quotient = self.action.quotient
-        return quotient, _push(self.descending, quotient.basis, tol)
-
-    def dims(self) -> tuple["RankDims", bool]:
-        """The dimension table and the I_q dimension identity flag."""
-        a = self.action
-        dims = RankDims(
-            vertical=a.vertical.dim,
-            v_annihilator=a.v_ann.dim,
-            v_g_annihilator=a.v_g_ann.dim,
-            tangent_isotropy=a.fix.dim,
-            tangent_orbit=a.fix.dim,
-            d_cap_k_perp=self.fiber.space.intersect(a.k_perp).dim,
-            d_cap_t_vg=self.descending.dim,
-            dq_cap_kq_perp=self.dq_k_perp.dim,
+def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol: float):
+    """One stacked call per stage over the points of ``_reduce_stack``."""
+    n, count = action.n, len(points)
+    projector = average_projector(h, action)
+    fix = fixed_subspace(h, action, tol, projector)
+    fb, s = fix.basis, fix.dim
+    fiber = np.stack([f.space.basis for f in fibers])  # D(m), (N, n, 2n)
+    if h.continuous_circle:  # the circle fixes m (action._circle_fixes): V(m) = 0
+        vertical = np.zeros((count, 0, n))
+        quotient = np.broadcast_to(fb, (count, s, n))
+    else:
+        moved = action.circle.generator() @ np.asarray(points, dtype=float)[..., None]
+        vertical = orthonormal_rows(_t(moved), tol)
+        residual = np.linalg.norm(vertical - vertical @ fix.projector(), axis=(-2, -1)).max()
+        if residual > 1e4 * tol:
+            raise InternalConsistencyError(
+                f"vertical space leaves the fixed space of the isotropy subgroup "
+                f"(residual {residual:.3e}); the circle must commute with the finite group"
+            )
+        quotient = nullspace(vertical @ fb.T, tol) @ fb
+    phi = quotient @ fb.T
+    ann_fix = fix.annihilator().basis
+    v_ann = np.concatenate([quotient, np.broadcast_to(ann_fix, (count, *ann_fix.shape))], -2)
+    rows = dict(vertical=vertical, quotient=quotient, phi=phi, v_ann=v_ann)
+    rows.update(window=block_diagonal(fb, v_ann), k_perp=block_diagonal(np.eye(n), v_ann))
+    rows.update(kq_perp=block_diagonal(np.eye(s), phi))
+    # D_Q: the backward image of D(m) under the inclusion of Fix (as lindirac.backward_image).
+    constraint = (np.eye(2 * n) - _projector(fiber)) @ block_diagonal(fb.T, np.eye(n))
+    d_q = orthonormal_rows(nullspace(constraint, tol) @ block_diagonal(np.eye(s), fb.T), tol)
+    dq_k_perp = intersect_rows(d_q, _projector(rows["kq_perp"]), tol)
+    descending = intersect_rows(fiber, _projector(rows["window"]), tol)
+    d_k_perp = intersect_rows(fiber, _projector(rows["k_perp"]), tol)
+    for basis in (*rows.values(), dq_k_perp, descending, d_k_perp):
+        check_orthonormal(basis)
+    if vertical.shape[-2]:
+        alpha = descending[..., n:]
+        leak = np.linalg.norm(alpha @ _t(vertical), axis=-1)
+        if (leak > 1e4 * tol * np.maximum(1.0, np.linalg.norm(alpha, axis=-1))).any():
+            raise InternalConsistencyError(
+                f"descending covector does not annihilate the vertical "
+                f"space (residual {leak.max():.3e})"
+            )
+    q = quotient.shape[-2]
+    a, b = images = _push(dq_k_perp, phi, tol), _push(descending, quotient, tol)
+    lagrangian = [(image.shape[-2] == q) & (self_pairings(image) <= tol) for image in images]
+    distance = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1))
+    dims = RankDims(
+        vertical.shape[-2], v_ann.shape[-2], q, s, s,
+        d_k_perp.shape[-2], descending.shape[-2], dq_k_perp.shape[-2],
+    )
+    return [
+        PointGeometry(
+            action=ActionGeometry(tol, h, projector, fix, {k: v[i] for k, v in rows.items()}),
+            fiber=fibers[i],
+            d_q=LinearDirac(s, Subspace(2 * s, d_q[i], tol)),
+            dims=dims,
+            route_a=ForwardImage(q, Subspace(2 * q, a[i], tol), bool(lagrangian[0][i]), True),
+            route_b=ForwardImage(q, Subspace(2 * q, b[i], tol), bool(lagrangian[1][i]), True),
+            distance=float(distance[i]),
         )
-        return dims, dims.dq_cap_kq_perp == dims.d_cap_t_vg
+        for i in range(count)
+    ]
 
 
-def _action_geometry(
-    action: ActionSpec, h: IsotropyDescriptor, v: Subspace, tol: float, classes: dict
-) -> ActionGeometry:
-    """The action side for isotropy h and vertical space V(m).
+def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol: float):
+    """The PointGeometry of each point of one exact isotropy class h, whose
+    points share P, Fix and the shapes of every stage (V = 0 throughout or
+    nowhere).  A stack whose slices decide different ranks at a stage is cut
+    by that rank, and each part is reduced as a stack of its own."""
+    try:
+        return _stack_geometry(action, h, points, fibers, tol)
+    except MixedRanksError as mixed:
+        out = [None] * len(points)
+        for rank in np.unique(mixed.args[0]):
+            members = np.flatnonzero(mixed.args[0] == rank)
+            part = [points[i] for i in members], [fibers[i] for i in members]
+            for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
+                out[i] = geometry
+        return out
 
-    ``classes`` maps the exact descriptor (tolerance-equal descriptors can
-    differ in the last bits of their angles, and so in P) to the class's
-    ActionGeometry with V = 0, built on first sight.  Where V(m) = 0 every
-    object of the action side is a function of h, so that instance is
-    returned; a point the circle moves gets its own instance over the
-    class's P and Fix, once V(m) is checked to lie in Fix.
+
+def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fibers=None):
+    """The PointGeometry at each point, or the AmbiguousIsotropyError or
+    DegeneratePointError that makes it a skip.
+
+    Isotropy is decided point by point first, so a guard-band point is
+    reported as such even where the fiber degenerates.  ``fibers`` holds D(m)
+    already evaluated (or the DegeneratePointError its evaluation raised);
+    ``None`` evaluates them here.  The remaining points are reduced as one
+    stack per exact isotropy class.
     """
-    key = (h.continuous_circle, h.pairs)
-    shared = classes.get(key)
-    if shared is None:
-        p = average_projector(h, action)
-        fix = fixed_subspace(h, action, tol, p)
-        shared = classes[key] = ActionGeometry(tol, h, p, fix, Subspace.zero(action.n, tol))
-    if v.dim == 0:
-        return shared
-    residual = float(np.linalg.norm(v.basis - v.basis @ shared.fix.projector()))
-    if residual > 1e4 * tol:
-        raise InternalConsistencyError(
-            f"vertical space leaves the fixed space of the isotropy subgroup "
-            f"(residual {residual:.3e}); the circle must commute with the finite group"
-        )
-    return ActionGeometry(tol, h, shared.projector, shared.fix, v)
+    out: list = []
+    stacks: dict = {}
+    for i, m in enumerate(points):
+        try:
+            h = isotropy(action, m, tol)
+            fiber = evaluate_at(spec, m, tol) if fibers is None else fibers[i]
+            if isinstance(fiber, DegeneratePointError):
+                raise fiber
+        except (AmbiguousIsotropyError, DegeneratePointError) as exc:
+            out.append(exc)
+            continue
+        out.append(fiber)
+        stacks.setdefault((h.continuous_circle, h.pairs), (h, []))[1].append(i)
+    for h, members in stacks.values():
+        part = [points[i] for i in members], [out[i] for i in members]
+        for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
+            out[i] = geometry
+    return out
 
 
 def point_geometry(
-    spec: DiracFieldSpec,
-    action: ActionSpec,
-    m,
-    tol: float = DEFAULT_TOL,
-    fiber=None,
-    classes: dict | None = None,
+    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL, fiber=None
 ) -> PointGeometry:
-    """Build the geometry at m once.
-
-    ``fiber`` is D(m) when already evaluated (or the DegeneratePointError its
-    evaluation raised); ``None`` evaluates it here.  Isotropy is decided
-    first, so a guard-band point is reported as such even where the fiber
-    degenerates.
-
-    ``classes`` is a dict that the points of one run (one action, one
-    ``tol``) share, keyed by the exact isotropy descriptor: P and Fix are
-    built once per class, and where V(m) = 0 the whole action side is.
-    ``None`` builds the action side for this point alone.
-    """
-    h = isotropy(action, m, tol)
-    if fiber is None:
-        fiber = evaluate_at(spec, m, tol)
-    if isinstance(fiber, DegeneratePointError):
-        raise fiber
-    v = vertical_space(action, m, tol)
-    a = _action_geometry(action, h, v, tol, {} if classes is None else classes)
-    d_q = backward_image(a.fix.basis.T, fiber)
-    return PointGeometry(
-        action=a,
-        fiber=fiber,
-        d_q=d_q,
-        dq_k_perp=d_q.space.intersect(a.kq_perp),
-        descending=fiber.space.intersect(a.window),
-    )
+    """The geometry at m, reduced as a stack of one; ``fiber`` is D(m) when
+    already evaluated.  A boundary or degenerate point raises."""
+    geometry = _geometries(spec, action, [m], tol, None if fiber is None else [fiber])[0]
+    if isinstance(geometry, Exception):
+        raise geometry
+    return geometry
 
 
 def restrict_to_stratum(
@@ -273,17 +282,20 @@ def restrict_to_stratum(
 def reduce_isotropy_route(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
 ):
-    """Restrict to the isotropy stratum, then quotient the vertical part
-    (see :meth:`PointGeometry.route_a`)."""
-    return point_geometry(spec, action, m, tol).route_a()
+    """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
+    ``lagrangian`` flag records whether it is a Dirac structure (it is
+    wherever the constant-rank hypothesis holds at m)."""
+    geometry = point_geometry(spec, action, m, tol)
+    return geometry.action.quotient, geometry.route_a
 
 
 def reduce_orbit_route(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
 ):
-    """Span of descending-section values, pushed to the orbit-type quotient
-    (see :meth:`PointGeometry.route_b`)."""
-    return point_geometry(spec, action, m, tol).route_b()
+    """Orbit route: (quotient, span of the descending values projected onto
+    the quotient)."""
+    geometry = point_geometry(spec, action, m, tol)
+    return geometry.action.quotient, geometry.route_b
 
 
 @dataclass(frozen=True)
@@ -292,19 +304,13 @@ class RouteComparison:
     distance: float
 
 
-def _compare_reduced(image_a, image_b, tol: float) -> RouteComparison:
-    """Subspace distance between the two routes' images in the one quotient
-    model."""
-    distance = image_a.dirac.space.distance(image_b.space)
-    return RouteComparison(agree=bool(distance <= tol), distance=distance)
-
-
 def compare_routes(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = 1e-8
 ) -> RouteComparison:
-    """Run both routes at m and compare them."""
+    """Run both routes at m and compare them (route A must be Lagrangian)."""
     geometry = point_geometry(spec, action, m, min(DEFAULT_TOL, tol))
-    return _compare_reduced(geometry.route_a()[1], geometry.route_b()[1], tol)
+    _ = geometry.route_a.dirac  # raises NotLagrangianError where it is not
+    return RouteComparison(agree=bool(geometry.distance <= tol), distance=geometry.distance)
 
 
 # -- rank bookkeeping ----------------------------------------------------------
@@ -404,11 +410,11 @@ def rank_report(
     sampled stand-in for the constant-rank hypothesis; it is evidence, not
     proof, and is reported rather than asserted.
     """
-    rows = tuple(reduce_point(spec, action, m, tol) for m in samples)
+    rows = reduce_point(spec, action, samples, tol)
     return RankReport(rows=rows, classes=rank_classes(rows))
 
 
-# -- one-point pipeline ----------------------------------------------------------
+# -- rows ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -429,6 +435,31 @@ class PointReduction:
     agree: bool | None
 
 
+def _row(m, geometry, agree_tol: float) -> PointReduction:
+    point = tuple(float(c) for c in m)
+    if isinstance(geometry, Exception):
+        boundary = isinstance(geometry, AmbiguousIsotropyError)
+        status = STATUS_BOUNDARY if boundary else STATUS_DEGENERATE
+        return PointReduction(point, status, str(geometry), *[None] * 9)
+    dims = geometry.dims
+    lagrangian_ok = geometry.route_a.lagrangian and geometry.route_b.lagrangian
+    distance = geometry.distance if lagrangian_ok else None
+    return PointReduction(
+        point=point,
+        status=STATUS_OK,
+        reason=None,
+        descriptor=geometry.action.descriptor,
+        dims=dims,
+        iq_identity=dims.dq_cap_kq_perp == dims.d_cap_t_vg,
+        d_q=geometry.d_q,
+        route_a=geometry.route_a,
+        route_b=geometry.route_b,
+        lagrangian_ok=lagrangian_ok,
+        distance=distance,
+        agree=None if distance is None else distance <= agree_tol,
+    )
+
+
 def reduce_point(
     spec: DiracFieldSpec,
     action: ActionSpec,
@@ -436,42 +467,18 @@ def reduce_point(
     rank_tol: float = DEFAULT_TOL,
     agree_tol: float = 1e-8,
     fiber=None,
-    classes: dict | None = None,
-) -> PointReduction:
-    """Run the full per-point pipeline, classifying boundary and degenerate
-    points as skips.  Internal-consistency violations propagate.
+):
+    """The row of the point m, with boundary and degenerate points classified
+    as skips; internal-consistency violations propagate.  ``fiber`` is D(m)
+    already evaluated at ``rank_tol``; ``None`` evaluates it here.
 
-    ``fiber`` is D(m) already evaluated at ``rank_tol`` and ``classes`` the
-    run's shared action sides (see :func:`point_geometry`); ``None``
-    evaluates and builds them here."""
-    point = tuple(float(c) for c in m)
-    try:
-        geometry = point_geometry(spec, action, m, rank_tol, fiber, classes)
-    except (AmbiguousIsotropyError, DegeneratePointError) as exc:
-        status = (
-            STATUS_BOUNDARY if isinstance(exc, AmbiguousIsotropyError) else STATUS_DEGENERATE
-        )
-        return PointReduction(point, status, str(exc), *[None] * 9)
-    dims, iq = geometry.dims()
-    _, image_a = geometry.route_a()
-    _, image_b = geometry.route_b()
-    lagrangian_ok = image_a.lagrangian and image_b.lagrangian
-    if lagrangian_ok:
-        comparison = _compare_reduced(image_a, image_b, agree_tol)
-        distance, agree = comparison.distance, comparison.agree
-    else:
-        distance, agree = None, None
-    return PointReduction(
-        point=point,
-        status=STATUS_OK,
-        reason=None,
-        descriptor=geometry.action.descriptor,
-        dims=dims,
-        iq_identity=iq,
-        d_q=geometry.d_q,
-        route_a=image_a,
-        route_b=image_b,
-        lagrangian_ok=lagrangian_ok,
-        distance=distance,
-        agree=agree,
-    )
+    Given a sequence of points (``fiber``: their fibers, or ``None``), it
+    returns the tuple of their rows, all reduced in one pass: one stack per
+    isotropy class (see :func:`_geometries`)."""
+    points = np.asarray(m, dtype=float)
+    single = points.ndim == 1 and points.size > 0
+    if single:
+        points, fiber = points[None], None if fiber is None else [fiber]
+    geometries = _geometries(spec, action, points, rank_tol, fiber)
+    rows = tuple(_row(p, g, agree_tol) for p, g in zip(points, geometries))
+    return rows[0] if single else rows

@@ -491,8 +491,9 @@ def _circle_average_check(s: Scenario, points, fibers) -> SampleCheckReport | No
 def run_scenario(s: Scenario) -> RunReport:
     """Reduce every sample point along both routes, in input order, and run
     the whole-scenario checks.  Each fiber D(m) is evaluated once and shared
-    by the reduction and the three sampled checks; each isotropy class's
-    action side is built once per run (see :func:`reduction.point_geometry`)."""
+    by the reduction and the three sampled checks; the reduction runs once
+    over all the points, as one stack per isotropy class (see
+    :mod:`.reduction`)."""
     points = sample_points(s)
     try:  # every polynomial evaluation at the samples happens here
         fibers = evaluate_fibers(s.dirac, points, s.rank_tol)
@@ -503,11 +504,7 @@ def run_scenario(s: Scenario) -> RunReport:
         circle_average = _circle_average_check(s, points, fibers)
     except OverflowError as exc:
         raise ScenarioError(f"sample evaluation: {exc}") from None
-    classes: dict = {}  # action sides shared by the points of each isotropy class
-    rows = tuple(
-        reduce_point(s.dirac, s.action, m, s.rank_tol, s.agree_tol, fiber, classes)
-        for m, fiber in zip(points, fibers)
-    )
+    rows = reduce_point(s.dirac, s.action, points, s.rank_tol, s.agree_tol, fibers)
     return RunReport(
         scenario=s,
         points=rows,

@@ -14,7 +14,7 @@ annihilators are computed as Euclidean orthogonal complements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -30,6 +30,10 @@ __all__ = [
     "direct_sum",
     "nullspace",
     "orthonormal_rows",
+    "intersect_rows",
+    "MixedRanksError",
+    "check_orthonormal",
+    "block_diagonal",
 ]
 
 
@@ -41,32 +45,75 @@ class FormDegenerateError(ValueError):
     """A bilinear form is singular at the working tolerance."""
 
 
+class MixedRanksError(Exception):
+    """The matrices of a stack decided different ranks; ``args[0]`` holds them."""
+
+
+def _rank(s: np.ndarray, cut) -> int:
+    """The number of singular values above ``cut``, which every matrix of a
+    stack must share."""
+    ranks = np.atleast_1d((s > cut).sum(axis=-1))
+    if (ranks != ranks[0]).any():
+        raise MixedRanksError(ranks)
+    return int(ranks[0])
+
+
 def orthonormal_rows(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of the row space of ``matrix``.
+    """Orthonormal basis (rows) of the row space of ``matrix``, or of every
+    matrix of a stack ``(..., r, c)`` (all of one rank, else MixedRanksError).
 
     Rank is the number of singular values above ``tol * s_max``.
     """
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    if matrix.size == 0:
-        return np.zeros((0, matrix.shape[1]))
     _, s, vh = np.linalg.svd(matrix, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, matrix.shape[1]))
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[:rank].copy()
+    return vh[..., : _rank(s, tol * s[..., :1]), :].copy()
 
 
 def nullspace(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis (rows) of ``{x : matrix @ x = 0}``."""
+    """Orthonormal basis (rows) of ``{x : matrix @ x = 0}``, per matrix of a
+    stack as in :func:`orthonormal_rows`."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-    n_cols = matrix.shape[1]
-    if matrix.shape[0] == 0 or n_cols == 0:
-        return np.eye(n_cols)
     _, s, vh = np.linalg.svd(matrix, full_matrices=True)
-    if s.size == 0:
-        return np.eye(n_cols)
-    rank = int(np.sum(s > tol * s[0]))
-    return vh[rank:].copy()
+    return vh[..., _rank(s, tol * s[..., :1]) :, :].copy()
+
+
+def intersect_rows(basis: np.ndarray, projector: np.ndarray, tol: float) -> np.ndarray:
+    """Rows spanning the intersection of the row space of ``basis``
+    (orthonormal rows) with the image of the orthogonal ``projector``, per
+    matrix of a stack as in :func:`orthonormal_rows`.  One SVD of B - B P,
+    whose singular values are the principal-angle sines; the directions whose
+    sine is at most the absolute ``tol`` are kept."""
+    u, s, _ = np.linalg.svd(basis - basis @ projector, full_matrices=False)
+    return np.swapaxes(u[..., _rank(s, tol) :], -1, -2) @ basis
+
+
+@lru_cache(maxsize=None)
+def _gram_bounds(k: int) -> tuple:
+    """I_k, and the bound np.allclose(G, I_k, atol=1e-8) puts on |G - I_k|:
+    atol off the diagonal, atol + rtol on it."""
+    eye = np.eye(k)
+    bound = np.where(eye == 1.0, _DIAGONAL_ATOL, 1e-8)
+    eye.flags.writeable = bound.flags.writeable = False  # shared by every caller
+    return eye, bound
+
+
+def check_orthonormal(basis: np.ndarray) -> None:
+    """Raise ValueError unless the rows of ``basis``, or of every matrix of a
+    stack ``(..., k, n)``, are orthonormal to np.allclose's tolerances (a
+    NaN fails)."""
+    eye, bound = _gram_bounds(basis.shape[-2])
+    if not (np.abs(basis @ np.swapaxes(basis, -1, -2) - eye) <= bound).all():
+        raise ValueError("basis rows are not orthonormal; build with span()")
+
+
+def block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows [[a, 0], [0, b]], over the broadcast stack when either is one: a
+    basis of the external direct sum of the two row spaces."""
+    (ra, ca), (rb, cb) = a.shape[-2:], b.shape[-2:]
+    rows = np.zeros(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (ra + rb, ca + cb))
+    rows[..., :ra, :ca] = a
+    rows[..., ra:, ca:] = b
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +139,7 @@ class Subspace:
                 f"basis vectors have length {basis.shape[1]}, "
                 f"ambient dimension is {self.ambient_dim}"
             )
-        if basis.shape[0]:
-            # np.allclose(gram, I, atol=1e-8) without its overhead: |G_ij| <= atol
-            # off the diagonal, |G_ii - 1| <= atol + rtol on it; NaN fails both.
-            gram = basis @ basis.T
-            diagonal = np.abs(gram.diagonal() - 1.0)
-            gram.flat[:: basis.shape[0] + 1] = 0.0
-            if not (np.abs(gram).max() <= 1e-8 and diagonal.max() <= _DIAGONAL_ATOL):
-                raise ValueError("basis rows are not orthonormal; build with span()")
+        check_orthonormal(basis)
         basis = basis.copy()
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
@@ -175,9 +215,7 @@ class Subspace:
         tol = max(self.tol, other.tol)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim, tol)
-        u, s, _ = np.linalg.svd(self.basis - self.basis @ other.projector(), full_matrices=False)
-        rank = int(np.sum(s > tol))
-        return Subspace(self.ambient_dim, u[:, rank:].T @ self.basis, tol)
+        return Subspace(self.ambient_dim, intersect_rows(self.basis, other.projector(), tol), tol)
 
     def orthogonal_wrt_form(self, form: np.ndarray) -> "Subspace":
         """Orthogonal complement with respect to a symmetric nondegenerate
@@ -251,9 +289,6 @@ def span(vectors, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> S
 
 def direct_sum(a: Subspace, b: Subspace) -> Subspace:
     """External direct sum inside R^(n_a + n_b)."""
-    tol = max(a.tol, b.tol)
-    n = a.ambient_dim + b.ambient_dim
-    rows = np.zeros((a.dim + b.dim, n))
-    rows[: a.dim, : a.ambient_dim] = a.basis
-    rows[a.dim :, a.ambient_dim :] = b.basis
-    return Subspace(n, rows, tol)
+    return Subspace(
+        a.ambient_dim + b.ambient_dim, block_diagonal(a.basis, b.basis), max(a.tol, b.tol)
+    )

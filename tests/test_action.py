@@ -29,6 +29,7 @@ from helpers import (
     assert_subspace_close,
     circle_action,
     d4_action,
+    product_action_r3,
     z2_reflection_action,
 )
 
@@ -105,6 +106,10 @@ def test_vertical_space():
     assert_subspace_close(v, span(np.array([[0.0, 1.0]]), ambient_dim=2))
     assert vertical_space(act, np.zeros(2)).dim == 0
     assert vertical_space(z2_reflection_action(), np.array([1.0, 1.0])).dim == 0
+    # |A m| <= tol |m|: the circle is in the isotropy subgroup, so V(m) = 0
+    near_axis = np.array([1e-12, 0.0, 1.0])
+    assert isotropy(product_action_r3(), near_axis).continuous_circle
+    assert vertical_space(product_action_r3(), near_axis).dim == 0
 
 
 # -- isotropy ----------------------------------------------------------------

@@ -396,20 +396,20 @@ def test_run_builds_each_point_once(monkeypatch, name):
     s = load_scenario(str(SCENARIO_DIR / name))
     calls = {
         func: _count_calls(monkeypatch, module, func)
-        for module, func in (
-            ("action", "isotropy"),
-            ("polyfield", "evaluate_at"),
-            ("lindirac", "backward_image"),
-        )
+        for module, func in (("action", "isotropy"), ("polyfield", "evaluate_at"))
     }
     per_class = {
         func: _count_calls(monkeypatch, "action", func)
         for func in ("fixed_subspace", "average_projector")
     }
+    stacks = _count_calls(monkeypatch, "reduction", "_reduce_stack")
     report = run_scenario(s)
     assert all(r.status == "ok" for r in report.points)
     n_points = len(report.points)
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, n_points)
+    # the reduction runs once per stack: the points of one exact isotropy class
+    keys = {(r.descriptor.continuous_circle, r.descriptor.pairs) for r in report.points}
+    assert len(stacks) == len(keys) < n_points
     if s.action.circle is None:
         # V = 0 at every point: P and Fix are built once per isotropy class
         n_classes = len(report.classes)
@@ -448,6 +448,55 @@ def test_large_fiber_entries_run_without_a_traceback(tmp_path):
     points = {tuple(p["point"]): p for p in json.loads(proc.stdout)["points"]}
     assert all(p["status"] == "ok" for p in points.values())
     assert points[(10.0, 0.3, 0.0)]["dims"] == points[(0.5, 0.2, 0.0)]["dims"]
+
+
+def test_point_within_tol_of_the_circle_axis_is_an_axis_point(tmp_path):
+    """|A m| <= tol |m| puts the circle in the isotropy subgroup of
+    (1e-12, 0, 1), and V(m) follows that decision: the run exits 0 and the
+    point gets the descriptor and dims of the axis point (0, 0, 1)."""
+    data = json.loads((SCENARIO_DIR / "z2_circle_r3_two_form.json").read_text())
+    data["samples"] = {"explicit": [[1e-12, 0.0, 1.0], [0.0, 0.0, 1.0]]}
+    path = tmp_path / "near_axis.json"
+    path.write_text(json.dumps(data))
+    cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 0 and "internal consistency" not in proc.stderr, proc.stderr
+    near, axis = json.loads(proc.stdout)["points"]
+    assert near["status"] == axis["status"] == "ok"
+    assert (near["isotropy"], near["dims"]) == (axis["isotropy"], axis["dims"])
+
+
+def _compare_reports(a, b, tmp_path):
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, report in zip(paths, (a, b)):
+        path.write_text(json.dumps(report))
+    script = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
+    cmd = [sys.executable, str(script), *map(str, paths)]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+def test_compare_reports_reads_bases_as_subspaces(tmp_path):
+    """scripts/compare_reports.py: identical reports print nothing and exit 0;
+    another basis of the same route span prints its projector distance and
+    exits 0; a changed dimension or verdict exits 1, naming the path."""
+    s = load_scenario(str(SCENARIO_DIR / "circle_canonical_poisson.json"))
+    report = json.loads(emit_report(run_scenario(s), "json"))
+    same = _compare_reports(report, report, tmp_path)
+    assert (same.returncode, same.stdout) == (0, "")
+    rotated = copy.deepcopy(report)
+    basis = rotated["points"][0]["route_b"]["basis"]
+    basis[0] = [-x for x in basis[0]]
+    rotated["points"][0]["agreement"]["distance"] += 1e-17
+    moved = _compare_reports(report, rotated, tmp_path)
+    assert moved.returncode == 0, moved.stdout
+    assert "points[0].route_b.basis: projector distance 0" in moved.stdout
+    assert "points[].agreement.distance: 1 differ" in moved.stdout
+    rotated["points"][1]["dims"]["V"] += 1
+    rotated["summary"]["agreement_failures"] = 1
+    broken = _compare_reports(report, rotated, tmp_path)
+    assert broken.returncode == 1
+    assert "points[1].dims.V: 1 -> 2" in broken.stdout
+    assert "summary.agreement_failures: 0 -> 1" in broken.stdout
 
 
 def test_interleaved_runs_share_no_class_geometry(tmp_path):

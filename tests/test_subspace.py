@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from dirac_reduce.subspace import (
     DEFAULT_TOL,
     DimensionMismatchError,
+    MixedRanksError,
     Subspace,
+    check_orthonormal,
     direct_sum,
+    intersect_rows,
     nullspace,
     orthonormal_rows,
     span,
@@ -26,6 +29,28 @@ def test_orthonormal_rows_rank_matches_numpy():
         basis = orthonormal_rows(a, 1e-9)
         assert basis.shape == (np.linalg.matrix_rank(a, tol=1e-9), n)
         np.testing.assert_allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-12)
+
+
+def test_stacked_rank_decisions_match_each_matrix_bit_for_bit():
+    """On a stack, span, null space and intersection are per-matrix results,
+    bit for bit; matrices of different rank raise MixedRanksError."""
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((20, 4, 3)) @ rng.standard_normal((20, 3, 6))  # rank 3
+    bases = orthonormal_rows(stack)
+    other = orthonormal_rows(rng.standard_normal((20, 5, 6)))
+    meet = intersect_rows(bases, np.swapaxes(other, -1, -2) @ other, 1e-9)
+    assert bases.shape == (20, 3, 6) and nullspace(stack).shape == (20, 3, 6)
+    assert meet.shape == (20, 2, 6)
+    for i in range(len(stack)):
+        assert np.array_equal(bases[i], orthonormal_rows(stack[i]))
+        assert np.array_equal(nullspace(stack)[i], nullspace(stack[i]))
+        alone = intersect_rows(bases[i], other[i].T @ other[i], 1e-9)
+        assert np.array_equal(meet[i], alone)
+    stack[3, :, :] = 0.0
+    stack[3, 0, 0] = 1.0  # rank 1
+    with pytest.raises(MixedRanksError) as mixed:
+        orthonormal_rows(stack)
+    assert list(mixed.value.args[0]) == [3] * 3 + [1] + [3] * 16
 
 
 def test_non_orthonormal_basis_is_rejected():
@@ -52,7 +77,8 @@ def test_non_finite_basis_is_rejected(basis):
 def test_orthonormality_check_matches_allclose(seed, dim, extra, diagonal, off_diagonal):
     """Perturb one Gram diagonal entry by about 1e-8 + 1e-5 and one
     off-diagonal entry by about 1e-8, on either side of the bounds: the
-    basis is accepted exactly when np.allclose(G, I, atol=1e-8) holds."""
+    basis is accepted exactly when np.allclose(G, I, atol=1e-8) holds, alone
+    and as the middle slice of a stack whose other slices are orthonormal."""
     rng = np.random.default_rng(seed)
     n = dim + extra
     basis = random_orthogonal(rng, n)[:dim].copy()
@@ -63,6 +89,13 @@ def test_orthonormality_check_matches_allclose(seed, dim, extra, diagonal, off_d
     expected = bool(np.allclose(basis @ basis.T, np.eye(dim), atol=1e-8))
     try:
         Subspace(n, basis)
+        accepted = True
+    except ValueError:
+        accepted = False
+    assert accepted == expected
+    good = random_orthogonal(rng, n)[:dim]
+    try:
+        check_orthonormal(np.stack([good, basis, good]))
         accepted = True
     except ValueError:
         accepted = False
