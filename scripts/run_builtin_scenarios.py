@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every scenario shipped under scenarios/ and print a one-line verdict.
 
-The noninvariant scenario is expected to exit 1 (its whole point is to show
-the invariance gate tripping); everything else must exit 0.  An uncaught
+The noninvariant and the non-closed scenario are expected to exit 1 (their
+whole point is to show the invariance and the integrability gate tripping);
+everything else must exit 0.  An uncaught
 exception also exits 1, so a run whose stderr holds a traceback, or an
 expected exit 1 without a final ``summary:`` line, is UNEXPECTED too.
 """
@@ -13,7 +14,10 @@ import pathlib
 import subprocess
 import sys
 
-EXPECTED_NONZERO = {"rotation_noninvariant_form.json": 1}
+EXPECTED_NONZERO = {
+    "rotation_noninvariant_form.json": 1,
+    "nonclosed_circle_two_form.json": 1,
+}
 
 
 def main() -> int:

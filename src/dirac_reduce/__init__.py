@@ -37,6 +37,7 @@ from .lindirac import (
 from .poly import Poly, PolyParseError, parse_poly
 from .polyfield import (
     BivectorSpec,
+    CheckReport,
     DegeneratePointError,
     DiracFieldSpec,
     DistributionSpec,
@@ -44,7 +45,6 @@ from .polyfield import (
     PolySection,
     PolyTwoForm,
     PolyVectorField,
-    SampleCheckReport,
     SectionsSpec,
     TwoFormSpec,
     courant_bracket,

@@ -46,9 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--samples", type=int, default=None, help="override the random sample count"
     )
     p_run.add_argument("--seed", type=int, default=None, help="override the random seed")
-    p_run.add_argument(
-        "--quad-nodes", type=int, default=None, help="override circle quadrature node count"
-    )
     p_run.add_argument("--format", choices=("text", "json"), default="text")
 
     p_bracket = sub.add_parser(
@@ -96,10 +93,6 @@ def _apply_overrides(scenario, args):
                 raise ScenarioError("--seed must be nonnegative")
             samples = replace(samples, seed=args.seed)
         scenario = replace(scenario, samples=samples)
-    if args.quad_nodes is not None:
-        if args.quad_nodes < 1:
-            raise ScenarioError("--quad-nodes must be positive")
-        scenario = replace(scenario, quadrature_nodes=args.quad_nodes)
     return scenario
 
 

@@ -5,12 +5,19 @@ enters only when a field is evaluated at a point.  A Dirac structure field
 is described by one of four specs (bivector graph, two-form graph, constant
 distribution, explicit sections), each of which knows its canonical
 generating sections and how to evaluate to a :class:`LinearDirac` fiber.
+
+The structure's hypotheses, integrability and circle invariance, are
+decided by the spec type.  For a graph (bivector or two-form) each is an
+identity of exact polynomials, decided with no tolerance and no sample
+points; distribution and sections specs are checked by membership of
+brackets and Lie derivatives of the generating sections at the samples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Union
 
 import numpy as np
@@ -22,7 +29,7 @@ from .lindirac import (
     from_two_form,
     is_lagrangian,
 )
-from .poly import Poly, _coerce
+from .poly import Poly, _coerce, _from_dict
 from .subspace import DEFAULT_TOL, Subspace, span
 
 __all__ = [
@@ -48,7 +55,7 @@ __all__ = [
     "evaluate_at",
     "evaluate_fibers",
     "BracketResidual",
-    "SampleCheckReport",
+    "CheckReport",
     "integrability_check",
     "infinitesimal_invariance",
 ]
@@ -498,27 +505,36 @@ def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> Linear
     raise TypeError(f"not a Dirac field spec: {type(spec).__name__}")
 
 
-# -- sampled closure checks ---------------------------------------------------
+# -- integrability and invariance checks ---------------------------------------
 
 
 @dataclass(frozen=True)
 class BracketResidual:
-    """One failing membership test: section pair x sample point."""
+    """One failure of a check: the section pair or section (sampled) or the
+    tensor component (exact) at fault, the sample point (None when exact),
+    and the residual there (for an exact check, the component's largest
+    |coefficient|)."""
 
-    first: int
-    second: int
-    point_index: int
+    index: tuple
+    point_index: int | None
     residual: float
 
 
 @dataclass(frozen=True)
-class SampleCheckReport:
+class CheckReport:
+    """Verdict of one check; ``method`` is ``"exact"`` or ``"sampled"``.  An
+    exact check fails on any nonzero coefficient, so its ``tol`` is 0."""
+
     kind: str
+    method: str
     ok: bool
     tol: float
     max_residual: float
     failures: tuple
     skipped: tuple
+
+
+_GRAPH_SPECS = (BivectorSpec, TwoFormSpec)
 
 
 def _membership_residual(value: np.ndarray, projector: np.ndarray) -> float:
@@ -539,6 +555,7 @@ def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> 
 
 
 def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
+    """Each ``(index, section)`` of ``derived`` must lie in D(m) at every sample."""
     if fibers is None:
         fibers = evaluate_fibers(spec, samples, tol)
     failures = []
@@ -549,13 +566,14 @@ def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
             skipped.append(p_idx)
             continue
         projector = fiber.space.projector()
-        for i, j, section in derived:
+        for index, section in derived:
             residual = _membership_residual(section.evaluate(point), projector)
             max_residual = max(max_residual, residual)
             if residual > tol:
-                failures.append(BracketResidual(i, j, p_idx, residual))
-    return SampleCheckReport(
+                failures.append(BracketResidual(index, p_idx, residual))
+    return CheckReport(
         kind=kind,
+        method="sampled",
         ok=not failures,
         tol=tol,
         max_residual=max_residual,
@@ -564,18 +582,86 @@ def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
     )
 
 
+def _exact_check(kind, components) -> CheckReport:
+    """The identity holds iff every ``(index, poly)`` is the zero polynomial."""
+    failures = tuple(
+        BracketResidual(index, None, float(max(abs(c) for _, c in poly.terms)))
+        for index, poly in components
+        if not poly.is_zero()
+    )
+    return CheckReport(
+        kind=kind,
+        method="exact",
+        ok=not failures,
+        tol=0.0,
+        max_residual=max((f.residual for f in failures), default=0.0),
+        failures=failures,
+        skipped=(),
+    )
+
+
+def _closure_components(spec):
+    """``((i, j, k), poly)`` for i < j < k: dW for a two-form W,
+    d_i W_jk + d_j W_ki + d_k W_ij; the Jacobiator for a bivector,
+    sum over the cyclic (i, j, k) of sum_l W_il d_l W_jk."""
+    n = spec.base_dim
+    w = spec.matrix.entries
+    for i, j, k in combinations(range(n), 3):
+        cyclic = ((i, j, k), (j, k, i), (k, i, j))
+        if isinstance(spec, TwoFormSpec):
+            yield (i, j, k), sum((w[b][c].partial(a) for a, b, c in cyclic), Poly.zero(n))
+        else:
+            yield (i, j, k), sum(
+                (w[a][l] * w[b][c].partial(l) for a, b, c in cyclic for l in range(n)),
+                Poly.zero(n),
+            )
+
+
+def _lie_derivative_components(spec, generator):
+    """``((i, j), poly)`` for i < j: (L_xi W)_ij for xi = A x, A = ``generator``:
+    xi.grad W + A^T W + W A for a two-form W, xi.grad W - A W - W A^T for
+    a bivector.  A circle generator is antisymmetric, so -A^T = A and both
+    read xi.grad W + A^T W + W A.  xi.grad = sum A_kl x_l d_k maps each
+    term to one monomial per nonzero A_kl, so it is summed term by term
+    into one dict per component."""
+    n = spec.base_dim
+    w = spec.matrix.entries
+    a = [[_coerce(e) for e in row] for row in generator]
+    flow = [(k, l, a[k][l]) for k in range(n) for l in range(n) if a[k][l]]
+    for i, j in combinations(range(n), 2):
+        out: dict = {}
+        for m, c in w[i][j].terms:
+            for k, l, akl in flow:
+                if m[k]:
+                    e = list(m)
+                    e[k] -= 1
+                    e[l] += 1
+                    key = tuple(e)
+                    out[key] = out.get(key, 0) + akl * m[k] * c
+        for k in range(n):
+            for coeff, entry in ((a[k][i], w[k][j]), (a[k][j], w[i][k])):
+                if coeff:
+                    for m, c in entry.terms:
+                        out[m] = out.get(m, 0) + coeff * c
+        yield (i, j), _from_dict(n, out)
+
+
 def integrability_check(
     spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL, fibers=None
-) -> SampleCheckReport:
-    """Courant brackets of generating sections stay in the structure.
+) -> CheckReport:
+    """Whether the structure is closed under the Courant bracket.
 
-    Sampled proxy for closedness: for every pair of generating sections the
-    bracket value at each sample must lie in the fiber there.  ``fibers``:
+    For a two-form or bivector graph this is decided exactly, as dW = 0 or
+    [W, W] = 0 (see :func:`_closure_components`); ``samples``, ``tol`` and
+    ``fibers`` are not used.  Otherwise the Courant bracket of every pair of
+    generating sections must lie in the fiber at each sample.  ``fibers``:
     the samples' :func:`evaluate_fibers`, if already computed.
     """
+    if isinstance(spec, _GRAPH_SPECS):
+        return _exact_check("integrability", _closure_components(spec))
     sections = generating_sections(spec)
     derived = [
-        (i, j, courant_bracket(sections[i], sections[j]))
+        ((i, j), courant_bracket(sections[i], sections[j]))
         for i in range(len(sections))
         for j in range(i + 1, len(sections))
     ]
@@ -584,34 +670,26 @@ def integrability_check(
 
 def infinitesimal_invariance(
     spec: DiracFieldSpec, action, samples, tol: float = DEFAULT_TOL, fibers=None
-) -> SampleCheckReport:
-    """Lie derivatives along the circle generator stay in the structure.
+) -> CheckReport:
+    """Whether the structure is invariant under the circle generator.
 
     ``action`` only needs a ``circle`` attribute (or None); finite factors
     contribute nothing infinitesimal, so an action without a circle passes
-    vacuously.  ``fibers``: the samples' :func:`evaluate_fibers`, if computed.
+    vacuously.  For a two-form or bivector graph this is decided exactly,
+    as L_xi W = 0 (see :func:`_lie_derivative_components`); ``samples``,
+    ``tol`` and ``fibers`` are not used.  Otherwise the Lie derivative of
+    every generating section must lie in the fiber at each sample.
+    ``fibers``: the samples' :func:`evaluate_fibers`, if computed.
     """
     circle = getattr(action, "circle", None)
+    if isinstance(spec, _GRAPH_SPECS):
+        components = () if circle is None else _lie_derivative_components(spec, circle.generator())
+        return _exact_check("invariance", components)
     if circle is None:
-        return SampleCheckReport(
-            kind="invariance",
-            ok=True,
-            tol=tol,
-            max_residual=0.0,
-            failures=(),
-            skipped=(),
-        )
+        return CheckReport("invariance", "sampled", True, tol, 0.0, (), ())
     xi = PolyVectorField.from_linear(circle.generator())
-    sections = generating_sections(spec)
     derived = [
-        (
-            0,
-            k,
-            PolySection(
-                lie_bracket(xi, s.tangent),
-                lie_derivative_oneform(xi, s.covector),
-            ),
-        )
-        for k, s in enumerate(sections)
+        ((k,), PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector)))
+        for k, s in enumerate(generating_sections(spec))
     ]
     return _sampled_check("invariance", spec, derived, samples, tol, fibers)

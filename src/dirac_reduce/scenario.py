@@ -2,7 +2,7 @@
 
 A scenario is a JSON document (version ``dirac-reduce/1``) bundling a Dirac
 field spec, a group action, a sample set (explicit points and/or a seeded
-random box), tolerances, and an optional quadrature override.  Loading
+random box) and tolerances.  Loading
 validates everything; running produces a deterministic report: same file,
 same seed, same bytes.
 """
@@ -20,24 +20,21 @@ from .action import (
     ActionValidationError,
     CircleFactor,
     FiniteGroupRep,
-    haar_average_section,
     validate_action,
 )
 from .poly import Poly, PolyParseError, _coerce, parse_poly
 from .polyfield import (
     BivectorSpec,
+    CheckReport,
     DiracFieldSpec,
     DistributionSpec,
     PolyOneForm,
     PolySection,
     PolyTwoForm,
     PolyVectorField,
-    SampleCheckReport,
     SectionsSpec,
     TwoFormSpec,
-    _sampled_check,
     evaluate_fibers,
-    generating_sections,
     infinitesimal_invariance,
     integrability_check,
 )
@@ -102,7 +99,6 @@ class Scenario:
     samples: SampleSpec
     rank_tol: float = DEFAULT_RANK_TOL
     agree_tol: float = DEFAULT_AGREE_TOL
-    quadrature_nodes: int | None = None
 
 
 # -- parsing ------------------------------------------------------------------
@@ -344,7 +340,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     version = _need(data, "version", "scenario")
     if version != VERSION:
         raise ScenarioError(f"scenario: unsupported version {version!r}, expected {VERSION!r}")
-    known = {"version", "n", "dirac", "action", "samples", "tolerances", "quadrature_nodes"}
+    known = {"version", "n", "dirac", "action", "samples", "tolerances"}
     extra = set(data) - known
     if extra:
         raise ScenarioError(f"scenario: unknown fields {sorted(extra)}")
@@ -362,17 +358,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         for name, value in t.items():
             context = f"tolerances.{name}"
             tolerances[name] = check_tolerance(_as_number(value, context), context)
-    nodes = data.get("quadrature_nodes")
-    if nodes is not None and (not isinstance(nodes, int) or isinstance(nodes, bool) or nodes < 1):
-        raise ScenarioError("quadrature_nodes: expected a positive integer")
-    return Scenario(
-        n=n,
-        dirac=dirac,
-        action=action,
-        samples=samples,
-        quadrature_nodes=nodes,
-        **tolerances,
-    )
+    return Scenario(n=n, dirac=dirac, action=action, samples=samples, **tolerances)
 
 
 def _read_json(path: str):
@@ -444,7 +430,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         "action": action,
         "samples": samples,
         "tolerances": {"rank_tol": s.rank_tol, "agree_tol": s.agree_tol},
-        "quadrature_nodes": s.quadrature_nodes,
     }
 
 
@@ -467,33 +452,16 @@ class RunReport:
     scenario: Scenario
     points: tuple  # PointReduction, in input order
     classes: tuple  # RankClass
-    integrability: SampleCheckReport
-    invariance: SampleCheckReport
-    circle_average: SampleCheckReport | None
-
-
-def _circle_average_check(s: Scenario, points, fibers) -> SampleCheckReport | None:
-    """Circle-averaged generating sections must remain in the structure.
-
-    A necessary condition for circle invariance, computed through the exact
-    averaging layer; this is the consumer of ``quadrature_nodes``.
-    """
-    if s.action.circle is None:
-        return None
-    circle_only = ActionSpec(s.n, FiniteGroupRep.trivial(s.n), s.action.circle)
-    derived = [
-        (0, k, haar_average_section(sec, circle_only, s.quadrature_nodes))
-        for k, sec in enumerate(generating_sections(s.dirac))
-    ]
-    return _sampled_check("circle-average", s.dirac, derived, points, s.rank_tol, fibers)
+    integrability: CheckReport
+    invariance: CheckReport
 
 
 def run_scenario(s: Scenario) -> RunReport:
     """Reduce every sample point along both routes, in input order, and run
     the whole-scenario checks.  Each fiber D(m) is evaluated once and shared
-    by the reduction and the three sampled checks; the reduction runs once
-    over all the points, as one stack per isotropy class (see
-    :mod:`.reduction`)."""
+    by the reduction and the sampled checks (graph specs are checked exactly,
+    without the samples); the reduction runs once over all the points, as
+    one stack per isotropy class (see :mod:`.reduction`)."""
     points = sample_points(s)
     try:  # every polynomial evaluation at the samples happens here
         fibers = evaluate_fibers(s.dirac, points, s.rank_tol)
@@ -501,7 +469,6 @@ def run_scenario(s: Scenario) -> RunReport:
         invariance = infinitesimal_invariance(
             s.dirac, s.action, points, s.rank_tol, fibers
         )
-        circle_average = _circle_average_check(s, points, fibers)
     except OverflowError as exc:
         raise ScenarioError(f"sample evaluation: {exc}") from None
     rows = reduce_point(s.dirac, s.action, points, s.rank_tol, s.agree_tol, fibers)
@@ -511,7 +478,6 @@ def run_scenario(s: Scenario) -> RunReport:
         classes=rank_classes(rows),
         integrability=integrability,
         invariance=invariance,
-        circle_average=circle_average,
     )
 
 
@@ -529,7 +495,12 @@ def summarize(report: RunReport) -> dict:
         distances = [r.distance for r in ok_rows if r.distance is not None]
     else:
         distances = []
-    failures = lagrangian_failures + agreement_failures + (0 if invariance_ok else 1)
+    failures = (
+        lagrangian_failures
+        + agreement_failures
+        + (0 if report.integrability.ok else 1)
+        + (0 if invariance_ok else 1)
+    )
     return {
         "points": len(rows),
         "ok": len(ok_rows),
@@ -553,19 +524,15 @@ def exit_code(report: RunReport) -> int:
 # -- emission ---------------------------------------------------------------------
 
 
-def _check_to_dict(check: SampleCheckReport) -> dict:
+def _check_to_dict(check: CheckReport) -> dict:
     return {
         "kind": check.kind,
+        "method": check.method,
         "ok": check.ok,
         "tol": check.tol,
         "max_residual": check.max_residual,
         "failures": [
-            {
-                "first": f.first,
-                "second": f.second,
-                "point": f.point_index,
-                "residual": f.residual,
-            }
+            {"index": list(f.index), "point": f.point_index, "residual": f.residual}
             for f in check.failures
         ],
         "skipped": list(check.skipped),
@@ -635,31 +602,24 @@ def report_to_dict(report: RunReport) -> dict:
         "checks": {
             "integrability": _check_to_dict(report.integrability),
             "invariance": _check_to_dict(report.invariance),
-            "circle_average": (
-                None
-                if report.circle_average is None
-                else _check_to_dict(report.circle_average)
-            ),
         },
         "summary": summarize(report),
     }
 
 
-def _check_lines(check: SampleCheckReport, tag: str) -> list:
-    if check.ok:
-        lines = [f"{tag}: pass (max residual {check.max_residual:.3e})"]
-    else:
-        lines = [f"{tag}: fail (max residual {check.max_residual:.3e})"]
+def _check_lines(check: CheckReport, tag: str) -> list:
+    verdict = "pass" if check.ok else "fail"
+    lines = [f"{tag}: {verdict} ({check.method}, max residual {check.max_residual:.3e})"]
+    if not check.ok:
         for f in check.failures[:5]:
-            if check.kind == "invariance":
-                label = f"xi=1, section {f.second}"
-            elif check.kind == "circle-average":
-                label = f"section {f.second}"
+            index = ",".join(map(str, f.index))
+            if check.method == "exact":
+                label = f"component ({index})"
+            elif check.kind == "invariance":
+                label = f"xi=1, section {index}, point {f.point_index}"
             else:
-                label = f"pair ({f.first},{f.second})"
-            lines.append(
-                f"{tag}: FAIL ({label}, point {f.point_index}, residual {f.residual:.3e})"
-            )
+                label = f"pair ({index}), point {f.point_index}"
+            lines.append(f"{tag}: FAIL ({label}, residual {f.residual:.3e})")
         if len(check.failures) > 5:
             lines.append(f"{tag}: ... {len(check.failures) - 5} more failures")
     if check.skipped:
@@ -682,8 +642,6 @@ def _format_text(report: RunReport) -> str:
     ]
     lines.extend(_check_lines(report.integrability, "integrability"))
     lines.extend(_check_lines(report.invariance, "invariance"))
-    if report.circle_average is not None:
-        lines.extend(_check_lines(report.circle_average, "circle-average"))
     header = f"{'idx':>4} {'status':<18} {'isotropy':<26} {'dims(T_G,V)':<12} {'distance':<12} agree"
     lines.append(header)
     applicable = report.invariance.ok

@@ -1,0 +1,243 @@
+"""Exact integrability and circle-invariance checks of graph specs.
+
+The exact verdicts are compared with the sampled reference: membership of
+the Courant brackets and Lie derivatives of the generating sections in the
+fiber at random points, through ``_sampled_check``.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dirac_reduce import polyfield
+from dirac_reduce.action import haar_average_section
+from dirac_reduce.cli import main
+from dirac_reduce.poly import Poly, parse_poly
+from dirac_reduce.polyfield import (
+    BivectorSpec,
+    PolyOneForm,
+    PolySection,
+    PolyTwoForm,
+    PolyVectorField,
+    TwoFormSpec,
+    _sampled_check,
+    courant_bracket,
+    d_function,
+    d_oneform,
+    generating_sections,
+    infinitesimal_invariance,
+    integrability_check,
+    lie_bracket,
+    lie_derivative_oneform,
+)
+from dirac_reduce.scenario import (
+    emit_report,
+    exit_code,
+    load_scenario,
+    run_scenario,
+    summarize,
+)
+
+from helpers import circle_action, random_poly
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+TOL = 1e-9
+R3_CIRCLE = circle_action((1,), fixed_dim=1)
+# two rotation planes, so that both A^T W and W A enter L_xi W
+R4_CIRCLE = circle_action((1, 2))
+
+
+def sampled_verdicts(spec, action, seed: int) -> tuple:
+    """(integrability ok, invariance ok) from the sampled reference."""
+    points = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(6, spec.base_dim))
+    sections = generating_sections(spec)
+    brackets = [
+        ((i, j), courant_bracket(sections[i], sections[j]))
+        for i in range(len(sections))
+        for j in range(i + 1, len(sections))
+    ]
+    xi = PolyVectorField.from_linear(action.circle.generator())
+    derivatives = [
+        ((k,), PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector)))
+        for k, s in enumerate(sections)
+    ]
+    return (
+        _sampled_check("integrability", spec, brackets, points, TOL).ok,
+        _sampled_check("invariance", spec, derivatives, points, TOL).ok,
+    )
+
+
+def exact_verdicts(spec, action) -> tuple:
+    integrability = integrability_check(spec, None, TOL)
+    invariance = infinitesimal_invariance(spec, action, None, TOL)
+    assert integrability.method == invariance.method == "exact"
+    return integrability.ok, invariance.ok
+
+
+def antisymmetric(entries: dict, n: int) -> PolyTwoForm:
+    """The matrix with ``entries[(i, j)]`` at (i, j) and its negative at (j, i)."""
+    rows = [[Poly.zero(n)] * n for _ in range(n)]
+    for (i, j), p in entries.items():
+        rows[i][j], rows[j][i] = p, -p
+    return PolyTwoForm(tuple(map(tuple, rows)))
+
+
+def compose(q: Poly, values) -> Poly:
+    """q(values[0], values[1], ...) for polynomials ``values``."""
+    out = Poly.zero(values[0].n_vars)
+    for m, c in q.terms:
+        term = Poly.constant(c, out.n_vars)
+        for v, e in zip(values, m):
+            term = term * v**e
+        out = out + term
+    return out
+
+
+def perturbation(rng, n: int) -> PolyTwoForm:
+    return antisymmetric({(i, j): random_poly(rng, n, 2, 2) for i in range(n) for j in range(i + 1, n)}, n)
+
+
+def exact_form(rng, action, invariant: bool) -> PolyTwoForm:
+    """d alpha for a random alpha, circle-averaged when ``invariant``."""
+    n = action.n
+    alpha = PolyOneForm(tuple(random_poly(rng, n, 3) for _ in range(n)))
+    if invariant:
+        alpha = haar_average_section(PolySection(PolyVectorField.zero(n), alpha), action).covector
+    return d_oneform(alpha)
+
+
+def poisson_bivector(rng, action, invariant: bool) -> PolyTwoForm:
+    """A random Poisson bivector, circle-invariant when ``invariant``.
+
+    On R^3: pi^{ij} = eps_ijk V_k for V = g grad h, which satisfies Jacobi
+    for any g, h (V . curl V = 0); g, h functions of (x^2 + y^2, z) make
+    it invariant.  On R^4: the product g(x, y) dx^dy + h(z, w) dz^dw;
+    g, h functions of x^2 + y^2 and z^2 + w^2 make it invariant."""
+    x = [Poly.variable(i, action.n) for i in range(action.n)]
+    if action.n == 3:
+        args = [x[0] ** 2 + x[1] ** 2, x[2]] if invariant else x
+        g, h = (compose(random_poly(rng, len(args), 2), args) for _ in range(2))
+        v = [g * c for c in d_function(h).components]
+        return antisymmetric({(0, 1): v[2], (1, 2): v[0], (0, 2): -v[1]}, 3)
+    planes = [[x[0] ** 2 + x[1] ** 2], [x[2] ** 2 + x[3] ** 2]] if invariant else [x[:2], x[2:]]
+    g, h = (compose(random_poly(rng, len(args), 2), args) for args in planes)
+    return antisymmetric({(0, 1): g, (2, 3): h}, 4)
+
+
+def add(a: PolyTwoForm, b: PolyTwoForm) -> PolyTwoForm:
+    return PolyTwoForm(
+        tuple(tuple(p + q for p, q in zip(ra, rb)) for ra, rb in zip(a.entries, b.entries))
+    )
+
+
+GRAPHS = {"form": (TwoFormSpec, exact_form), "bivector": (BivectorSpec, poisson_bivector)}
+DRAWS = dict(
+    seed=st.integers(0, 2**32 - 1),
+    invariant=st.booleans(),
+    kind=st.sampled_from(sorted(GRAPHS)),
+    action=st.sampled_from([R3_CIRCLE, R4_CIRCLE]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DRAWS)
+def test_closed_graphs_pass_exactly_as_sampled(seed, invariant, kind, action):
+    rng = np.random.default_rng(seed)
+    spec_type, draw = GRAPHS[kind]
+    spec = spec_type(draw(rng, action, invariant))
+    exact = exact_verdicts(spec, action)
+    assert exact[0]
+    if invariant:
+        assert exact[1]
+    assert exact == sampled_verdicts(spec, action, seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DRAWS)
+def test_perturbed_graphs_get_the_sampled_verdict(seed, invariant, kind, action):
+    rng = np.random.default_rng(seed)
+    spec_type, draw = GRAPHS[kind]
+    spec = spec_type(add(draw(rng, action, invariant), perturbation(rng, action.n)))
+    assert exact_verdicts(spec, action) == sampled_verdicts(spec, action, seed)
+
+
+def test_exact_failures_name_each_nonzero_component():
+    # omega = z dx^dy: d omega = dx^dy^dz, one component, coefficient 1;
+    # 3z dx^dy + x^2 dy^dz: d omega = (3 + 2x) dx^dy^dz
+    om = antisymmetric({(0, 1): parse_poly("3*z", 3), (1, 2): parse_poly("x^2", 3)}, 3)
+    report = integrability_check(TwoFormSpec(om), None)
+    assert (report.method, report.ok, report.tol, report.skipped) == ("exact", False, 0.0, ())
+    assert [(f.index, f.point_index, f.residual) for f in report.failures] == [((0, 1, 2), None, 3.0)]
+    assert report.max_residual == 3.0
+    # L_xi (x dx^dy) = -y dx^dy under the unit circle: one failing component
+    report = infinitesimal_invariance(
+        TwoFormSpec(antisymmetric({(0, 1): parse_poly("x", 2)}, 2)), circle_action((1,)), None
+    )
+    assert [(f.index, f.point_index, f.residual) for f in report.failures] == [((0, 1), None, 1.0)]
+
+
+def test_jacobiator_of_a_non_poisson_bivector():
+    # y d_x ^ d_y + d_y ^ d_z, i.e. V = (1, 0, y) with V . curl V = 1: the
+    # Jacobiator's one component is pi^{21} d_y pi^{01} = -1
+    pi = antisymmetric({(0, 1): parse_poly("y", 3), (1, 2): Poly.one(3)}, 3)
+    report = integrability_check(BivectorSpec(pi), None)
+    assert not report.ok and [f.index for f in report.failures] == [(0, 1, 2)]
+    assert exact_verdicts(BivectorSpec(pi), R3_CIRCLE)[0] == sampled_verdicts(BivectorSpec(pi), R3_CIRCLE, 0)[0]
+
+
+def test_nonclosed_form_fails_the_run():
+    """Integrability counts in the verdict: a non-closed, circle-invariant
+    two-form reports one failure and exits 1."""
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / "nonclosed_circle_two_form.json")))
+    summary = summarize(report)
+    assert (summary["integrability"], summary["invariance"]) == ("fail", "pass")
+    assert summary["lagrangian_failures"] == summary["agreement_failures"] == 0
+    assert summary["failures"] == 1
+    assert exit_code(report) == 1
+    checks = json.loads(emit_report(report, "json"))["checks"]
+    assert checks["integrability"]["failures"] == [{"index": [0, 1, 2], "point": None, "residual": 1.0}]
+    assert set(checks) == {"integrability", "invariance"}
+
+
+@pytest.mark.parametrize(
+    "name", ["so3_lie_poisson.json", "circle_weight2_poisson.json", "z2_circle_r3_two_form.json"]
+)
+def test_graph_runs_build_no_brackets_or_averages(monkeypatch, name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled-check machinery called on a graph spec")
+
+    for attr in ("courant_bracket", "lie_derivative_oneform", "_sampled_check"):
+        monkeypatch.setattr(polyfield, attr, refuse)
+    monkeypatch.setattr("dirac_reduce.action.haar_average_section", refuse)
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / name)))
+    assert exit_code(report) == 0
+    checks = json.loads(emit_report(report, "json"))["checks"]
+    for check in checks.values():
+        assert (check["method"], check["ok"], check["max_residual"]) == ("exact", True, 0.0)
+
+
+def test_distribution_and_sections_are_sampled():
+    for name in ("dihedral_distribution.json", "sections_constant_poisson.json"):
+        report = run_scenario(load_scenario(str(SCENARIO_DIR / name)))
+        assert report.integrability.method == report.invariance.method == "sampled"
+
+
+def test_quad_nodes_flag_exits_2(capsys):
+    path = str(SCENARIO_DIR / "circle_canonical_poisson.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--quad-nodes", "8"])
+    assert exc.value.code == 2
+    assert "--quad-nodes" in capsys.readouterr().err
+
+
+def test_quadrature_nodes_field_exits_2(tmp_path, capsys):
+    data = json.loads((SCENARIO_DIR / "circle_canonical_poisson.json").read_text())
+    data["quadrature_nodes"] = 8
+    path = tmp_path / "with_nodes.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path)]) == 2
+    assert "unknown fields ['quadrature_nodes']" in capsys.readouterr().err

@@ -12,7 +12,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_reduce.action import ExactnessWarning
 from dirac_reduce.cli import main
 from dirac_reduce.scenario import (
     ScenarioError,
@@ -53,7 +52,7 @@ def test_builtin_scenario_files_load(path):
 
 
 def test_builtin_corpus_is_present():
-    assert len(SCENARIO_FILES) == 8
+    assert len(SCENARIO_FILES) == 9
 
 
 def test_version_is_checked():
@@ -572,13 +571,6 @@ def test_cli_sample_override_requires_a_random_block(capsys):
     path = str(SCENARIO_DIR / "z2_reflection_area_form.json")
     assert main(["run", path, "--samples", "3"]) == 2
     assert "random sample block" in capsys.readouterr().err
-
-
-def test_cli_quad_nodes_below_threshold_warns(capsys):
-    path = str(SCENARIO_DIR / "circle_canonical_poisson.json")
-    with pytest.warns(ExactnessWarning):
-        code = main(["run", path, "--quad-nodes", "1", "--format", "json"])
-    assert code == 0
 
 
 def test_cli_bracket_worked_example(tmp_path, capsys):
