@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Poly, _coerce, _from_dict
+from .poly import Poly, _from_dict
 from .polyfield import (
     PolyOneForm,
     PolySection,
@@ -47,6 +47,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+ANGLE_TOL = 1e-7  # isotropy angles closer than this name one subgroup
+MAX_WEIGHT = 1000  # largest |circle weight|: isotropy tries |w| angles per block and element
 
 
 class ActionValidationError(ValueError):
@@ -115,6 +117,8 @@ class CircleFactor:
         ws = tuple(int(w) for w in self.weights)
         if any(w == 0 for w in ws):
             raise ValueError("circle weights must be nonzero")
+        if any(abs(w) > MAX_WEIGHT for w in ws):
+            raise ValueError(f"circle weights must not exceed {MAX_WEIGHT} in absolute value")
         if self.fixed_dim < 0:
             raise ValueError("fixed_dim must be nonnegative")
         object.__setattr__(self, "weights", ws)
@@ -139,6 +143,7 @@ class CircleFactor:
             r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
         return r
 
+
 @dataclass(frozen=True)
 class ActionSpec:
     """G = finite x circle acting orthogonally on R^n."""
@@ -157,14 +162,11 @@ class ActionSpec:
                 f"circle acts on R^{self.circle.n}, expected R^{self.n}"
             )
 
-    @classmethod
-    def trivial(cls, n: int) -> "ActionSpec":
-        return cls(n, FiniteGroupRep.trivial(n), None)
 
-
-def validate_action(spec: ActionSpec, tol: float = DEFAULT_TOL) -> ActionSpec:
-    """Verify orthogonality, identity, closure, inverses, and commutation
-    with the circle; raises ActionValidationError listing every violation."""
+def validate_action(spec: ActionSpec) -> ActionSpec:
+    """Verify orthogonality, identity, closure, inverses, and commutation with
+    the circle at DEFAULT_TOL; raises ActionValidationError listing every violation."""
+    tol = DEFAULT_TOL
     violations = []
     elements = spec.finite.elements
     n = spec.n
@@ -252,13 +254,13 @@ class IsotropyDescriptor:
                 out.append(f @ spec.circle.rotation(theta))
         return out
 
-    def same_as(self, other: "IsotropyDescriptor", angle_tol: float = 1e-7) -> bool:
+    def same_as(self, other: "IsotropyDescriptor") -> bool:
         if self.continuous_circle != other.continuous_circle:
             return False
         if len(self.pairs) != len(other.pairs):
             return False
         for (i, t), (j, u) in zip(self.pairs, other.pairs):
-            if i != j or _angle_distance(t, u) > angle_tol:
+            if i != j or _angle_distance(t, u) > ANGLE_TOL:
                 return False
         return True
 
@@ -419,13 +421,9 @@ def average_projector(h: IsotropyDescriptor, spec: ActionSpec) -> np.ndarray:
     return sum(mats) / len(mats)
 
 
-def fixed_subspace(
-    h: IsotropyDescriptor, spec: ActionSpec, tol: float = DEFAULT_TOL, projector=None
-) -> Subspace:
-    """Fix(H) = image of the averaging projector (``projector``, when the
-    caller already holds :func:`average_projector` of h)."""
-    p = average_projector(h, spec) if projector is None else projector
-    _, s, vh = np.linalg.svd(p)
+def fixed_subspace(h: IsotropyDescriptor, spec: ActionSpec, tol: float = DEFAULT_TOL) -> Subspace:
+    """Fix(H) = image of the averaging projector."""
+    _, s, vh = np.linalg.svd(average_projector(h, spec))
     return Subspace(spec.n, vh[s > 0.5], tol)
 
 
@@ -450,10 +448,6 @@ def default_quadrature_nodes(circle: CircleFactor, degree: int, kind: str = "fie
     w = max(abs(x) for x in circle.weights)
     base = max(2 * (w * degree + 1), quadrature_nodes_required(circle, degree, kind))
     return base if base % 2 == 0 else base + 1
-
-
-def _exact_matrix(matrix) -> list:
-    return [[_coerce(entry) for entry in row] for row in np.asarray(matrix, dtype=float)]
 
 
 def _times_i_power(g, k: int):
@@ -600,7 +594,7 @@ def _haar_average(groups, spec: ActionSpec, nodes: int | None) -> tuple:
     weight = Fraction(1, spec.finite.order)
     totals = [[Poly.zero(spec.n)] * len(comps) for comps in groups]
     for g in spec.finite.elements:
-        rows = _fraction_matrix(_exact_matrix(g))
+        rows = _fraction_matrix(g)
         for total, comps in zip(totals, groups):
             moved = _pushforward_components(rows, comps)
             total[:] = [a + b for a, b in zip(total, moved)]

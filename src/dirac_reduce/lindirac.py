@@ -8,7 +8,8 @@ of signature (n, n).  A linear Dirac structure is a subspace that is
 Lagrangian for this pairing: dimension exactly n and self-orthogonal.
 Backward and forward images under linear maps are computed by solving a
 single null-space problem on a stacked constraint matrix; no pseudo-inverses
-are involved.
+are involved.  The pull-back and the Lagrangian test also run on stacks of
+bases, as the reduction needs; on one :class:`LinearDirac` they are stacks of one.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .subspace import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Subspace,
+    block_diagonal,
     direct_sum,
     nullspace,
     orthonormal_rows,
@@ -33,10 +35,12 @@ __all__ = [
     "pairing_matrix",
     "max_self_pairing",
     "self_pairings",
+    "lagrangian_flags",
     "is_lagrangian",
     "from_bivector",
     "from_two_form",
     "from_distribution",
+    "pull_back",
     "backward_image",
     "forward_image",
     "transform",
@@ -69,12 +73,18 @@ def max_self_pairing(space: Subspace) -> float:
     return float(self_pairings(space.basis))
 
 
+def lagrangian_flags(basis: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the orthonormal rows of ``basis`` (k, 2n), or of each matrix of
+    a stack (..., k, 2n), span a Lagrangian subspace: k = n and every
+    self-pairing at most ``tol``."""
+    return (2 * basis.shape[-2] == basis.shape[-1]) & (self_pairings(basis) <= tol)
+
+
 def is_lagrangian(space: Subspace) -> bool:
     """Dimension n and self-orthogonality, both at ``space.tol``."""
     if space.ambient_dim % 2:
         raise DimensionMismatchError("ambient dimension must be even")
-    n = space.ambient_dim // 2
-    return space.dim == n and max_self_pairing(space) <= space.tol
+    return bool(lagrangian_flags(space.basis, space.tol))
 
 
 @dataclass(frozen=True)
@@ -151,8 +161,21 @@ def _check_map(phi: np.ndarray) -> np.ndarray:
     return phi
 
 
+def pull_back(phi: np.ndarray, fibers: np.ndarray, tol: float) -> np.ndarray:
+    """Orthonormal rows of {(v, phi^T b) : (phi v, b) in D} for phi: R^m -> R^n,
+    for each D spanned by the orthonormal rows of a stack ``fibers``
+    (N, n, 2n); every slice must decide one rank (else MixedRanksError)."""
+    n, m = phi.shape
+    projectors = np.swapaxes(fibers, -1, -2) @ fibers
+    # Kernel variables (v, b) in R^(m+n) subject to (phi v, b) in D.
+    kernel = nullspace((np.eye(2 * n) - projectors) @ block_diagonal(phi, np.eye(n)), tol)
+    # rows transform contravariantly: b @ phi = (phi^T b)^T
+    return orthonormal_rows(kernel @ block_diagonal(np.eye(m), phi), tol)
+
+
 def backward_image(phi: np.ndarray, dirac: LinearDirac) -> LinearDirac:
-    """Pull-back {(v, phi^T b) : (phi v, b) in D} for phi: R^m -> R^n.
+    """Pull-back {(v, phi^T b) : (phi v, b) in D} for phi: R^m -> R^n, as a
+    stack of one.
 
     Always Lagrangian on R^m.
     """
@@ -162,18 +185,8 @@ def backward_image(phi: np.ndarray, dirac: LinearDirac) -> LinearDirac:
         raise DimensionMismatchError(
             f"map targets R^{n}, Dirac structure lives on R^{dirac.base_dim}"
         )
-    tol = dirac.tol
-    # Kernel variables (v, b) in R^(m+n) subject to (phi v, b) in D.
-    lift = np.zeros((2 * n, m + n))
-    lift[:n, :m] = phi
-    lift[n:, m:] = np.eye(n)
-    constraint = (np.eye(2 * n) - dirac.space.projector()) @ lift
-    kernel = nullspace(constraint, tol)  # rows
-    push = np.zeros((m + n, 2 * m))
-    push[:m, :m] = np.eye(m)
-    push[m:, m:] = phi  # rows transform contravariantly: b @ phi = (phi^T b)^T
-    rows = kernel @ push
-    return LinearDirac(m, Subspace(2 * m, orthonormal_rows(rows, tol), tol))
+    rows = pull_back(phi, dirac.space.basis[None], dirac.tol)[0]
+    return LinearDirac(m, Subspace(2 * m, rows, dirac.tol))
 
 
 @dataclass(frozen=True)
@@ -210,15 +223,8 @@ def forward_image(phi: np.ndarray, dirac: LinearDirac) -> ForwardImage:
             f"map starts on R^{m}, Dirac structure lives on R^{dirac.base_dim}"
         )
     tol = dirac.tol
-    lift = np.zeros((2 * m, m + n))
-    lift[:m, :m] = np.eye(m)
-    lift[m:, m:] = phi.T
-    constraint = (np.eye(2 * m) - dirac.space.projector()) @ lift
-    kernel = nullspace(constraint, tol)
-    push = np.zeros((m + n, 2 * n))
-    push[:m, :n] = phi.T
-    push[m:, n:] = np.eye(n)
-    rows = kernel @ push
+    constraint = (np.eye(2 * m) - dirac.space.projector()) @ block_diagonal(np.eye(m), phi.T)
+    rows = nullspace(constraint, tol) @ block_diagonal(phi.T, np.eye(n))
     space = Subspace(2 * n, orthonormal_rows(rows, tol), tol)
     if phi.size:
         s = np.linalg.svd(phi, compute_uv=False)
@@ -245,9 +251,6 @@ def transform(g: np.ndarray, dirac: LinearDirac) -> LinearDirac:
     s = np.linalg.svd(g, compute_uv=False)
     if s[-1] <= dirac.tol * s[0]:
         raise ValueError("transform matrix is singular at tolerance")
-    lift = np.zeros((2 * n, 2 * n))
-    lift[:n, :n] = g
-    lift[n:, n:] = np.linalg.inv(g).T
-    rows = dirac.space.basis @ lift.T
+    rows = dirac.space.basis @ block_diagonal(g, np.linalg.inv(g).T).T
     tol = dirac.tol
     return LinearDirac(n, Subspace(2 * n, orthonormal_rows(rows, tol), tol))

@@ -307,9 +307,9 @@ class Poly:
     def __str__(self) -> str:
         return self.to_str()
 
-    def to_str(self, names: list[str] | None = None) -> str:
-        if names is None:
-            names = default_var_names(self.n_vars)
+    def to_str(self) -> str:
+        """The polynomial in the :func:`default_var_names` of its variables."""
+        names = default_var_names(self.n_vars)
         if not self.terms:
             return "0"
         ordered = sorted(
@@ -429,11 +429,11 @@ class _Parser:
     dict; only parenthesised factors are multiplied as polynomials.
     """
 
-    def __init__(self, tokens, n_vars: int, names: dict[str, int]):
+    def __init__(self, tokens, n_vars: int, variables: dict[str, int]):
         self.tokens = tokens
         self.pos = 0
         self.n_vars = n_vars
-        self.names = names
+        self.variables = variables  # name -> index
         self.budget = MAX_TERMS
 
     def spend(self, terms: int, what: str) -> None:
@@ -502,7 +502,7 @@ class _Parser:
             except ValueError:  # more digits than int() converts
                 raise PolyParseError(f"number of {len(value)} characters is too long") from None
         elif kind == "name":
-            if value not in self.names:
+            if value not in self.variables:
                 raise PolyParseError(f"unknown variable {value!r}")
         elif kind == "op" and value == "(":
             inner = self.expr()
@@ -518,7 +518,7 @@ class _Parser:
                 _check_power((number,), 0, power)
             product[0] *= number**power
         elif kind == "name":
-            product[1][self.names[value]] += power
+            product[1][self.variables[value]] += power
         else:
             if power > 1:
                 bound = _check_power([c for _, c in inner.terms], inner.degree(), power)
@@ -542,15 +542,13 @@ class _Parser:
         return int(digits)
 
 
-def parse_poly(text: str, n_vars: int, names: list[str] | None = None) -> Poly:
+def parse_poly(text: str, n_vars: int) -> Poly:
     """Parse an expression like ``"3/2*x*y^2 - z + 1"``.
 
-    Default variable names are x, y, z, w for up to four variables; the
-    aliases x0, x1, ... are always accepted.
+    Variable names are x, y, z, w for up to four variables; the aliases
+    x0, x1, ... are always accepted.
     """
-    if names is None:
-        names = default_var_names(n_vars)
-    table = {name: i for i, name in enumerate(names)}
+    table = {name: i for i, name in enumerate(default_var_names(n_vars))}
     for i in range(n_vars):
         table.setdefault(f"x{i}", i)
     parser = _Parser(_tokenize(text), n_vars, table)

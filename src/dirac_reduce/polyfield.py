@@ -256,10 +256,6 @@ class PolySection:
 
     __rmul__ = __mul__
 
-    @classmethod
-    def zero(cls, n: int) -> "PolySection":
-        return cls(PolyVectorField.zero(n), PolyOneForm.zero(n))
-
 
 # -- exterior calculus ----------------------------------------------------
 
@@ -496,7 +492,7 @@ def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> Linear
     if isinstance(spec, SectionsSpec):
         rows = [s.evaluate(point) for s in spec.sections]
         space = span(rows, ambient_dim=2 * n, tol=tol)
-        if space.dim != n or not is_lagrangian(space):
+        if not is_lagrangian(space):
             raise DegeneratePointError(
                 f"sections span a rank-{space.dim} non-Dirac space at point "
                 f"{tuple(point)}"

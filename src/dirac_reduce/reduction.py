@@ -44,11 +44,10 @@ from .action import (
     ActionSpec,
     AmbiguousIsotropyError,
     IsotropyDescriptor,
-    average_projector,
     fixed_subspace,
     isotropy,
 )
-from .lindirac import ForwardImage, LinearDirac, self_pairings
+from .lindirac import ForwardImage, LinearDirac, lagrangian_flags, pull_back
 from .polyfield import DegeneratePointError, DiracFieldSpec, evaluate_at
 from .subspace import (
     DEFAULT_TOL,
@@ -120,7 +119,6 @@ class ActionGeometry:
 
     tol: float
     descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
-    projector: np.ndarray  # P, the average over G_m
     fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
     rows: dict
 
@@ -139,7 +137,6 @@ class PointGeometry:
     """Everything the reduction computes at one sample point."""
 
     action: ActionGeometry
-    fiber: LinearDirac  # D(m)
     d_q: LinearDirac  # D_Q(m), on Fix coordinates
     dims: RankDims
     route_a: ForwardImage  # isotropy route: D_Q ∩ K_Q^⊥ pushed by phi
@@ -150,8 +147,7 @@ class PointGeometry:
 def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol: float):
     """One stacked call per stage over the points of ``_reduce_stack``."""
     n, count = action.n, len(points)
-    projector = average_projector(h, action)
-    fix = fixed_subspace(h, action, tol, projector)
+    fix = fixed_subspace(h, action, tol)
     fb, s = fix.basis, fix.dim
     fiber = np.stack([f.space.basis for f in fibers])  # D(m), (N, n, 2n)
     if h.continuous_circle:  # the circle fixes m (action._circle_fixes): V(m) = 0
@@ -173,9 +169,7 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, t
     rows = dict(vertical=vertical, quotient=quotient, phi=phi, v_ann=v_ann)
     rows.update(window=block_diagonal(fb, v_ann), k_perp=block_diagonal(np.eye(n), v_ann))
     rows.update(kq_perp=block_diagonal(np.eye(s), phi))
-    # D_Q: the backward image of D(m) under the inclusion of Fix (as lindirac.backward_image).
-    constraint = (np.eye(2 * n) - _projector(fiber)) @ block_diagonal(fb.T, np.eye(n))
-    d_q = orthonormal_rows(nullspace(constraint, tol) @ block_diagonal(np.eye(s), fb.T), tol)
+    d_q = pull_back(fb.T, fiber, tol)  # D_Q: D(m) pulled back along the inclusion of Fix
     dq_k_perp = intersect_rows(d_q, _projector(rows["kq_perp"]), tol)
     descending = intersect_rows(fiber, _projector(rows["window"]), tol)
     d_k_perp = intersect_rows(fiber, _projector(rows["k_perp"]), tol)
@@ -191,7 +185,7 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, t
             )
     q = quotient.shape[-2]
     a, b = images = _push(dq_k_perp, phi, tol), _push(descending, quotient, tol)
-    lagrangian = [(image.shape[-2] == q) & (self_pairings(image) <= tol) for image in images]
+    lagrangian = [lagrangian_flags(image, tol) for image in images]
     distance = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1))
     dims = RankDims(
         vertical.shape[-2], v_ann.shape[-2], q, s, s,
@@ -199,8 +193,7 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, t
     )
     return [
         PointGeometry(
-            action=ActionGeometry(tol, h, projector, fix, {k: v[i] for k, v in rows.items()}),
-            fiber=fibers[i],
+            action=ActionGeometry(tol, h, fix, {k: v[i] for k, v in rows.items()}),
             d_q=LinearDirac(s, Subspace(2 * s, d_q[i], tol)),
             dims=dims,
             route_a=ForwardImage(q, Subspace(2 * q, a[i], tol), bool(lagrangian[0][i]), True),
@@ -259,11 +252,11 @@ def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fi
 
 
 def point_geometry(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL, fiber=None
+    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
 ) -> PointGeometry:
-    """The geometry at m, reduced as a stack of one; ``fiber`` is D(m) when
-    already evaluated.  A boundary or degenerate point raises."""
-    geometry = _geometries(spec, action, [m], tol, None if fiber is None else [fiber])[0]
+    """The geometry at m, reduced as a stack of one.  A boundary or degenerate
+    point raises."""
+    geometry = _geometries(spec, action, [m], tol)[0]
     if isinstance(geometry, Exception):
         raise geometry
     return geometry
@@ -365,8 +358,8 @@ class RankReport:
         return all(r.iq_identity for r in self.rows if r.status == STATUS_OK)
 
 
-def descriptor_classes(descriptors, angle_tol: float = 1e-7) -> list:
-    """First-fit partition of descriptors by tolerance equality.
+def descriptor_classes(descriptors) -> list:
+    """First-fit partition of descriptors by :meth:`IsotropyDescriptor.same_as`.
 
     Returns one list of member positions per class, in first-seen order.
     """
@@ -374,7 +367,7 @@ def descriptor_classes(descriptors, angle_tol: float = 1e-7) -> list:
     reps: list = []
     for pos, h in enumerate(descriptors):
         for cls_idx, rep in enumerate(reps):
-            if h.same_as(rep, angle_tol):
+            if h.same_as(rep):
                 classes[cls_idx].append(pos)
                 break
         else:

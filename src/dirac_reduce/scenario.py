@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import (
+    MAX_WEIGHT,
     ActionSpec,
     ActionValidationError,
     CircleFactor,
@@ -268,6 +269,10 @@ def _parse_action(value, n: int) -> ActionSpec:
             or any(not isinstance(w, int) or isinstance(w, bool) or w == 0 for w in weights)
         ):
             raise ScenarioError("action.circle.weights: expected nonzero integers")
+        if any(abs(w) > MAX_WEIGHT for w in weights):
+            raise ScenarioError(
+                f"action.circle.weights: a weight exceeds {MAX_WEIGHT} in absolute value"
+            )
         fixed_dim = c.get("fixed_dim", 0)
         if not isinstance(fixed_dim, int) or isinstance(fixed_dim, bool) or fixed_dim < 0:
             raise ScenarioError("action.circle.fixed_dim: expected a nonnegative integer")
@@ -280,6 +285,11 @@ def _parse_action(value, n: int) -> ActionSpec:
         return validate_action(ActionSpec(n, finite, circle))
     except (ActionValidationError, ValueError) as exc:
         raise ScenarioError(f"action: {exc}") from exc
+
+
+def _norm_overflows(point) -> bool:
+    """Points are reduced in float64, where |m|^2 must stay finite."""
+    return not math.isfinite(sum(c * c for c in point))
 
 
 def _parse_samples(value, n: int) -> SampleSpec:
@@ -302,6 +312,8 @@ def _parse_samples(value, n: int) -> SampleSpec:
             explicit.append(
                 tuple(_as_number(c, f"samples.explicit[{i}]") for c in point)
             )
+            if _norm_overflows(explicit[-1]):
+                raise ScenarioError(f"samples.explicit[{i}]: the point's norm overflows float64")
     count = seed = box = None
     if value.get("random") is not None:
         r = value["random"]
@@ -330,6 +342,8 @@ def _parse_samples(value, n: int) -> SampleSpec:
             if not lo <= hi:
                 raise ScenarioError(f"samples.random.box[{i}]: low > high")
             box.append((lo, hi))
+        if _norm_overflows([max(abs(lo), abs(hi)) for lo, hi in box]):
+            raise ScenarioError("samples.random.box: the farthest corner's norm overflows float64")
         box = tuple(box)
     return SampleSpec(explicit=tuple(explicit), count=count, seed=seed, box=box)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dirac_reduce.action import (
+    MAX_WEIGHT,
     ActionSpec,
     ActionValidationError,
     AmbiguousIsotropyError,
@@ -32,6 +33,13 @@ from helpers import (
     product_action_r3,
     z2_reflection_action,
 )
+
+
+def test_circle_weights_are_bounded():
+    """Isotropy tries |w| candidate angles per block, so |w| is capped."""
+    assert CircleFactor((MAX_WEIGHT, -MAX_WEIGHT)).weights == (MAX_WEIGHT, -MAX_WEIGHT)
+    with pytest.raises(ValueError, match=f"must not exceed {MAX_WEIGHT}"):
+        CircleFactor((1, -(MAX_WEIGHT + 1)))
 
 
 def test_circle_generator_and_rotation():

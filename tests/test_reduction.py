@@ -11,7 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dirac_reduce import lindirac, reduction
-from dirac_reduce.action import ActionSpec, CircleFactor, FiniteGroupRep, isotropy
+from dirac_reduce.action import (
+    ActionSpec,
+    CircleFactor,
+    FiniteGroupRep,
+    average_projector,
+    fixed_subspace,
+    isotropy,
+)
 from dirac_reduce.poly import parse_poly
 from dirac_reduce.polyfield import (
     BivectorSpec,
@@ -536,7 +543,8 @@ def test_action_geometry_identities_match_the_general_formulas(name):
             continue
         a = point_geometry(s.dirac, s.action, row.point, s.rank_tol).action
         v_ann = a.vertical.annihilator()
-        v_g_ann = span(v_ann.basis @ a.projector, ambient_dim=s.n, tol=s.rank_tol)
+        projector = average_projector(a.descriptor, s.action)
+        v_g_ann = span(v_ann.basis @ projector, ambient_dim=s.n, tol=s.rank_tol)
         assert a.quotient == v_g_ann, row.point
         assert a.v_ann == v_ann, row.point
         assert a.window == direct_sum(a.fix, v_g_ann.sum(a.fix.annihilator())), row.point
@@ -568,6 +576,22 @@ def test_route_a_equals_the_reference_forward_image(monkeypatch, name):
             reference.base_dim, reference.lagrangian, reference.surjective
         ), row.point
         assert [k.shape[0] for k in kernels] == [row.dims.dq_cap_kq_perp], row.point
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED))
+def test_d_q_is_the_backward_image_bit_for_bit(name):
+    """The reduction pulls each D(m) back along the inclusion of Fix with the
+    stacked lindirac.pull_back, which backward_image applies to a stack of
+    one: at every ok point the reported D_Q basis is backward_image's, bit for
+    bit, whatever the size of the point's stack."""
+    s = BUNDLED[name]
+    rows = [row for row in run_scenario(s).points if row.status == STATUS_OK]
+    assert rows
+    for row in rows:
+        fix = fixed_subspace(row.descriptor, s.action, s.rank_tol)
+        fiber = evaluate_at(s.dirac, row.point, s.rank_tol)
+        reference = lindirac.backward_image(fix.basis.T, fiber)
+        assert np.array_equal(reference.space.basis, row.d_q.space.basis), row.point
 
 
 @pytest.mark.parametrize("name", ["z2_circle_r3_two_form.json", "so3_lie_poisson.json"])

@@ -200,6 +200,40 @@ def test_integer_beyond_float_range_exits_2(tmp_path, capsys):
     assert "samples.explicit[0]: number out of the float range" in capsys.readouterr().err
 
 
+def test_sample_point_whose_norm_overflows_exits_2(tmp_path, capsys):
+    """|m|^2 = 1e400 is inf in float64, where the circle-fixed test
+    |A m| <= tol |m| would compare two infinite norms."""
+    data = base_scenario()
+    data["action"] = {"circle": {"weights": [1]}}
+    data["samples"]["explicit"] = [[1e200, 1.0]]
+    assert _run_cli_on(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "samples.explicit[0]: the point's norm overflows float64" in err
+    assert "Traceback" not in err
+
+
+def test_random_box_whose_corner_norm_overflows_exits_2(tmp_path, capsys):
+    data = base_scenario()
+    data["samples"]["random"] = {"count": 3, "seed": 1, "box": [[-1e308, 1e308], [0.4, 2.0]]}
+    assert _run_cli_on(tmp_path, data) == 2
+    err = capsys.readouterr().err
+    assert "samples.random.box: the farthest corner's norm overflows float64" in err
+    assert "Traceback" not in err
+    data["samples"]["random"]["box"][0] = [-1e150, 1e150]  # |corner|^2 ~ 1e300 is finite
+    assert len(sample_points(scenario_from_dict(data))) == 5
+
+
+@pytest.mark.parametrize("weight", [1001, -1001, 10**30])
+def test_oversized_circle_weight_exits_2_promptly(tmp_path, capsys, weight):
+    data = base_scenario()
+    data["action"] = {"circle": {"weights": [weight]}}
+    start = time.perf_counter()
+    assert _run_cli_on(tmp_path, data) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "action.circle.weights: a weight exceeds 1000 in absolute value" in err
+
+
 @pytest.mark.parametrize(
     "entry, message",
     [
