@@ -4,7 +4,10 @@ The group G = F x S^1 acts on R^n by orthogonal matrices, the circle in
 standard block form (2x2 rotation blocks with integer weights, identity on
 the remaining coordinates).  This module computes isotropy subgroups
 exactly, averaging projectors and fixed subspaces, the vertical space V(m),
-and Haar averages of polynomial sections.  The subspaces the reduction
+and Haar averages of polynomial sections.  Isotropy is decided for a stack of
+points at once: the residuals, fixed-coordinate differences and block norms
+of every (point, element) pair are arrays, and only the pairs whose fixed
+coordinates match go on to candidate angles.  The subspaces the reduction
 routes build from these are computed for a whole isotropy class at once in
 :mod:`.reduction`.
 """
@@ -167,56 +170,64 @@ def validate_action(spec: ActionSpec) -> ActionSpec:
     """Verify orthogonality, identity, closure, inverses, and commutation with
     the circle at DEFAULT_TOL; raises ActionValidationError listing every violation."""
     tol = DEFAULT_TOL
-    violations = []
-    elements = spec.finite.elements
-    n = spec.n
+    elements = np.stack(spec.finite.elements)  # (G, n, n)
+    order, n = len(elements), spec.n
     eye = np.eye(n)
+    transposed = np.swapaxes(elements, -1, -2)
+    products = elements[:, None] @ elements[None]  # (G, G, n, n): e_i e_j
+    # the identity, each element, each inverse and each product, against every element
+    candidates = np.concatenate([eye[None], elements, transposed, products.reshape(-1, n, n)])
+    distance = np.stack([np.abs(candidates - e).max(axis=(-2, -1)) for e in elements], -1)
+    closest = distance.min(axis=-1)
+    inverse = closest[1 + order : 1 + 2 * order]
+    closure = closest[1 + 2 * order :].reshape(order, order)
 
-    def closest(m):
-        return min(float(np.max(np.abs(m - e))) for e in elements)
-
-    for i, e in enumerate(elements):
-        if np.max(np.abs(e.T @ e - eye)) > tol:
-            violations.append(f"element {i} is not orthogonal at tolerance {tol}")
-    if closest(eye) > tol:
+    orthogonality = np.abs(transposed @ elements - eye).max(axis=(-2, -1))
+    violations = [
+        f"element {i} is not orthogonal at tolerance {tol}"
+        for i in np.flatnonzero(orthogonality > tol)
+    ]
+    if closest[0] > tol:
         violations.append("identity matrix missing from the finite group")
-    for i, e in enumerate(elements):
-        for j, f in enumerate(elements):
-            if closest(e @ f) > tol:
-                violations.append(
-                    f"closure failure: product of elements {i} and {j} is missing"
-                )
-        if closest(e.T) > tol:
+    for i in range(order):
+        violations += [
+            f"closure failure: product of elements {i} and {j} is missing"
+            for j in np.flatnonzero(closure[i] > tol)
+        ]
+        if inverse[i] > tol:
             violations.append(f"inverse of element {i} is missing")
-        for j in range(i + 1, len(elements)):
-            if np.max(np.abs(e - elements[j])) <= tol:
-                violations.append(f"duplicate elements: {i} and {j} coincide")
+        violations += [
+            f"duplicate elements: {i} and {j} coincide"
+            for j in np.flatnonzero(distance[1 + i, i + 1 :] <= tol) + i + 1
+        ]
     if spec.circle is not None:
         a = spec.circle.generator()
         scale = max(1.0, float(np.max(np.abs(a))))
-        for i, e in enumerate(elements):
-            if np.max(np.abs(e @ a - a @ e)) > tol * scale:
-                violations.append(
-                    f"element {i} does not commute with the circle generator"
-                )
+        commutator = np.abs(elements @ a - a @ elements).max(axis=(-2, -1))
+        violations += [
+            f"element {i} does not commute with the circle generator"
+            for i in np.flatnonzero(commutator > tol * scale)
+        ]
     if violations:
         raise ActionValidationError("; ".join(violations))
     return spec
 
 
-def _circle_fixes(spec: ActionSpec, m: np.ndarray, tol: float) -> bool:
-    """Whether the whole circle fixes m, |A m| <= tol |m| (vacuously true with
-    no circle): the one test by which isotropy puts the circle in G_m and
-    vertical_space sets V(m) = 0, so that V(m) = 0 exactly there."""
+def _circle_fixes(spec: ActionSpec, points: np.ndarray, tol: float) -> np.ndarray:
+    """Whether the whole circle fixes each point of a stack (N, n), |A m| <=
+    tol |m| (vacuously true with no circle): the one test by which isotropy
+    puts the circle in G_m and vertical_space sets V(m) = 0, so that V(m) = 0
+    exactly there."""
     if spec.circle is None:
-        return True
-    return float(np.linalg.norm(spec.circle.generator() @ m)) <= tol * float(np.linalg.norm(m))
+        return np.ones(len(points), dtype=bool)
+    moved = points @ spec.circle.generator().T
+    return np.linalg.norm(moved, axis=-1) <= tol * np.linalg.norm(points, axis=-1)
 
 
 def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     """V(m) = span of the fundamental vector fields at m."""
     m = _as_point(spec, m)
-    if _circle_fixes(spec, m, tol):
+    if _circle_fixes(spec, m[None], tol)[0]:
         return Subspace.zero(spec.n, tol)
     return span([spec.circle.generator() @ m], ambient_dim=spec.n, tol=tol)
 
@@ -275,9 +286,10 @@ class IsotropyDescriptor:
         }
 
 
-def _angle_distance(a: float, b: float) -> float:
+def _angle_distance(a, b):
+    """Distance of angles on the circle, elementwise on arrays."""
     d = abs(a - b) % TWO_PI
-    return min(d, TWO_PI - d)
+    return np.minimum(d, TWO_PI - d)
 
 
 def _as_point(spec: ActionSpec, m) -> np.ndarray:
@@ -287,123 +299,174 @@ def _as_point(spec: ActionSpec, m) -> np.ndarray:
     return m
 
 
-def _candidate_angles(source, target, weight, atol, guard):
-    """Angles theta with R(weight*theta) source = target on one 2-d block.
+def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """g m for each matrix g of ``matrices`` (G, n, n) and point m of
+    ``points`` (N, n), as (N, G, n).  The products are summed over the columns
+    in order, so a point's values do not depend on the rest of the stack."""
+    out = np.zeros((len(points), len(matrices), matrices.shape[-2]))
+    for j in range(matrices.shape[-1]):
+        out += points[:, None, j, None] * matrices[:, :, j]
+    return out
 
-    Returns None for "unconstrained" (both vectors vanish), a list of
+
+def _candidate_angles(source, target, ns, nt, weight, atol, guard):
+    """Angles theta with R(weight*theta) source = target on one 2-d block,
+    the two vectors having norms ``ns`` and ``nt``.
+
+    Returns None for "unconstrained" (both vectors vanish), an array of
     candidate angles, or raises on ambiguity.
     """
-    ns = float(np.hypot(*source))
-    nt = float(np.hypot(*target))
     if ns <= atol and nt <= atol:
         return None
     if min(ns, nt) <= guard:
         if min(ns, nt) <= atol and max(ns, nt) > guard:
-            return []  # one side is zero, the other is definitely not
+            return np.empty(0)  # one side is zero, the other is definitely not
         raise AmbiguousIsotropyError(
             "a rotation block has magnitude inside the guard band"
         )
     if abs(ns - nt) > guard:
-        return []
+        return np.empty(0)
     if abs(ns - nt) > atol:
         raise AmbiguousIsotropyError(
             "rotation-block magnitudes match only inside the guard band"
         )
     psi = math.atan2(target[1], target[0]) - math.atan2(source[1], source[0])
-    return [((psi + TWO_PI * r) / weight) % TWO_PI for r in range(abs(int(weight)))]
+    return ((psi + TWO_PI * np.arange(abs(weight))) / weight) % TWO_PI
 
 
-def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> IsotropyDescriptor:
+def _merge_angles(candidates: np.ndarray, block: np.ndarray, atol: float, guard: float):
+    """The ``candidates`` within ``atol`` of an angle of ``block`` on the
+    circle, in their order; raises if the nearest is farther than ``atol`` but
+    within ``guard``.  The angle of the sorted block nearest a candidate is one
+    of the two around its insertion point or one of the two ends (the circle
+    wraps at 2 pi), so the merge is a binary search, not |c|*|b| distances."""
+    u = np.sort(block)
+    at = np.searchsorted(u, candidates)
+    near = u[np.stack([at - 1, at % len(u), np.zeros_like(at), np.full_like(at, -1)])]
+    best = _angle_distance(candidates, near).min(axis=0)
+    if ((best > atol) & (best <= guard)).any():
+        raise AmbiguousIsotropyError(
+            "candidate angles of two blocks agree only inside the guard band"
+        )
+    return candidates[best <= atol]
+
+
+def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> list:
+    """The pairs (idx, theta) with f R(theta) m = m for the finite element f =
+    ``idx``, whose fixed coordinates already match (``ns`` and ``nt`` the
+    block norms of m and f^T m); raises on ambiguity.  The angles are read off
+    f^T m taken as one matrix-vector product, as for a single point."""
+    circle = spec.circle
+    f = spec.finite.elements[idx]
+    target = f.T @ m
+    angle_atol = max(tol, 1e-12)
+    angle_guard = 1000.0 * angle_atol
+    candidates = None  # None = every angle admissible so far
+    for j, w in enumerate(circle.weights):
+        block = _candidate_angles(
+            m[2 * j : 2 * j + 2], target[2 * j : 2 * j + 2], ns[j], nt[j], w, atol, guard
+        )
+        if block is None:
+            continue
+        if block.size and candidates is not None:
+            block = _merge_angles(candidates, block, angle_atol, angle_guard)
+        if not block.size:
+            return []
+        candidates = block
+    if candidates is None:
+        # not continuous, yet no block constrained the angle: the point is
+        # too close to the circle-fixed set to classify
+        raise AmbiguousIsotropyError(
+            "every rotation block is below tolerance while the vertical "
+            "direction is not"
+        )
+    pairs = []
+    for theta in candidates.tolist():
+        residual = float(np.max(np.abs(f @ circle.rotation(theta) @ m - m)))
+        if residual <= atol:
+            if _angle_distance(theta, 0.0) <= angle_atol:
+                theta = 0.0
+            pairs.append((idx, theta))
+        elif residual <= guard:
+            raise AmbiguousIsotropyError(
+                f"element {idx} with angle {theta:.6f} fixes the point only "
+                "inside the guard band"
+            )
+    return pairs
+
+
+def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
+    """The descriptor, or the AmbiguousIsotropyError, of each point of a stack
+    (N, n).  Residuals, fixed-coordinate differences and block norms are
+    arrays over points x elements; the pairs whose fixed coordinates match go
+    on to candidate angles one by one.  A point's error is the first one in
+    element order."""
+    atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
+    guard = 1000.0 * atol
+    continuous = _circle_fixes(spec, points, tol)
+    elements = np.stack(spec.finite.elements)
+    out: list = [None] * len(points)
+
+    # theta is unconstrained; f belongs iff it fixes m by itself
+    rows = np.flatnonzero(continuous)
+    residual = np.abs(_act(elements, points[rows]) - points[rows, None]).max(axis=-1)
+    belongs = residual <= atol[rows, None]
+    inside = ~belongs & (residual <= guard[rows, None])
+    first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    for p, member, idx in zip(rows.tolist(), belongs, first.tolist()):
+        out[p] = (
+            AmbiguousIsotropyError(
+                f"finite element {idx} fixes the point only inside the guard band"
+            )
+            if idx >= 0
+            else IsotropyDescriptor(True, tuple((i, 0.0) for i in np.flatnonzero(member).tolist()))
+        )
+
+    rows = np.flatnonzero(~continuous)
+    if not rows.size:
+        return out
+    k2 = 2 * len(spec.circle.weights)
+    moving = points[rows]
+    targets = _act(np.swapaxes(elements, -1, -2), moving)  # f^T m
+    fixed_diff = np.abs(targets[..., k2:] - moving[:, None, k2:]).max(axis=-1, initial=0.0)
+    source_norms = np.hypot(moving[:, 0:k2:2], moving[:, 1:k2:2]).tolist()
+    target_norms = np.hypot(targets[..., 0:k2:2], targets[..., 1:k2:2])
+    for r, p in enumerate(rows.tolist()):
+        pairs = []
+        try:
+            for idx in np.flatnonzero(fixed_diff[r] <= guard[p]).tolist():
+                if fixed_diff[r, idx] > atol[p]:
+                    raise AmbiguousIsotropyError(
+                        f"fixed coordinates under element {idx} match only inside the guard band"
+                    )
+                pairs += _circle_components(
+                    spec, idx, moving[r], source_norms[r], target_norms[r, idx].tolist(),
+                    atol[p], guard[p], tol,
+                )
+        except AmbiguousIsotropyError as exc:
+            out[p] = exc
+            continue
+        out[p] = IsotropyDescriptor(False, tuple(pairs))
+    return out
+
+
+def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL):
     """The isotropy subgroup of m, solved exactly per weight block.
 
     Points whose classification depends on sub-guard-band distinctions
-    raise AmbiguousIsotropyError instead of being silently classified.
+    raise AmbiguousIsotropyError instead of being silently classified.  A
+    stack of points (N, n) gives, per point in order, its descriptor or the
+    AmbiguousIsotropyError it would raise; one point is a stack of one.
     """
-    m = _as_point(spec, m)
-    norm_m = float(np.linalg.norm(m))
-    atol = tol * max(norm_m, 1.0)
-    guard = 1000.0 * atol
-    angle_atol = max(tol, 1e-12)
-    angle_guard = 1000.0 * angle_atol
-
-    circle = spec.circle
-    continuous = _circle_fixes(spec, m, tol)
-
-    pairs = []
-    for idx, f in enumerate(spec.finite.elements):
-        if circle is None or continuous:
-            # theta is unconstrained; f belongs iff it fixes m by itself
-            residual = float(np.max(np.abs(f @ m - m)))
-            if residual <= atol:
-                pairs.append((idx, 0.0))
-            elif residual <= guard:
-                raise AmbiguousIsotropyError(
-                    f"finite element {idx} fixes the point only inside the guard band"
-                )
-            continue
-
-        target = f.T @ m
-        k = len(circle.weights)
-        fixed_diff = (
-            float(np.max(np.abs(target[2 * k :] - m[2 * k :])))
-            if circle.fixed_dim
-            else 0.0
-        )
-        if fixed_diff > guard:
-            continue
-        if fixed_diff > atol:
-            raise AmbiguousIsotropyError(
-                f"fixed coordinates under element {idx} match only inside the guard band"
-            )
-
-        candidates = None  # None = every angle admissible so far
-        dead = False
-        for j, w in enumerate(circle.weights):
-            block = _candidate_angles(
-                m[2 * j : 2 * j + 2], target[2 * j : 2 * j + 2], w, atol, guard
-            )
-            if block is None:
-                continue
-            if not block:
-                dead = True
-                break
-            if candidates is None:
-                candidates = block
-                continue
-            merged = []
-            for t in candidates:
-                best = min(_angle_distance(t, u) for u in block)
-                if best <= angle_atol:
-                    merged.append(t)
-                elif best <= angle_guard:
-                    raise AmbiguousIsotropyError(
-                        "candidate angles of two blocks agree only inside the guard band"
-                    )
-            candidates = merged
-            if not candidates:
-                dead = True
-                break
-        if dead:
-            continue
-        if candidates is None:
-            # not continuous, yet no block constrained the angle: the point is
-            # too close to the circle-fixed set to classify
-            raise AmbiguousIsotropyError(
-                "every rotation block is below tolerance while the vertical "
-                "direction is not"
-            )
-        for theta in candidates:
-            residual = float(np.max(np.abs(f @ circle.rotation(theta) @ m - m)))
-            if residual <= atol:
-                if _angle_distance(theta, 0.0) <= angle_atol:
-                    theta = 0.0
-                pairs.append((idx, theta))
-            elif residual <= guard:
-                raise AmbiguousIsotropyError(
-                    f"element {idx} with angle {theta:.6f} fixes the point only "
-                    "inside the guard band"
-                )
-    return IsotropyDescriptor(continuous_circle=continuous, pairs=tuple(pairs))
+    points = np.asarray(m, dtype=float)
+    if points.ndim == 2:
+        if points.shape[1] != spec.n:
+            raise ValueError(f"points of length {points.shape[1]}, expected {spec.n}")
+        return _isotropies(spec, points, tol)
+    h = _isotropies(spec, _as_point(spec, points)[None], tol)[0]
+    if isinstance(h, AmbiguousIsotropyError):
+        raise h
+    return h
 
 
 def average_projector(h: IsotropyDescriptor, spec: ActionSpec) -> np.ndarray:

@@ -8,8 +8,9 @@ of signature (n, n).  A linear Dirac structure is a subspace that is
 Lagrangian for this pairing: dimension exactly n and self-orthogonal.
 Backward and forward images under linear maps are computed by solving a
 single null-space problem on a stacked constraint matrix; no pseudo-inverses
-are involved.  The pull-back and the Lagrangian test also run on stacks of
-bases, as the reduction needs; on one :class:`LinearDirac` they are stacks of one.
+are involved.  The graph constructors, the pull-back and the Lagrangian test
+also run on stacks of bases, as the fiber evaluation and the reduction need;
+on one :class:`LinearDirac` they are stacks of one.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "from_bivector",
     "from_two_form",
     "from_distribution",
+    "graph_bases",
     "pull_back",
     "backward_image",
     "forward_image",
@@ -118,21 +120,36 @@ class LinearDirac:
 # -- constructors ------------------------------------------------------
 
 
+def graph_bases(matrices: np.ndarray, tol: float, kind: str) -> np.ndarray:
+    """Orthonormal rows of the graph of each antisymmetric matrix of a stack
+    (N, n, n): the rows of [matrixᵀ | I] for a bivector, of [I | matrix] for a
+    two-form, by one stacked SVD.  The identity block gives each n x 2n
+    matrix rank n at any scale, so all n right singular vectors are kept and
+    no rank is decided.  A graph that fails the Lagrangian test at ``tol``
+    raises NotLagrangianError (the first such one in the stack)."""
+    count, n = matrices.shape[:2]
+    transposed = np.swapaxes(matrices, -1, -2)
+    scale = np.maximum(1.0, np.abs(matrices).max(axis=(-2, -1), initial=0.0))
+    if (np.abs(matrices + transposed).max(axis=(-2, -1), initial=0.0) > tol * scale).any():
+        raise ValueError(f"{kind} matrix must be antisymmetric")
+    eye = np.broadcast_to(np.eye(n), matrices.shape)
+    rows = np.concatenate([transposed, eye] if kind == "bivector" else [eye, matrices], axis=-1)
+    basis = np.linalg.svd(rows, full_matrices=False)[2] if n else np.zeros((count, 0, 0))
+    flags = lagrangian_flags(basis, tol)
+    if not flags.all():
+        worst = float(self_pairings(basis[int(np.argmin(flags))]))
+        raise NotLagrangianError(f"self-pairing {worst:.3e} exceeds tolerance {tol:.3e}")
+    return basis
+
+
 def _graph(matrix: np.ndarray, tol: float, kind: str) -> LinearDirac:
-    """Graph of an antisymmetric matrix: the rows of [matrixᵀ | I] for a
-    bivector, of [I | matrix] for a two-form.  The identity block gives this
-    n x 2n matrix rank n at any scale, so all n right singular vectors are
-    kept and no rank is decided."""
+    """The graph of one antisymmetric matrix: :func:`graph_bases` on a stack
+    of one."""
     matrix = np.asarray(matrix, dtype=float)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise DimensionMismatchError(f"{kind} matrix must be square")
-    scale = max(1.0, float(np.abs(matrix).max()) if n else 1.0)
-    if np.abs(matrix + matrix.T).max(initial=0.0) > tol * scale:
-        raise ValueError(f"{kind} matrix must be antisymmetric")
-    rows = np.hstack([matrix.T, np.eye(n)] if kind == "bivector" else [np.eye(n), matrix])
-    basis = np.linalg.svd(rows, full_matrices=False)[2] if n else np.zeros((0, 0))
-    return LinearDirac(n, Subspace(2 * n, basis, tol))
+    return LinearDirac(n, Subspace(2 * n, graph_bases(matrix[None], tol, kind)[0], tol))
 
 
 def from_bivector(pi: np.ndarray, tol: float = DEFAULT_TOL) -> LinearDirac:

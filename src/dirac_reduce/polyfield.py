@@ -15,6 +15,7 @@ brackets and Lie derivatives of the generating sections at the samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -22,13 +23,7 @@ from typing import Union
 
 import numpy as np
 
-from .lindirac import (
-    LinearDirac,
-    from_bivector,
-    from_distribution,
-    from_two_form,
-    is_lagrangian,
-)
+from .lindirac import LinearDirac, from_distribution, graph_bases, is_lagrangian
 from .poly import Poly, _coerce, _from_dict
 from .subspace import DEFAULT_TOL, Subspace, span
 
@@ -52,6 +47,8 @@ __all__ = [
     "SectionsSpec",
     "DiracFieldSpec",
     "generating_sections",
+    "evaluate_polys",
+    "FiberStack",
     "evaluate_at",
     "evaluate_fibers",
     "BracketResidual",
@@ -214,14 +211,12 @@ class PolyTwoForm:
             )
         )
 
-    def evaluate(self, point) -> np.ndarray:
-        point = list(point)
+    def evaluate_stack(self, points: np.ndarray) -> np.ndarray:
+        """The matrix at each point of a stack (N, n), as (N, n, n); see
+        :func:`evaluate_polys`."""
         n = self.base_dim
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = float(self.entries[i][j].evaluate(point))
-        return out
+        values = evaluate_polys([p for row in self.entries for p in row], points)
+        return values.T.reshape(len(points), n, n)
 
 
 @dataclass(frozen=True)
@@ -255,6 +250,52 @@ class PolySection:
         return PolySection(self.tangent * scalar, self.covector * scalar)
 
     __rmul__ = __mul__
+
+
+def _float_power(v: float, e: int) -> float:
+    try:
+        return v**e
+    except OverflowError:
+        return math.inf
+
+
+def evaluate_polys(polys, points: np.ndarray) -> np.ndarray:
+    """Each of ``polys`` at each point of a stack (N, n), as (len(polys), N).
+
+    Every value is the float arithmetic of :meth:`Poly.evaluate`, bit for
+    bit: the powers are Python's ``float ** int`` (numpy's vectorised pow
+    rounds differently), each term is multiplied left to right, and the terms
+    are accumulated in canonical order (np.cumsum; np.sum would sum pairwise).
+    A value beyond the float range raises OverflowError naming the first such
+    point in input order, without a numpy warning.
+    """
+    points = np.asarray(points, dtype=float)
+    columns = points.T.tolist()
+    ones = np.ones(len(points))
+    powers: dict = {}  # (variable, exponent) -> its values at the points
+    out = np.zeros((len(polys), len(points)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, poly in zip(out, polys):
+            keys, terms = poly._float_terms
+            if not terms:
+                continue
+            for i, e in keys:
+                if (i, e) not in powers:
+                    powers[i, e] = np.array([_float_power(v, e) for v in columns[i]])
+            table = np.stack([powers[key] for key in keys] + [ones])
+            width = max(1, max(len(factors) for _, factors in terms))
+            index = np.array([f + (len(keys),) * (width - len(f)) for _, f in terms])
+            values = np.array([c for c, _ in terms])[:, None] * table[index[:, 0]]
+            for k in range(1, width):
+                values *= table[index[:, k]]
+            # Poly.evaluate sums from 0, so its total is never -0.0; cumsum starts
+            # from the first term, and adding 0.0 turns its -0.0 into that 0.0
+            row[:] = np.cumsum(values, axis=0)[-1] + 0.0
+    finite = np.isfinite(out).all(axis=0)
+    if not finite.all():
+        point = tuple(points[int(np.argmin(finite))].tolist())
+        raise OverflowError(f"polynomial value at point {point} is out of the float range")
+    return out
 
 
 # -- exterior calculus ----------------------------------------------------
@@ -474,31 +515,82 @@ def generating_sections(spec: DiracFieldSpec) -> tuple:
     raise TypeError(f"not a Dirac field spec: {type(spec).__name__}")
 
 
-def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> LinearDirac:
-    """The fiber D(m) as a LinearDirac."""
+@dataclass(frozen=True, eq=False)
+class FiberStack:
+    """D(m) at each point of a sample: ``bases`` (N, n, 2n) holds the
+    orthonormal rows of each fiber, and ``errors[i]`` the
+    DegeneratePointError raised at point i (None elsewhere), whose rows are
+    then zero.  Indexing gives one point's LinearDirac, or its error."""
+
+    bases: np.ndarray
+    errors: tuple
+    tol: float
+
+    @classmethod
+    def of(cls, fibers, n: int, tol: float) -> "FiberStack":
+        """The stack of a sequence of LinearDirac fibers and DegeneratePointErrors."""
+        bases = np.zeros((len(fibers), n, 2 * n))
+        for basis, fiber in zip(bases, fibers):
+            if isinstance(fiber, LinearDirac):
+                basis[:] = fiber.space.basis
+        errors = tuple(f if isinstance(f, DegeneratePointError) else None for f in fibers)
+        return cls(bases, errors, tol)
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int):
+        if self.errors[i] is not None:
+            return self.errors[i]
+        n = self.bases.shape[-2]
+        return LinearDirac(n, Subspace(2 * n, self.bases[i], self.tol))
+
+
+def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> FiberStack:
+    """D(m) at each sample, in order; where the sections degenerate, the
+    DegeneratePointError raised there takes the fiber's place.  A graph is
+    evaluated at all samples at once (:func:`evaluate_polys`) and its fibers
+    are one stacked :func:`.lindirac.graph_bases`; a distribution's fiber is
+    the same at every point; sections are spanned point by point."""
     n = spec.base_dim
-    point = [float(c) for c in point]
-    if len(point) != n:
-        raise ValueError(f"point of length {len(point)}, expected {n}")
-    if isinstance(spec, BivectorSpec):
-        return from_bivector(spec.matrix.evaluate(point), tol)
-    if isinstance(spec, TwoFormSpec):
-        return from_two_form(spec.matrix.evaluate(point), tol)
+    points = np.asarray(samples, dtype=float)
+    if points.size == 0:
+        points = points.reshape(0, n)
+    if points.ndim != 2 or points.shape[1] != n:
+        raise ValueError(f"point of length {points.shape[-1]}, expected {n}")
+    count = len(points)
+    if isinstance(spec, _GRAPH_SPECS):
+        kind = "bivector" if isinstance(spec, BivectorSpec) else "two-form"
+        bases = graph_bases(spec.matrix.evaluate_stack(points), tol, kind)
+        return FiberStack(bases, (None,) * count, tol)
     if isinstance(spec, DistributionSpec):
         delta = spec.subspace
         if delta.tol != tol:
             delta = Subspace(delta.ambient_dim, delta.basis, tol)
-        return from_distribution(delta)
+        basis = from_distribution(delta).space.basis
+        return FiberStack(np.broadcast_to(basis, (count, *basis.shape)), (None,) * count, tol)
     if isinstance(spec, SectionsSpec):
-        rows = [s.evaluate(point) for s in spec.sections]
-        space = span(rows, ambient_dim=2 * n, tol=tol)
-        if not is_lagrangian(space):
-            raise DegeneratePointError(
-                f"sections span a rank-{space.dim} non-Dirac space at point "
-                f"{tuple(point)}"
+        fibers = []
+        for point in points.tolist():
+            space = span([s.evaluate(point) for s in spec.sections], ambient_dim=2 * n, tol=tol)
+            fibers.append(
+                LinearDirac(n, space)
+                if is_lagrangian(space)
+                else DegeneratePointError(
+                    f"sections span a rank-{space.dim} non-Dirac space at point {tuple(point)}"
+                )
             )
-        return LinearDirac(n, space)
+        return FiberStack.of(fibers, n, tol)
     raise TypeError(f"not a Dirac field spec: {type(spec).__name__}")
+
+
+def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> LinearDirac:
+    """The fiber D(m) as a LinearDirac: :func:`evaluate_fibers` on a stack of
+    one, raising its DegeneratePointError."""
+    fiber = evaluate_fibers(spec, [point], tol)[0]
+    if isinstance(fiber, DegeneratePointError):
+        raise fiber
+    return fiber
 
 
 # -- integrability and invariance checks ---------------------------------------
@@ -538,18 +630,6 @@ def _membership_residual(value: np.ndarray, projector: np.ndarray) -> float:
     return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(value)))
 
 
-def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> list:
-    """D(m) at each sample, in order; where the sections degenerate, the
-    DegeneratePointError raised there takes the fiber's place."""
-    fibers = []
-    for point in samples:
-        try:
-            fibers.append(evaluate_at(spec, point, tol))
-        except DegeneratePointError as exc:
-            fibers.append(exc)
-    return fibers
-
-
 def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
     """Each ``(index, section)`` of ``derived`` must lie in D(m) at every sample."""
     if fibers is None:
@@ -557,11 +637,11 @@ def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
     failures = []
     skipped = []
     max_residual = 0.0
-    for p_idx, (point, fiber) in enumerate(zip(samples, fibers)):
-        if isinstance(fiber, DegeneratePointError):
+    for p_idx, (point, basis, error) in enumerate(zip(samples, fibers.bases, fibers.errors)):
+        if error is not None:
             skipped.append(p_idx)
             continue
-        projector = fiber.space.projector()
+        projector = basis.T @ basis
         for index, section in derived:
             residual = _membership_residual(section.evaluate(point), projector)
             max_residual = max(max_residual, residual)

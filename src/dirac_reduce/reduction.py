@@ -48,7 +48,7 @@ from .action import (
     isotropy,
 )
 from .lindirac import ForwardImage, LinearDirac, lagrangian_flags, pull_back
-from .polyfield import DegeneratePointError, DiracFieldSpec, evaluate_at
+from .polyfield import DiracFieldSpec, FiberStack, evaluate_fibers
 from .subspace import (
     DEFAULT_TOL,
     MixedRanksError,
@@ -144,17 +144,17 @@ class PointGeometry:
     distance: float  # projector distance of the two route images
 
 
-def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol: float):
-    """One stacked call per stage over the points of ``_reduce_stack``."""
+def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, tol: float):
+    """One stacked call per stage over the points of ``_reduce_stack``, whose
+    fibers D(m) are the stack ``fiber`` (N, n, 2n)."""
     n, count = action.n, len(points)
     fix = fixed_subspace(h, action, tol)
     fb, s = fix.basis, fix.dim
-    fiber = np.stack([f.space.basis for f in fibers])  # D(m), (N, n, 2n)
     if h.continuous_circle:  # the circle fixes m (action._circle_fixes): V(m) = 0
         vertical = np.zeros((count, 0, n))
         quotient = np.broadcast_to(fb, (count, s, n))
     else:
-        moved = action.circle.generator() @ np.asarray(points, dtype=float)[..., None]
+        moved = action.circle.generator() @ points[..., None]
         vertical = orthonormal_rows(_t(moved), tol)
         residual = np.linalg.norm(vertical - vertical @ fix.projector(), axis=(-2, -1)).max()
         if residual > 1e4 * tol:
@@ -215,7 +215,7 @@ def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol
         out = [None] * len(points)
         for rank in np.unique(mixed.args[0]):
             members = np.flatnonzero(mixed.args[0] == rank)
-            part = [points[i] for i in members], [fibers[i] for i in members]
+            part = points[members], fibers[members]
             for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
                 out[i] = geometry
         return out
@@ -225,27 +225,28 @@ def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fi
     """The PointGeometry at each point, or the AmbiguousIsotropyError or
     DegeneratePointError that makes it a skip.
 
-    Isotropy is decided point by point first, so a guard-band point is
-    reported as such even where the fiber degenerates.  ``fibers`` holds D(m)
-    already evaluated (or the DegeneratePointError its evaluation raised);
-    ``None`` evaluates them here.  The remaining points are reduced as one
-    stack per exact isotropy class.
+    Isotropy is decided first, for all points in one stacked call, so a
+    guard-band point is reported as such even where the fiber degenerates.
+    ``fibers`` is the points' :class:`FiberStack`, already evaluated; ``None``
+    evaluates it here, at the points whose isotropy is decided.  Those points
+    are reduced as one stack per exact isotropy class.
     """
-    out: list = []
+    points = np.asarray(points, dtype=float).reshape(len(points), action.n)
+    out = isotropy(action, points, tol)
+    decided = [i for i, h in enumerate(out) if isinstance(h, IsotropyDescriptor)]
+    at = np.arange(len(points))  # each point's row in ``fibers``
+    if fibers is None:
+        fibers = evaluate_fibers(spec, points[decided], tol)
+        at[decided] = np.arange(len(decided))
     stacks: dict = {}
-    for i, m in enumerate(points):
-        try:
-            h = isotropy(action, m, tol)
-            fiber = evaluate_at(spec, m, tol) if fibers is None else fibers[i]
-            if isinstance(fiber, DegeneratePointError):
-                raise fiber
-        except (AmbiguousIsotropyError, DegeneratePointError) as exc:
-            out.append(exc)
+    for i in decided:
+        h, error = out[i], fibers.errors[at[i]]
+        if error is not None:
+            out[i] = error
             continue
-        out.append(fiber)
         stacks.setdefault((h.continuous_circle, h.pairs), (h, []))[1].append(i)
     for h, members in stacks.values():
-        part = [points[i] for i in members], [out[i] for i in members]
+        part = points[members], fibers.bases[at[members]]
         for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
             out[i] = geometry
     return out
@@ -463,15 +464,18 @@ def reduce_point(
 ):
     """The row of the point m, with boundary and degenerate points classified
     as skips; internal-consistency violations propagate.  ``fiber`` is D(m)
-    already evaluated at ``rank_tol``; ``None`` evaluates it here.
+    already evaluated at ``rank_tol`` (or its DegeneratePointError); ``None``
+    evaluates it here.
 
-    Given a sequence of points (``fiber``: their fibers, or ``None``), it
-    returns the tuple of their rows, all reduced in one pass: one stack per
-    isotropy class (see :func:`_geometries`)."""
+    Given a sequence of points (``fiber``: their :func:`evaluate_fibers`, or
+    ``None``), it returns the tuple of their rows, all reduced in one pass:
+    one stack per isotropy class (see :func:`_geometries`)."""
     points = np.asarray(m, dtype=float)
     single = points.ndim == 1 and points.size > 0
     if single:
-        points, fiber = points[None], None if fiber is None else [fiber]
+        points = points[None]
+        if fiber is not None:
+            fiber = FiberStack.of([fiber], action.n, rank_tol)
     geometries = _geometries(spec, action, points, rank_tol, fiber)
     rows = tuple(_row(p, g, agree_tol) for p, g in zip(points, geometries))
     return rows[0] if single else rows

@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dirac_reduce import action as action_module
 from dirac_reduce.action import (
     MAX_WEIGHT,
     ActionSpec,
@@ -12,6 +14,7 @@ from dirac_reduce.action import (
     CircleFactor,
     ExactnessWarning,
     FiniteGroupRep,
+    IsotropyDescriptor,
     average_projector,
     default_quadrature_nodes,
     fixed_subspace,
@@ -91,6 +94,64 @@ def test_validate_rejects_noncommuting_circle():
         validate_action(
             ActionSpec(2, FiniteGroupRep((np.eye(2), refl)), CircleFactor((1,)))
         )
+
+
+_R90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+_REFL = np.diag([1.0, -1.0])
+
+
+@pytest.mark.parametrize(
+    "elements, circle, message",
+    [
+        (
+            (np.eye(2), 2 * np.eye(2)),
+            None,
+            "element 1 is not orthogonal at tolerance 1e-09; "
+            "closure failure: product of elements 1 and 1 is missing",
+        ),
+        (
+            (_REFL,),
+            None,
+            "identity matrix missing from the finite group; "
+            "closure failure: product of elements 0 and 0 is missing",
+        ),
+        (
+            (np.eye(2), _R90),
+            None,
+            "closure failure: product of elements 1 and 1 is missing; "
+            "inverse of element 1 is missing",
+        ),
+        (
+            # an idempotent, so closed under products, without its transpose
+            (np.eye(2), np.array([[1.0, 1.0], [0.0, 0.0]])),
+            None,
+            "element 1 is not orthogonal at tolerance 1e-09; inverse of element 1 is missing",
+        ),
+        ((np.eye(2), np.eye(2)), None, "duplicate elements: 0 and 1 coincide"),
+        (
+            (np.eye(2), _REFL),
+            CircleFactor((3,)),
+            "element 1 does not commute with the circle generator",
+        ),
+        (
+            # every message of one element comes before the next element's
+            (np.eye(2), _R90, _R90),
+            None,
+            "closure failure: product of elements 1 and 1 is missing; "
+            "closure failure: product of elements 1 and 2 is missing; "
+            "inverse of element 1 is missing; "
+            "duplicate elements: 1 and 2 coincide; "
+            "closure failure: product of elements 2 and 1 is missing; "
+            "closure failure: product of elements 2 and 2 is missing; "
+            "inverse of element 2 is missing",
+        ),
+    ],
+    ids=["non-orthogonal", "identity", "closure", "inverse", "duplicate", "commute", "order"],
+)
+def test_validate_action_messages(elements, circle, message):
+    with pytest.raises(ActionValidationError) as info:
+        validate_action(ActionSpec(2, FiniteGroupRep(elements), circle))
+    assert str(info.value) == message
 
 
 def test_product_action_validates():
@@ -180,6 +241,89 @@ def test_isotropy_dihedral_table():
         assert h.component_count == count, point
         for g in h.matrices(act):
             np.testing.assert_allclose(g @ np.array(point), point, atol=1e-9)
+
+
+def _pairwise_merge(candidates, block, atol, guard):
+    """The merge of two blocks' candidate angles as every candidate against
+    every angle of the block: the reference for action._merge_angles."""
+    merged = []
+    for t in candidates.tolist():
+        distances = (abs(t - u) % (2 * math.pi) for u in block.tolist())
+        best = min(min(d, 2 * math.pi - d) for d in distances)
+        if best <= atol:
+            merged.append(t)
+        elif best <= guard:
+            raise AmbiguousIsotropyError(
+                "candidate angles of two blocks agree only inside the guard band"
+            )
+    return np.array(merged)
+
+
+def _outcome(merge, *args):
+    try:
+        return merge(*args).tolist()
+    except AmbiguousIsotropyError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merge_angles_matches_the_pairwise_merge(seed):
+    """Blocks with planted near-coincidences, some across the wrap at 2 pi,
+    at offsets that keep (1e-10), raise (1e-8) or drop (1e-3) a candidate."""
+    rng = np.random.default_rng(seed)
+    two_pi = 2 * math.pi
+    candidates = rng.uniform(0.0, two_pi, rng.integers(1, 12))
+    candidates[: rng.integers(0, 3)] = rng.choice([0.0, 1e-11, two_pi - 1e-11], 2)[:1]
+    offsets = rng.choice([0.0, 1e-10, -1e-10, 1e-8, 1e-3], len(candidates))
+    planted = (candidates + offsets) % two_pi
+    block = np.concatenate([planted[rng.random(len(planted)) < 0.6], rng.uniform(0.0, two_pi, 5)])
+    rng.shuffle(block)
+    args = (candidates, block, 1e-9, 1e-6)
+    assert _outcome(action_module._merge_angles, *args) == _outcome(_pairwise_merge, *args)
+
+
+def test_merge_angles_wraps_around_two_pi():
+    candidates = np.array([2 * math.pi - 1e-11, 1.0])
+    kept = action_module._merge_angles(candidates, np.array([3.0, 0.0]), 1e-9, 1e-6)
+    assert kept.tolist() == [2 * math.pi - 1e-11]
+
+
+def _rotating_group(weights):
+    """{±g^k} for g the quarter turn of the first block: it commutes with the
+    circle, so two blocks' candidate angles meet under several elements."""
+    g = np.eye(4)
+    g[:2, :2] = [[0.0, -1.0], [1.0, 0.0]]
+    powers = [np.linalg.matrix_power(g, k) for k in range(4)]
+    group = FiniteGroupRep(tuple(powers + [-p for p in powers]))
+    return validate_action(ActionSpec(4, group, CircleFactor(weights)))
+
+
+@pytest.mark.parametrize("weights", [(3, 2), (4, 6), (2, -4)])
+def test_two_block_isotropy_matches_the_pairwise_merge(monkeypatch, weights):
+    act = _rotating_group(weights)
+    rng = np.random.default_rng(11)
+    points = rng.uniform(-2.0, 2.0, (60, 4))
+    points[:15, :2] = 0.0  # only the second block constrains the angle
+    points[15:30, 2:] = 0.0  # only the first does
+    points[30:40, 2:] = points[30:40, :2]  # blocks of equal size
+    fast = isotropy(act, points)
+    monkeypatch.setattr(action_module, "_merge_angles", _pairwise_merge)
+    slow = isotropy(act, points)
+    assert [str(h) for h in fast] == [str(h) for h in slow]
+    assert any(isinstance(h, IsotropyDescriptor) and h.component_count > 1 for h in fast)
+
+
+def test_two_large_blocks_merge_promptly():
+    """Weights near the bound give about 1000 candidate angles per block,
+    which a pairwise merge compares a million times per element and point."""
+    act = validate_action(
+        ActionSpec(4, FiniteGroupRep((np.eye(4), -np.eye(4))), CircleFactor((1000, 999)))
+    )
+    points = np.random.default_rng(3).uniform(0.4, 2.0, (3, 4))
+    start = time.perf_counter()
+    descriptors = [isotropy(act, m) for m in points]
+    assert time.perf_counter() - start < 0.5
+    assert all(h.pairs == ((0, 0.0),) for h in descriptors)
 
 
 def test_isotropy_boundary_band_is_ambiguous():

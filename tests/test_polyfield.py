@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,8 @@ from dirac_reduce.polyfield import (
     d_oneform,
     dorfman_bracket,
     evaluate_at,
+    evaluate_fibers,
+    evaluate_polys,
     generating_sections,
     infinitesimal_invariance,
     integrability_check,
@@ -211,6 +214,38 @@ def test_evaluate_at_graphs():
     assert d.base_dim == 3 and is_lagrangian(d.space)
     # section 1 at (1,2,3): Pi column 1 = (0, -z, y) = (0,-3,2), covector dx
     assert d.space.contains(np.array([0.0, -3.0, 2.0, 1.0, 0.0, 0.0]))
+
+
+_OVERFLOWING = "x^600*y^600 - x^601*y^599"  # inf - inf at (3, 3): every power is finite
+
+
+@pytest.mark.parametrize(
+    "points, first",
+    [
+        ([[0.5, 0.0], [3.0, 3.0], [1e10, 1.0]], (3.0, 3.0)),
+        # x^600 itself is beyond the float range at the second point
+        ([[0.5, 0.0], [1e10, 1.0], [3.0, 3.0]], (1e10, 1.0)),
+    ],
+)
+def test_stacked_evaluation_overflow_names_the_first_point(points, first):
+    """The stack raises Poly.evaluate's OverflowError at the first point in
+    input order where any entry leaves the float range, and numpy warns
+    about none of the inf and NaN on the way."""
+    polys = [_poly("x + y"), _poly(_OVERFLOWING), _poly("x^2")]
+    with pytest.raises(OverflowError) as reference:
+        polys[1].evaluate(list(first))
+    form = TwoFormSpec(
+        PolyTwoForm(((Poly.zero(2), polys[1]), (-polys[1], Poly.zero(2))))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as stacked:
+            evaluate_polys(polys, np.array(points))
+        with pytest.raises(OverflowError) as fibers:
+            evaluate_fibers(form, points)
+        assert evaluate_polys(polys, np.array(points[:1])).shape == (3, 1)
+    assert str(stacked.value) == str(fibers.value) == str(reference.value)
+    assert f"point {first}" in str(stacked.value)
 
 
 def test_sections_spec_rank_certified_at_basepoint():

@@ -429,7 +429,11 @@ def test_run_builds_each_point_once(monkeypatch, name):
     s = load_scenario(str(SCENARIO_DIR / name))
     calls = {
         func: _count_calls(monkeypatch, module, func)
-        for module, func in (("action", "isotropy"), ("polyfield", "evaluate_at"))
+        for module, func in (
+            ("action", "isotropy"),
+            ("polyfield", "evaluate_fibers"),
+            ("polyfield", "evaluate_at"),
+        )
     }
     per_class = {
         func: _count_calls(monkeypatch, "action", func)
@@ -439,7 +443,11 @@ def test_run_builds_each_point_once(monkeypatch, name):
     report = run_scenario(s)
     assert all(r.status == "ok" for r in report.points)
     n_points = len(report.points)
-    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, n_points)
+    # isotropy and the fibers are decided for the whole sample in one call
+    # each, and no fiber is evaluated point by point
+    assert {k: len(v) for k, v in calls.items()} == {
+        "isotropy": 1, "evaluate_fibers": 1, "evaluate_at": 0
+    }
     # the reduction runs once per stack: the points of one exact isotropy class
     keys = {(r.descriptor.continuous_circle, r.descriptor.pairs) for r in report.points}
     assert len(stacks) == len(keys) < n_points
