@@ -23,6 +23,7 @@ from .subspace import (
     DEFAULT_TOL,
     DimensionMismatchError,
     Subspace,
+    _assembled,
     block_diagonal,
     direct_sum,
     nullspace,
@@ -89,6 +90,23 @@ def is_lagrangian(space: Subspace) -> bool:
     return bool(lagrangian_flags(space.basis, space.tol))
 
 
+def _check_lagrangian(base_dim: int, bases: np.ndarray, tol: float) -> None:
+    """Raise unless the orthonormal rows of each matrix of the stack
+    ``bases`` (N, k, 2n) span a Lagrangian subspace of R^n (+) (R^n)*, n =
+    ``base_dim``: one :func:`lagrangian_flags` over the stack, and the
+    message of the first failing matrix."""
+    if bases.shape[-1] != 2 * base_dim:
+        raise DimensionMismatchError(
+            f"space lives in R^{bases.shape[-1]}, expected R^{2 * base_dim}"
+        )
+    if bases.shape[-2] != base_dim:
+        raise NotLagrangianError(f"dimension {bases.shape[-2]} != base dimension {base_dim}")
+    flags = lagrangian_flags(bases, tol)
+    if not flags.all():
+        worst = float(self_pairings(bases[int(np.argmin(flags))]))
+        raise NotLagrangianError(f"self-pairing {worst:.3e} exceeds tolerance {tol:.3e}")
+
+
 @dataclass(frozen=True)
 class LinearDirac:
     """A Lagrangian subspace of R^n (+) (R^n)*; validated on construction."""
@@ -97,20 +115,18 @@ class LinearDirac:
     space: Subspace
 
     def __post_init__(self) -> None:
-        if self.space.ambient_dim != 2 * self.base_dim:
-            raise DimensionMismatchError(
-                f"space lives in R^{self.space.ambient_dim}, "
-                f"expected R^{2 * self.base_dim}"
-            )
-        if self.space.dim != self.base_dim:
-            raise NotLagrangianError(
-                f"dimension {self.space.dim} != base dimension {self.base_dim}"
-            )
-        worst = max_self_pairing(self.space)
-        if worst > self.space.tol:
-            raise NotLagrangianError(
-                f"self-pairing {worst:.3e} exceeds tolerance {self.space.tol:.3e}"
-            )
+        """The checks of :meth:`from_stack`, on a stack of one."""
+        _check_lagrangian(self.base_dim, self.space.basis[None], self.space.tol)
+
+    @classmethod
+    def from_stack(cls, base_dim: int, bases: np.ndarray, tol: float = DEFAULT_TOL) -> list:
+        """One LinearDirac per matrix of the stack ``bases`` (N, base_dim,
+        2 base_dim): the subspace checks and the Lagrangian test run once
+        over the stack (:meth:`.Subspace.from_stack`), and each result's
+        basis is a read-only view of one slice of a checked copy."""
+        spaces = Subspace.from_stack(bases.shape[-1], bases, tol)
+        _check_lagrangian(base_dim, bases, tol)
+        return [_assembled(cls, base_dim=base_dim, space=space) for space in spaces]
 
     @property
     def tol(self) -> float:
@@ -135,10 +151,7 @@ def graph_bases(matrices: np.ndarray, tol: float, kind: str) -> np.ndarray:
     eye = np.broadcast_to(np.eye(n), matrices.shape)
     rows = np.concatenate([transposed, eye] if kind == "bivector" else [eye, matrices], axis=-1)
     basis = np.linalg.svd(rows, full_matrices=False)[2] if n else np.zeros((count, 0, 0))
-    flags = lagrangian_flags(basis, tol)
-    if not flags.all():
-        worst = float(self_pairings(basis[int(np.argmin(flags))]))
-        raise NotLagrangianError(f"self-pairing {worst:.3e} exceeds tolerance {tol:.3e}")
+    _check_lagrangian(n, basis, tol)
     return basis
 
 

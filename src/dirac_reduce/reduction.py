@@ -32,6 +32,12 @@ Every slice decides its own rank with the per-point thresholds; a stack whose
 slices disagree at a stage is cut by rank, and each part is reduced as a stack
 of its own.  Per slice the stacked calls are the LAPACK/BLAS calls the
 per-matrix code makes, so a point's result does not depend on its stack.
+Each stage is checked once per stack, with the checks the per-point
+constructors make (orthonormal rows everywhere, and D_Q Lagrangian); a
+point's D_Q and route images are read-only views of the checked stacks
+(:meth:`.Subspace.from_stack`, :meth:`.LinearDirac.from_stack`).  Rank
+classes are the first-fit partition by ``same_as``, placed once per exact
+isotropy descriptor (:func:`descriptor_classes`).
 """
 
 from __future__ import annotations
@@ -107,20 +113,28 @@ def _push(rows: np.ndarray, onto: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _rows_space(name: str) -> property:
-    """The Subspace spanned by this point's ``rows[name]``, built when read."""
-    return property(lambda self: Subspace(self.rows[name].shape[-1], self.rows[name], self.tol))
+    """The Subspace spanned by this point's slice of ``stacks[name]``, built
+    when read."""
+
+    def space(self) -> Subspace:
+        rows = self.stacks[name][self.index]
+        return Subspace(rows.shape[-1], rows, self.tol)
+
+    return property(space)
 
 
 @dataclass(frozen=True, eq=False)
 class ActionGeometry:
-    """The action side at a point, cut from its stack: ``rows`` holds this
-    point's basis rows of each subspace below (and phi), wrapped in a
-    :class:`Subspace` only when read."""
+    """The action side at a point, as slice ``index`` of its stack:
+    ``stacks`` holds the checked, read-only basis rows of each subspace
+    below (and phi) for the whole stack, and this point's rows are wrapped
+    in a :class:`Subspace` only when read."""
 
     tol: float
     descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
     fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
-    rows: dict
+    stacks: dict
+    index: int
 
     vertical = _rows_space("vertical")  # V(m), inside Fix
     quotient = _rows_space("quotient")  # Fix ⊖ V; its rows are the quotient projection
@@ -129,7 +143,7 @@ class ActionGeometry:
     window = _rows_space("window")  # T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T descends
     k_perp = _rows_space("k_perp")  # R^n ⊕ V°
     kq_perp = _rows_space("kq_perp")  # R^s ⊕ V° on Fix coordinates, the row space of phi
-    phi = property(lambda self: self.rows["phi"])  # Fix coordinates -> quotient coordinates
+    phi = property(lambda self: self.stacks["phi"][self.index])  # Fix coords -> quotient coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +189,7 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, to
     d_k_perp = intersect_rows(fiber, _projector(rows["k_perp"]), tol)
     for basis in (*rows.values(), dq_k_perp, descending, d_k_perp):
         check_orthonormal(basis)
+        basis.setflags(write=False)  # shared by every point's ActionGeometry
     if vertical.shape[-2]:
         alpha = descending[..., n:]
         leak = np.linalg.norm(alpha @ _t(vertical), axis=-1)
@@ -184,21 +199,25 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, to
                 f"space (residual {leak.max():.3e})"
             )
     q = quotient.shape[-2]
-    a, b = images = _push(dq_k_perp, phi, tol), _push(descending, quotient, tol)
-    lagrangian = [lagrangian_flags(image, tol) for image in images]
-    distance = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1))
+    a, b = _push(dq_k_perp, phi, tol), _push(descending, quotient, tol)
+    distance = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1)).tolist()
     dims = RankDims(
         vertical.shape[-2], v_ann.shape[-2], q, s, s,
         d_k_perp.shape[-2], descending.shape[-2], dq_k_perp.shape[-2],
     )
+    # One check per stack, the checks each per-point constructor makes; every
+    # point's D_Q and route images are read-only views of the checked stacks.
+    d_qs = LinearDirac.from_stack(s, d_q, tol)
+    spaces_a, spaces_b = Subspace.from_stack(2 * q, a, tol), Subspace.from_stack(2 * q, b, tol)
+    flags_a, flags_b = lagrangian_flags(a, tol).tolist(), lagrangian_flags(b, tol).tolist()
     return [
         PointGeometry(
-            action=ActionGeometry(tol, h, fix, {k: v[i] for k, v in rows.items()}),
-            d_q=LinearDirac(s, Subspace(2 * s, d_q[i], tol)),
+            action=ActionGeometry(tol, h, fix, rows, i),
+            d_q=d_qs[i],
             dims=dims,
-            route_a=ForwardImage(q, Subspace(2 * q, a[i], tol), bool(lagrangian[0][i]), True),
-            route_b=ForwardImage(q, Subspace(2 * q, b[i], tol), bool(lagrangian[1][i]), True),
-            distance=float(distance[i]),
+            route_a=ForwardImage(q, spaces_a[i], flags_a[i], True),
+            route_b=ForwardImage(q, spaces_b[i], flags_b[i], True),
+            distance=distance[i],
         )
         for i in range(count)
     ]
@@ -360,21 +379,31 @@ class RankReport:
 
 
 def descriptor_classes(descriptors) -> list:
-    """First-fit partition of descriptors by :meth:`IsotropyDescriptor.same_as`.
+    """First-fit partition of descriptors by :meth:`IsotropyDescriptor.same_as`:
+    each descriptor joins the class of the first representative (a class's
+    first member) it is the same as, or starts a class.
 
-    Returns one list of member positions per class, in first-seen order.
+    Equal descriptors always share a class: a later one fails the
+    representatives the first one failed, and reaches the first one's class
+    before any younger one (``same_as`` is reflexive).  So the positions are
+    grouped by exact descriptor, and each group, taken in first-seen order,
+    is placed once.  Returns the sorted member positions of each class, in
+    first-seen order.
     """
+    groups: dict = {}
+    for pos, h in enumerate(descriptors):
+        groups.setdefault(h, []).append(pos)
     classes: list = []
     reps: list = []
-    for pos, h in enumerate(descriptors):
+    for h, members in groups.items():
         for cls_idx, rep in enumerate(reps):
             if h.same_as(rep):
-                classes[cls_idx].append(pos)
+                classes[cls_idx].extend(members)
                 break
         else:
             reps.append(h)
-            classes.append([pos])
-    return classes
+            classes.append(members)
+    return [sorted(c) for c in classes]
 
 
 def rank_classes(rows) -> tuple:
@@ -429,8 +458,7 @@ class PointReduction:
     agree: bool | None
 
 
-def _row(m, geometry, agree_tol: float) -> PointReduction:
-    point = tuple(float(c) for c in m)
+def _row(point: tuple, geometry, agree_tol: float) -> PointReduction:
     if isinstance(geometry, Exception):
         boundary = isinstance(geometry, AmbiguousIsotropyError)
         status = STATUS_BOUNDARY if boundary else STATUS_DEGENERATE
@@ -477,5 +505,5 @@ def reduce_point(
         if fiber is not None:
             fiber = FiberStack.of([fiber], action.n, rank_tol)
     geometries = _geometries(spec, action, points, rank_tol, fiber)
-    rows = tuple(_row(p, g, agree_tol) for p, g in zip(points, geometries))
+    rows = tuple(_row(tuple(p), g, agree_tol) for p, g in zip(points.tolist(), geometries))
     return rows[0] if single else rows

@@ -558,7 +558,7 @@ def _dirac_value_dict(value) -> dict | None:
         return None
     return {
         "base_dim": value.base_dim,
-        "basis": [list(map(float, row)) for row in value.space.basis],
+        "basis": value.space.basis.tolist(),
     }
 
 
@@ -570,7 +570,7 @@ def _image_dict(image) -> dict | None:
         "dim": image.space.dim,
         "lagrangian": image.lagrangian,
         "surjective": image.surjective,
-        "basis": [list(map(float, row)) for row in image.space.basis],
+        "basis": image.space.basis.tolist(),
     }
 
 

@@ -106,6 +106,31 @@ def check_orthonormal(basis: np.ndarray) -> None:
         raise ValueError("basis rows are not orthonormal; build with span()")
 
 
+def _checked_bases(ambient_dim: int, bases) -> np.ndarray:
+    """A read-only copy of the stack ``bases`` (N, k, n), once its rows have
+    length n = ``ambient_dim`` and are orthonormal in every matrix."""
+    bases = np.array(bases, dtype=float)
+    if bases.ndim != 3:
+        raise DimensionMismatchError(f"expected a stack of bases (N, k, n), not {bases.shape}")
+    if bases.shape[-1] != ambient_dim:
+        raise DimensionMismatchError(
+            f"basis vectors have length {bases.shape[-1]}, "
+            f"ambient dimension is {ambient_dim}"
+        )
+    check_orthonormal(bases)
+    bases.setflags(write=False)
+    return bases
+
+
+def _assembled(cls, **fields):
+    """An instance of the dataclass ``cls`` with these fields, without
+    running ``__post_init__``: for the stacked constructors, which have run
+    its checks over the whole stack."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rows [[a, 0], [0, b]], over the broadcast stack when either is one: a
     basis of the external direct sum of the two row spaces."""
@@ -131,20 +156,23 @@ class Subspace:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
+        """The checks of :meth:`from_stack`, on a stack of one."""
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.size == 0:
             basis = basis.reshape(0, self.ambient_dim)
-        if basis.shape[1] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"basis vectors have length {basis.shape[1]}, "
-                f"ambient dimension is {self.ambient_dim}"
-            )
-        check_orthonormal(basis)
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _checked_bases(self.ambient_dim, basis[None])[0])
 
     # -- constructors ------------------------------------------------
+
+    @classmethod
+    def from_stack(cls, ambient_dim: int, bases, tol: float = DEFAULT_TOL) -> list:
+        """One Subspace per matrix of the stack ``bases`` (N, k, n): the
+        constructor's checks run once over the whole stack, on a read-only
+        copy, and each Subspace's basis is a view of one slice of it."""
+        return [
+            _assembled(cls, ambient_dim=ambient_dim, basis=basis, tol=tol)
+            for basis in _checked_bases(ambient_dim, bases)
+        ]
 
     @classmethod
     def zero(cls, ambient_dim: int, tol: float = DEFAULT_TOL) -> "Subspace":

@@ -92,6 +92,32 @@ def test_linear_dirac_validates():
         LinearDirac(2, span(np.array([[1.0, 0.0, 0.0, 0.0]]), ambient_dim=4))
 
 
+def test_from_stack_checks_every_slice_with_the_per_point_messages():
+    rng = np.random.default_rng(3)
+    stack = np.stack([random_lagrangian(rng, 3).space.basis for _ in range(5)])
+    diracs = LinearDirac.from_stack(3, stack, 1e-8)
+    assert [d.base_dim for d in diracs] == [3] * 5
+    for dirac, basis in zip(diracs, stack):
+        assert np.array_equal(dirac.space.basis, basis) and dirac.tol == 1e-8
+        assert not dirac.space.basis.flags.writeable
+    # the second failing slice is not the one reported
+    bad = stack.copy()
+    bad[2] = np.eye(6)[[0, 1, 3]]  # <e_1, e_4> = 1
+    bad[4] = np.eye(6)[[0, 2, 3]]
+    with pytest.raises(NotLagrangianError) as alone:
+        LinearDirac(3, Subspace(6, bad[2]))
+    with pytest.raises(NotLagrangianError) as stacked:
+        LinearDirac.from_stack(3, bad)
+    assert str(stacked.value) == str(alone.value)
+    with pytest.raises(NotLagrangianError, match="dimension 3 != base dimension 2"):
+        LinearDirac.from_stack(2, np.zeros((1, 3, 4)) + np.eye(4)[:3])
+    with pytest.raises(ValueError, match="^space lives in R\\^6, expected R\\^4$"):
+        LinearDirac.from_stack(2, stack)
+    bad[4, 0] *= 2.0  # not orthonormal: the subspace check runs first
+    with pytest.raises(ValueError, match="^basis rows are not orthonormal"):
+        LinearDirac.from_stack(3, bad)
+
+
 def test_backward_image_inclusion_of_area_form():
     """Pulling the area form back to the x-axis kills the covector leg."""
     d = from_two_form(AREA_FORM)

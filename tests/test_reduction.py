@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 
 from dirac_reduce import lindirac, reduction
 from dirac_reduce.action import (
+    ANGLE_TOL,
+    TWO_PI,
     ActionSpec,
     CircleFactor,
     FiniteGroupRep,
+    IsotropyDescriptor,
     average_projector,
     fixed_subspace,
     isotropy,
@@ -326,6 +329,111 @@ def test_descriptor_classes_first_fit_partition():
     ]
     # conjugate but distinct subgroups stay in separate classes
     assert descriptor_classes(descriptors) == [[0, 2], [1]]
+
+
+def _first_fit(descriptors) -> list:
+    """The reference partition: each descriptor joins the class of the first
+    representative it is the same as, one same_as call per row and class."""
+    classes: list = []
+    reps: list = []
+    for pos, h in enumerate(descriptors):
+        for cls_idx, rep in enumerate(reps):
+            if h.same_as(rep):
+                classes[cls_idx].append(pos)
+                break
+        else:
+            reps.append(h)
+            classes.append([pos])
+    return classes
+
+
+def _angle(base: float, offset: float) -> float:
+    """``base`` moved by ``offset`` angle tolerances, on [0, 2 pi): offsets
+    around 0 and 2 pi land on both sides of the wrap."""
+    return (base + offset * ANGLE_TOL) % TWO_PI
+
+
+# Offsets within (|k| <= 0.6) and just outside (1.2, 1.5) ANGLE_TOL of a base.
+_OFFSETS = (-1.5, -1.2, -0.6, -0.4, 0.0, 0.4, 0.6, 1.2, 1.5)
+_PAIRS = st.tuples(
+    st.integers(0, 2), st.sampled_from((0.0, 1.0, TWO_PI)), st.sampled_from(_OFFSETS)
+).map(lambda t: (t[0], _angle(t[1], t[2])))
+_DESCRIPTORS = st.builds(
+    IsotropyDescriptor, st.booleans(), st.lists(_PAIRS, min_size=1, max_size=2).map(tuple)
+)
+
+
+def _chain(base: float) -> list:
+    """a ~ b and b ~ c, but not a ~ c."""
+    return [IsotropyDescriptor(False, ((1, _angle(base, k)),)) for k in (0.0, 0.6, 1.2)]
+
+
+@pytest.mark.parametrize("base", [1.0, 0.0, TWO_PI - 0.6 * ANGLE_TOL])
+def test_chain_is_not_transitive(base):
+    a, b, c = _chain(base)
+    assert a.same_as(b) and b.same_as(c) and not a.same_as(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pool=st.lists(_DESCRIPTORS, max_size=5),
+    chain=st.permutations(_chain(1.0) + _chain(TWO_PI - 0.6 * ANGLE_TOL)),
+    picks=st.lists(st.integers(0, 10), max_size=40),
+)
+def test_descriptor_classes_is_first_fit(pool, chain, picks):
+    """Grouping by exact descriptor, then placing each group once, is the
+    first-fit partition: repeated descriptors, angles on both sides of the
+    tolerance and of the 2 pi wrap, and non-transitive chains in any order."""
+    pool = pool + chain
+    descriptors = [pool[i % len(pool)] for i in picks]
+    # equal descriptors that are distinct objects
+    descriptors += [IsotropyDescriptor(h.continuous_circle, h.pairs) for h in descriptors[:3]]
+    assert descriptor_classes(descriptors) == _first_fit(descriptors)
+
+
+# -- each stage is checked on every slice of its stack --------------------------
+
+_STACK_POINTS = np.array([[0.4, -1.2], [1.0, 0.5], [-0.3, 0.8], [2.0, 1.0]])
+
+
+def test_a_bad_route_image_slice_fails_the_orthonormality_check(monkeypatch):
+    """Under the trivial action the points are one stack; route A's image of
+    the second point is planted with rows of length 2."""
+    push, calls = reduction._push, []
+
+    def planted(rows, onto, tol):
+        images = push(rows, onto, tol)
+        if not calls:  # the first push is route A's
+            images = images.copy()
+            images[1] *= 2.0
+        calls.append(1)
+        return images
+
+    monkeypatch.setattr(reduction, "_push", planted)
+    with pytest.raises(ValueError) as excinfo:
+        reduce_point(AREA_SPEC, trivial_action(2), _STACK_POINTS)
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == "basis rows are not orthonormal; build with span()"
+
+
+def test_a_non_lagrangian_d_q_slice_raises_the_per_point_message(monkeypatch):
+    """The second point's D_Q is planted with orthonormal rows whose first
+    row pairs with itself to 1; under the trivial action V = 0, so every
+    later stage keeps the ranks of the other slices."""
+    bad = np.array([[np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0], [0.0, 1.0, 0.0, 0.0]])
+    with pytest.raises(lindirac.NotLagrangianError) as alone:
+        lindirac.LinearDirac(2, Subspace(4, bad))
+    pull_back = reduction.pull_back
+
+    def planted(phi, fibers, tol):
+        rows = pull_back(phi, fibers, tol).copy()
+        rows[1] = bad
+        return rows
+
+    monkeypatch.setattr(reduction, "pull_back", planted)
+    with pytest.raises(lindirac.NotLagrangianError) as excinfo:
+        reduce_point(AREA_SPEC, trivial_action(2), _STACK_POINTS)
+    assert str(excinfo.value) == str(alone.value)
 
 
 def test_dims_are_invariant_along_group_motion():

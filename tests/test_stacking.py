@@ -5,6 +5,9 @@ the per-point functions are stacks of one.  On every bundled scenario and
 on the three benchmark workloads (seed 7) a point's descriptor or error,
 and its fiber basis, must not depend on the rest of the stack, bit for bit,
 and the stacked polynomial evaluation must be Poly.evaluate's arithmetic.
+The reduction checks each stage once per stack and places each exact
+isotropy descriptor into its rank class once, so its check and comparison
+counts grow with the stacks and classes, not with the points.
 """
 
 import sys
@@ -14,9 +17,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_reduce.action import AmbiguousIsotropyError, isotropy
+from dirac_reduce import reduction
+from dirac_reduce.action import AmbiguousIsotropyError, IsotropyDescriptor, isotropy
 from dirac_reduce.polyfield import DegeneratePointError, evaluate_at, evaluate_fibers
-from dirac_reduce.scenario import load_scenario, sample_points
+from dirac_reduce.scenario import load_scenario, run_scenario, sample_points
+from dirac_reduce.subspace import Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -97,3 +102,34 @@ def test_stacked_evaluation_is_poly_evaluate_bit_for_bit(workload_dir):
         for m in points.tolist()
     ]
     assert np.array_equal(_bits(stacked), _bits(reference))
+
+
+def _counted(monkeypatch, owner, name: str) -> list:
+    """Record each call of ``owner.name`` (a function or method) while the
+    test runs."""
+    original, calls = vars(owner)[name], []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["strata-dense", "orbit-types"])
+def test_checks_and_comparisons_scale_with_stacks_not_points(name, workload_dir, monkeypatch):
+    """Every Subspace the reduction returns is a view of a stack checked
+    once, and each exact descriptor meets at most one representative per
+    class; per point, orbit-types made 840 Subspace constructions and 3,748
+    same_as calls."""
+    s = _scenario(name, workload_dir)
+    constructions = _counted(monkeypatch, Subspace, "__post_init__")
+    comparisons = _counted(monkeypatch, IsotropyDescriptor, "same_as")
+    stacks = _counted(monkeypatch, reduction, "_stack_geometry")
+    report = run_scenario(s)
+    ok = [r for r in report.points if r.status == "ok"]
+    groups = {r.descriptor for r in ok}
+    assert len(stacks) < len(ok) / 10 and len(groups) < len(ok) / 10
+    assert len(constructions) <= 4 * len(stacks)
+    assert len(comparisons) <= len(groups) * len(report.classes)

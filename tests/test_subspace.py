@@ -130,6 +130,30 @@ def test_projector_idempotent_symmetric():
         assert abs(np.trace(p) - s.dim) < 1e-9
 
 
+def test_from_stack_checks_every_slice_once_and_returns_read_only_views():
+    rng = np.random.default_rng(8)
+    stack = np.stack([random_subspace(rng, 5, 3).basis for _ in range(6)])
+    spaces = Subspace.from_stack(5, stack, 1e-8)
+    assert [s.dim for s in spaces] == [3] * 6 and {s.tol for s in spaces} == {1e-8}
+    for space, basis in zip(spaces, stack):
+        assert np.array_equal(space.basis, basis)
+        assert not space.basis.flags.writeable
+        with pytest.raises(ValueError):
+            space.basis[0, 0] = 2.0
+    # one checked copy: the caller's stack stays writable and unshared
+    assert spaces[0].basis.base is spaces[-1].basis.base
+    assert not np.shares_memory(spaces[0].basis, stack)
+    assert Subspace.from_stack(5, np.zeros((0, 2, 5))) == []
+    bad = stack.copy()
+    bad[4, 1] *= 1.0 + 1e-4
+    with pytest.raises(ValueError, match="^basis rows are not orthonormal"):
+        Subspace.from_stack(5, bad)
+    with pytest.raises(DimensionMismatchError, match="length 5, ambient dimension is 4"):
+        Subspace.from_stack(4, stack)
+    with pytest.raises(DimensionMismatchError, match="stack of bases"):
+        Subspace.from_stack(5, stack[0])
+
+
 def test_projector_and_annihilator_are_built_once_and_read_only():
     rng = np.random.default_rng(5)
     for dim in (0, 2, 4):
