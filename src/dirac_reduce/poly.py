@@ -1,8 +1,13 @@
 """Exact multivariate polynomials over the rationals.
 
-Coefficients are ``fractions.Fraction``; floats only appear when a
-polynomial is evaluated at a float point.  Terms are kept in a canonical
-sorted order with no zero coefficients, so ``==`` is structural equality.
+A coefficient is a Python ``int`` when its value is an integer and a
+``fractions.Fraction`` only when its denominator is not 1, so integer input
+runs on native int arithmetic.  ``Fraction(2) == 2`` and the two hash and
+print alike, so this normal form changes no equality, key or string; but
+``int / int`` is a float, so a coefficient is never divided with ``/``:
+write ``Fraction(c, k)``.  Floats only appear when a polynomial is
+evaluated at a float point.  Terms are kept in a canonical sorted order
+with no zero coefficients, so ``==`` is structural equality.
 
 The public constructor validates and canonicalises its input.  Results of
 arithmetic are canonical by construction and go through ``_trusted``, which
@@ -34,17 +39,25 @@ class PolyParseError(ValueError):
     """Malformed polynomial expression."""
 
 
-def _coerce(value) -> Fraction:
+def _normal(c: int | Fraction) -> int | Fraction:
+    """The coefficient's normal form: an int when its value is integral."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
+def _coerce(value) -> int | Fraction:
+    """``value`` as an exact coefficient in normal form."""
+    if isinstance(value, int):  # also bool
+        return int(value)
     if isinstance(value, Fraction):
-        return value
-    if isinstance(value, Rational):
-        return Fraction(value)
+        return _normal(value)
     if isinstance(value, float):
-        return Fraction(value)  # exact binary expansion
-    if isinstance(value, str):
-        return Fraction(value)
-    if isinstance(value, int):
-        return Fraction(value)
+        if value.is_integer():
+            return int(value)
+        return _normal(Fraction(value))  # exact binary expansion; inf, nan raise
+    if isinstance(value, (Rational, str)):
+        return _normal(Fraction(value))
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
@@ -53,10 +66,10 @@ class Poly:
     """A polynomial in ``n_vars`` variables with rational coefficients."""
 
     n_vars: int
-    terms: tuple  # tuple[(Monomial, Fraction), ...], canonical
+    terms: tuple  # tuple[(Monomial, int | Fraction), ...], canonical
 
     def __post_init__(self) -> None:
-        collected: dict[Monomial, Fraction] = {}
+        collected: dict[Monomial, int | Fraction] = {}
         items = self.terms.items() if isinstance(self.terms, dict) else self.terms
         for exponents, coeff in items:
             exponents = tuple(int(e) for e in exponents)
@@ -69,9 +82,9 @@ class Poly:
                 raise ValueError(f"negative exponent in {exponents}")
             coeff = _coerce(coeff)
             if coeff:
-                collected[exponents] = collected.get(exponents, Fraction(0)) + coeff
+                collected[exponents] = collected.get(exponents, 0) + coeff
         canonical = tuple(
-            (m, c) for m, c in sorted(collected.items()) if c != 0
+            (m, _normal(c)) for m, c in sorted(collected.items()) if c != 0
         )
         object.__setattr__(self, "terms", canonical)
 
@@ -95,7 +108,7 @@ class Poly:
         if not 0 <= index < n_vars:
             raise ValueError(f"variable index {index} out of range for {n_vars}")
         exps = tuple(1 if i == index else 0 for i in range(n_vars))
-        return _trusted(n_vars, ((exps, Fraction(1)),))
+        return _trusted(n_vars, ((exps, 1),))
 
     # -- queries --------------------------------------------------------
 
@@ -108,12 +121,12 @@ class Poly:
             return 0
         return max(sum(m) for m, _ in self.terms)
 
-    def coefficient(self, exponents: Monomial) -> Fraction:
+    def coefficient(self, exponents: Monomial) -> int | Fraction:
         exponents = tuple(int(e) for e in exponents)
         for m, c in self.terms:
             if m == exponents:
                 return c
-        return Fraction(0)
+        return 0
 
     # -- arithmetic -------------------------------------------------------
 
@@ -150,7 +163,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             self._check(other)
-            out: dict[Monomial, Fraction] = {}
+            out: dict[Monomial, int | Fraction] = {}
             for m1, c1 in self.terms:
                 for m2, c2 in other.terms:
                     key = tuple(map(add, m1, m2))
@@ -160,7 +173,7 @@ class Poly:
         scalar = _coerce(other)
         if not scalar:
             return _trusted(self.n_vars, ())
-        return _trusted(self.n_vars, tuple((m, c * scalar) for m, c in self.terms))
+        return _trusted(self.n_vars, tuple((m, _normal(c * scalar)) for m, c in self.terms))
 
     __rmul__ = __mul__
 
@@ -190,7 +203,7 @@ class Poly:
         for m, c in self.terms:
             e = m[index]
             if e:
-                out.append((m[:index] + (e - 1,) + m[index + 1 :], c * e))
+                out.append((m[:index] + (e - 1,) + m[index + 1 :], _normal(c * e)))
         return _trusted(self.n_vars, tuple(out))
 
     @cached_property
@@ -251,8 +264,8 @@ class Poly:
     def subs_linear(self, matrix) -> "Poly":
         """Compose with a linear substitution: p(M x).
 
-        ``matrix`` is a sequence of rows; entries are coerced to Fraction,
-        so the composition is exact.
+        ``matrix`` is a sequence of rows; entries are coerced to exact
+        coefficients, so the composition is exact.
         """
         rows = [[_coerce(entry) for entry in row] for row in matrix]
         if len(rows) != self.n_vars or any(len(r) != self.n_vars for r in rows):
@@ -341,7 +354,7 @@ class Poly:
 
 def _trusted(n_vars: int, terms: tuple) -> Poly:
     """A Poly from terms already canonical: sorted, distinct monomials of
-    length ``n_vars``, nonzero Fraction coefficients."""
+    length ``n_vars``, nonzero coefficients in normal form (see :func:`_normal`)."""
     p = object.__new__(Poly)
     object.__setattr__(p, "n_vars", n_vars)
     object.__setattr__(p, "terms", terms)
@@ -349,8 +362,11 @@ def _trusted(n_vars: int, terms: tuple) -> Poly:
 
 
 def _from_dict(n_vars: int, merged: dict) -> Poly:
-    """A Poly from a ``{monomial: Fraction}`` dict of valid monomials."""
-    return _trusted(n_vars, tuple(sorted([(m, c) for m, c in merged.items() if c])))
+    """A Poly from a ``{monomial: int | Fraction}`` dict of valid monomials;
+    the coefficients need not be in normal form."""
+    return _trusted(
+        n_vars, tuple(sorted([(m, _normal(c)) for m, c in merged.items() if c]))
+    )
 
 
 def _signed_permutation(rows) -> list | None:
@@ -425,8 +441,10 @@ class _Parser:
     """Recursive-descent parser for +, -, *, ^ and parentheses.
 
     A product of numbers and variables is collected as one coefficient and
-    one exponent vector, then added into the sum's ``{monomial: Fraction}``
-    dict; only parenthesised factors are multiplied as polynomials.
+    one exponent vector, then added into the sum's ``{monomial: coefficient}``
+    dict; only parenthesised factors are multiplied as polynomials.  An
+    integer literal is an ``int``; ``a/b`` and ``a.b`` are built as Fractions
+    and normalised, so an integral one such as ``4/2`` is an int too.
     """
 
     def __init__(self, tokens, n_vars: int, variables: dict[str, int]):
@@ -451,7 +469,7 @@ class _Parser:
         return tok
 
     def expr(self) -> Poly:
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, int | Fraction] = {}
         kind, value = self.peek()
         negate = False
         if kind == "op" and value in "+-":
@@ -469,7 +487,7 @@ class _Parser:
     def term(self, out: dict, negate: bool) -> None:
         """Parse one product and add it into ``out``."""
         # [coefficient, exponent vector, product of parenthesised factors]
-        product = [Fraction(-1 if negate else 1), [0] * self.n_vars, None]
+        product = [-1 if negate else 1, [0] * self.n_vars, None]
         self.factor(product)
         while True:
             kind, value = self.peek()
@@ -496,7 +514,7 @@ class _Parser:
         kind, value = self.take()
         if kind == "number":
             try:
-                number = Fraction(value)
+                number = int(value) if value.isdigit() else _normal(Fraction(value))
             except ZeroDivisionError:
                 raise PolyParseError(f"zero denominator in {value!r}") from None
             except ValueError:  # more digits than int() converts

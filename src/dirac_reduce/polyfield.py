@@ -62,8 +62,8 @@ class DegeneratePointError(ValueError):
     """Section values fail to span a Dirac fiber at a sample point."""
 
 
-def _unit(index: int, n: int) -> tuple[Fraction, ...]:
-    return tuple(Fraction(1 if j == index else 0) for j in range(n))
+def _unit(index: int, n: int) -> tuple[int, ...]:
+    return tuple(1 if j == index else 0 for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -378,7 +378,9 @@ def dorfman_bracket(s1: PolySection, s2: PolySection) -> PolySection:
 # -- push-forwards along orthogonal matrices --------------------------------
 
 
-def _fraction_matrix(matrix) -> list[list[Fraction]]:
+def _fraction_matrix(matrix) -> list[list[int | Fraction]]:
+    """The rows of the orthogonal ``matrix`` as exact coefficients in normal
+    form (see :func:`dirac_reduce.poly._coerce`)."""
     rows = [[_coerce(entry) for entry in row] for row in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):

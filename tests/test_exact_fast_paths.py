@@ -2,6 +2,7 @@
 signed-permutation substitution, float-coefficient evaluation, integer
 circle quadrature, the one-pass parser, and trusted arithmetic results."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,8 +10,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_reduce.action import _circle_quadrature_poly
+from dirac_reduce.action import (
+    ActionSpec,
+    FiniteGroupRep,
+    _circle_quadrature_poly,
+    haar_average_section,
+)
 from dirac_reduce.poly import Poly, parse_poly
+from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField
 
 NAMES = ["x", "y", "z"]
 
@@ -145,8 +152,10 @@ def _gmul(a, b):
 
 
 def fraction_circle_quadrature(f: Poly, pairs, n_nodes: int) -> Poly:
-    """The quadrature over (re, im) pairs of Fractions, term by term."""
-    terms = {exps: (c, Fraction(0)) for exps, c in f.terms}
+    """The quadrature over (re, im) pairs of Fractions, term by term.  An
+    integral coefficient is an int, so it is lifted to a Fraction before
+    the division by 2**(p + q)."""
+    terms = {exps: (Fraction(c), Fraction(0)) for exps, c in f.terms}
     for ix, iy, _w in pairs:
         expanded: dict = {}
         for exps, coeff in terms.items():
@@ -276,11 +285,21 @@ def test_parser_matches_poly_arithmetic(expression):
 
 
 def assert_canonical(p: Poly) -> None:
+    """Sorted distinct monomials, and every coefficient nonzero and in
+    normal form: an int when integral, else a Fraction."""
     monomials = [m for m, _ in p.terms]
     assert monomials == sorted(set(monomials))
     assert all(len(m) == p.n_vars for m in monomials)
-    assert all(isinstance(c, Fraction) and c != 0 for _, c in p.terms)
+    assert all(
+        c != 0 and type(c) is (int if c.denominator == 1 else Fraction) for _, c in p.terms
+    )
     assert Poly(p.n_vars, p.terms) == p
+
+
+# the eight sign changes of R^3: the Haar average weighs each by 1/8
+SIGN_CHANGES = ActionSpec(
+    3, FiniteGroupRep(tuple(np.diag(signs) for signs in itertools.product((1.0, -1.0), repeat=3)))
+)
 
 
 @settings(max_examples=100, deadline=None)
@@ -301,6 +320,13 @@ def test_trusted_results_are_canonical(a, b, perm):
         a.subs_linear([[1, 1, 0], [0, 1, 0], [0, 0, 2]]),
         parse_poly(f"({a.to_str()}) * ({b.to_str()}) - 3*x*y^2", 3),
         _circle_quadrature_poly(a, ((0, 1, 2),), 3),
+        (a * Fraction(1, 2)) * 2,
+        a * Fraction(4, 2),
+        parse_poly("4/2*x + 2.50*y - 3", 3),
     ]
+    average = haar_average_section(
+        PolySection(PolyVectorField((a, b, a * b)), PolyOneForm((b, a, a + b))), SIGN_CHANGES
+    )
+    results += [*average.tangent.components, *average.covector.components]
     for r in results:
         assert_canonical(r)

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -64,10 +66,26 @@ def test_subs_linear_evaluation_consistency():
     assert sub.evaluate(pt) == p.evaluate(moved)
 
 
+def _constant_coefficient(value):
+    c = Poly.constant(value, 1).coefficient((0,))
+    return type(c), c
+
+
 def test_float_coefficients_are_exact():
+    """A coefficient is the input's exact value, an int when integral."""
     # 0.5 is a dyadic float, so this is exactly 1/2
-    p = Poly.constant(0.5, 1)
-    assert p.coefficient((0,)) == Fraction(1, 2)
+    assert _constant_coefficient(0.5) == (Fraction, Fraction(1, 2))
+    assert _constant_coefficient(2.0) == (int, 2)
+    assert _constant_coefficient(np.float64(-2.0)) == (int, -2)
+    # 0.1 is not 1/10 but its exact binary expansion
+    assert _constant_coefficient(0.1) == (Fraction, Fraction(3602879701896397, 2**55))
+    assert _constant_coefficient(True) == (int, 1)
+    assert _constant_coefficient(Fraction(6, 3)) == (int, 2)
+    assert _constant_coefficient(0) == (int, 0)  # a missing monomial
+    with pytest.raises(OverflowError):
+        Poly.constant(math.inf, 1)
+    with pytest.raises(ValueError):
+        Poly.constant(math.nan, 1)
 
 
 def test_parse_examples():
