@@ -23,9 +23,9 @@ from typing import Union
 
 import numpy as np
 
-from .lindirac import LinearDirac, from_distribution, graph_bases, is_lagrangian
+from .lindirac import LinearDirac, from_distribution, graph_bases, lagrangian_flags
 from .poly import Poly, _coerce, _from_dict
-from .subspace import DEFAULT_TOL, Subspace, span
+from .subspace import DEFAULT_TOL, Subspace
 
 __all__ = [
     "DegeneratePointError",
@@ -528,16 +528,6 @@ class FiberStack:
     errors: tuple
     tol: float
 
-    @classmethod
-    def of(cls, fibers, n: int, tol: float) -> "FiberStack":
-        """The stack of a sequence of LinearDirac fibers and DegeneratePointErrors."""
-        bases = np.zeros((len(fibers), n, 2 * n))
-        for basis, fiber in zip(bases, fibers):
-            if isinstance(fiber, LinearDirac):
-                basis[:] = fiber.space.basis
-        errors = tuple(f if isinstance(f, DegeneratePointError) else None for f in fibers)
-        return cls(bases, errors, tol)
-
     def __len__(self) -> int:
         return len(self.errors)
 
@@ -553,7 +543,9 @@ def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> 
     DegeneratePointError raised there takes the fiber's place.  A graph is
     evaluated at all samples at once (:func:`evaluate_polys`) and its fibers
     are one stacked :func:`.lindirac.graph_bases`; a distribution's fiber is
-    the same at every point; sections are spanned point by point."""
+    the same at every point.  Sections are evaluated at all samples at once
+    and spanned by one stacked SVD with the rank rule of
+    :func:`.subspace.orthonormal_rows`; a non-Lagrangian span is degenerate."""
     n = spec.base_dim
     points = np.asarray(samples, dtype=float)
     if points.size == 0:
@@ -572,17 +564,18 @@ def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> 
         basis = from_distribution(delta).space.basis
         return FiberStack(np.broadcast_to(basis, (count, *basis.shape)), (None,) * count, tol)
     if isinstance(spec, SectionsSpec):
-        fibers = []
-        for point in points.tolist():
-            space = span([s.evaluate(point) for s in spec.sections], ambient_dim=2 * n, tol=tol)
-            fibers.append(
-                LinearDirac(n, space)
-                if is_lagrangian(space)
-                else DegeneratePointError(
-                    f"sections span a rank-{space.dim} non-Dirac space at point {tuple(point)}"
-                )
+        polys = [c for x in spec.sections for c in x.tangent.components + x.covector.components]
+        values = evaluate_polys(polys, points).T.reshape(count, n, 2 * n)
+        _, sv, vh = np.linalg.svd(values, full_matrices=False)
+        ranks = (sv > tol * sv[..., :1]).sum(axis=-1)
+        dirac = (ranks == n) & lagrangian_flags(vh, tol)
+        errors = tuple(
+            None if ok else DegeneratePointError(
+                f"sections span a rank-{rank} non-Dirac space at point {tuple(point)}"
             )
-        return FiberStack.of(fibers, n, tol)
+            for ok, rank, point in zip(dirac.tolist(), ranks.tolist(), points.tolist())
+        )
+        return FiberStack(np.where(dirac[:, None, None], vh, 0.0), errors, tol)
     raise TypeError(f"not a Dirac field spec: {type(spec).__name__}")
 
 

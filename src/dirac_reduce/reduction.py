@@ -33,11 +33,15 @@ slices disagree at a stage is cut by rank, and each part is reduced as a stack
 of its own.  Per slice the stacked calls are the LAPACK/BLAS calls the
 per-matrix code makes, so a point's result does not depend on its stack.
 Each stage is checked once per stack, with the checks the per-point
-constructors make (orthonormal rows everywhere, and D_Q Lagrangian); a
-point's D_Q and route images are read-only views of the checked stacks
-(:meth:`.Subspace.from_stack`, :meth:`.LinearDirac.from_stack`).  Rank
-classes are the first-fit partition by ``same_as``, placed once per exact
-isotropy descriptor (:func:`descriptor_classes`).
+constructors make (orthonormal rows everywhere, and D_Q Lagrangian).  Each
+point's row, a :class:`PointReduction`, is built straight from the checked
+stacks: its D_Q and route images are read-only views of them
+(:meth:`.Subspace.from_stack`, :meth:`.LinearDirac.from_stack`).
+:func:`reduce_point` takes a stack of points (N, n); the single-point
+functions (:func:`restrict_to_stratum`, both routes, :func:`compare_routes`)
+reduce a stack of one and raise at a skipped point.  Rank classes are the
+first-fit partition by ``same_as``, placed once per exact isotropy
+descriptor (:func:`descriptor_classes`).
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .action import (
     isotropy,
 )
 from .lindirac import ForwardImage, LinearDirac, lagrangian_flags, pull_back
-from .polyfield import DiracFieldSpec, FiberStack, evaluate_fibers
+from .polyfield import DiracFieldSpec, evaluate_fibers
 from .subspace import (
     DEFAULT_TOL,
     MixedRanksError,
@@ -72,10 +76,7 @@ __all__ = [
     "RankClass",
     "RankReport",
     "RouteComparison",
-    "ActionGeometry",
-    "PointGeometry",
     "PointReduction",
-    "point_geometry",
     "restrict_to_stratum",
     "reduce_isotropy_route",
     "reduce_orbit_route",
@@ -112,55 +113,34 @@ def _push(rows: np.ndarray, onto: np.ndarray, tol: float) -> np.ndarray:
     return orthonormal_rows(images.reshape(*batch, 2 * q), tol)
 
 
-def _rows_space(name: str) -> property:
-    """The Subspace spanned by this point's slice of ``stacks[name]``, built
-    when read."""
+@dataclass(frozen=True)
+class PointReduction:
+    """Everything the reduction records about one sample point: its status
+    and, at an ok point, the dimension table, D_Q(m) on Fix coordinates and
+    both route images in the quotient model."""
 
-    def space(self) -> Subspace:
-        rows = self.stacks[name][self.index]
-        return Subspace(rows.shape[-1], rows, self.tol)
-
-    return property(space)
-
-
-@dataclass(frozen=True, eq=False)
-class ActionGeometry:
-    """The action side at a point, as slice ``index`` of its stack:
-    ``stacks`` holds the checked, read-only basis rows of each subspace
-    below (and phi) for the whole stack, and this point's rows are wrapped
-    in a :class:`Subspace` only when read."""
-
-    tol: float
-    descriptor: IsotropyDescriptor  # h, the isotropy subgroup G_m
-    fix: Subspace  # Fix(G_m) = T_G(m) = T(m)
-    stacks: dict
-    index: int
-
-    vertical = _rows_space("vertical")  # V(m), inside Fix
-    quotient = _rows_space("quotient")  # Fix ⊖ V; its rows are the quotient projection
-    v_g_ann = quotient  # V_G° = P V° = Fix ⊖ V, as P projects onto Fix ⊇ V
-    v_ann = _rows_space("v_ann")  # V° = (Fix ⊖ V) ⊕ ann(Fix)
-    window = _rows_space("window")  # T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T descends
-    k_perp = _rows_space("k_perp")  # R^n ⊕ V°
-    kq_perp = _rows_space("kq_perp")  # R^s ⊕ V° on Fix coordinates, the row space of phi
-    phi = property(lambda self: self.stacks["phi"][self.index])  # Fix coords -> quotient coords
+    point: tuple
+    status: str
+    reason: str | None
+    descriptor: IsotropyDescriptor | None  # h, the isotropy subgroup G_m
+    dims: RankDims | None
+    iq_identity: bool | None
+    d_q: LinearDirac | None  # D_Q(m), on Fix coordinates
+    route_a: ForwardImage | None  # isotropy route: D_Q ∩ K_Q^⊥ pushed by phi
+    route_b: ForwardImage | None  # orbit route: D ∩ (Fix ⊕ V°) pushed by the quotient
+    lagrangian_ok: bool | None
+    distance: float | None  # projector distance of the two route images
+    agree: bool | None
 
 
-@dataclass(frozen=True, eq=False)
-class PointGeometry:
-    """Everything the reduction computes at one sample point."""
-
-    action: ActionGeometry
-    d_q: LinearDirac  # D_Q(m), on Fix coordinates
-    dims: RankDims
-    route_a: ForwardImage  # isotropy route: D_Q ∩ K_Q^⊥ pushed by phi
-    route_b: ForwardImage  # orbit route: D ∩ (Fix ⊕ V°) pushed by the quotient
-    distance: float  # projector distance of the two route images
-
-
-def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, tol: float):
-    """One stacked call per stage over the points of ``_reduce_stack``, whose
-    fibers D(m) are the stack ``fiber`` (N, n, 2n)."""
+def _action_rows(action: ActionSpec, h: IsotropyDescriptor, points, tol: float):
+    """Fix(G_m), and the action side at each point of the stack ``points``
+    (N, n) of the exact isotropy class h, as checked, read-only stacked rows:
+    V(m) inside Fix; the quotient Fix ⊖ V, whose rows are the quotient
+    projection and which is V_G° = P V° (P projects onto Fix ⊇ V); phi, from
+    Fix coordinates to quotient coordinates; V° = (Fix ⊖ V) ⊕ ann(Fix); the
+    window T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T descends;
+    K^⊥ = R^n ⊕ V°; and K_Q^⊥ = R^s ⊕ V° on Fix coordinates, the row space of phi."""
     n, count = action.n, len(points)
     fix = fixed_subspace(h, action, tol)
     fb, s = fix.basis, fix.dim
@@ -183,13 +163,24 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, to
     rows = dict(vertical=vertical, quotient=quotient, phi=phi, v_ann=v_ann)
     rows.update(window=block_diagonal(fb, v_ann), k_perp=block_diagonal(np.eye(n), v_ann))
     rows.update(kq_perp=block_diagonal(np.eye(s), phi))
-    d_q = pull_back(fb.T, fiber, tol)  # D_Q: D(m) pulled back along the inclusion of Fix
-    dq_k_perp = intersect_rows(d_q, _projector(rows["kq_perp"]), tol)
-    descending = intersect_rows(fiber, _projector(rows["window"]), tol)
-    d_k_perp = intersect_rows(fiber, _projector(rows["k_perp"]), tol)
-    for basis in (*rows.values(), dq_k_perp, descending, d_k_perp):
+    for basis in rows.values():
         check_orthonormal(basis)
-        basis.setflags(write=False)  # shared by every point's ActionGeometry
+        basis.setflags(write=False)
+    return fix, rows
+
+
+def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol, agree_tol):
+    """The row of each point of ``_reduce_stack``, whose fibers D(m) are the
+    stack ``fibers`` (N, n, 2n): one stacked call per stage."""
+    fix, rows = _action_rows(action, h, points, tol)
+    n, s = action.n, fix.dim
+    vertical, quotient = rows["vertical"], rows["quotient"]
+    d_q = pull_back(fix.basis.T, fibers, tol)  # D_Q: D(m) pulled back along the inclusion of Fix
+    dq_k_perp = intersect_rows(d_q, _projector(rows["kq_perp"]), tol)
+    descending = intersect_rows(fibers, _projector(rows["window"]), tol)
+    d_k_perp = intersect_rows(fibers, _projector(rows["k_perp"]), tol)
+    for basis in (dq_k_perp, descending, d_k_perp):
+        check_orthonormal(basis)
     if vertical.shape[-2]:
         alpha = descending[..., n:]
         leak = np.linalg.norm(alpha @ _t(vertical), axis=-1)
@@ -199,10 +190,10 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, to
                 f"space (residual {leak.max():.3e})"
             )
     q = quotient.shape[-2]
-    a, b = _push(dq_k_perp, phi, tol), _push(descending, quotient, tol)
-    distance = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1)).tolist()
+    a, b = _push(dq_k_perp, rows["phi"], tol), _push(descending, quotient, tol)
+    distances = np.linalg.norm(_projector(a) - _projector(b), 2, axis=(-2, -1)).tolist()
     dims = RankDims(
-        vertical.shape[-2], v_ann.shape[-2], q, s, s,
+        vertical.shape[-2], rows["v_ann"].shape[-2], q, s, s,
         d_k_perp.shape[-2], descending.shape[-2], dq_k_perp.shape[-2],
     )
     # One check per stack, the checks each per-point constructor makes; every
@@ -210,39 +201,40 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fiber, to
     d_qs = LinearDirac.from_stack(s, d_q, tol)
     spaces_a, spaces_b = Subspace.from_stack(2 * q, a, tol), Subspace.from_stack(2 * q, b, tol)
     flags_a, flags_b = lagrangian_flags(a, tol).tolist(), lagrangian_flags(b, tol).tolist()
-    return [
-        PointGeometry(
-            action=ActionGeometry(tol, h, fix, rows, i),
-            d_q=d_qs[i],
-            dims=dims,
-            route_a=ForwardImage(q, spaces_a[i], flags_a[i], True),
-            route_b=ForwardImage(q, spaces_b[i], flags_b[i], True),
-            distance=distance[i],
-        )
-        for i in range(count)
-    ]
+    iq_identity, out = dims.dq_cap_kq_perp == dims.d_cap_t_vg, []
+    for i, point in enumerate(points.tolist()):
+        route_a = ForwardImage(q, spaces_a[i], flags_a[i], True)
+        route_b = ForwardImage(q, spaces_b[i], flags_b[i], True)
+        lagrangian_ok = flags_a[i] and flags_b[i]
+        distance = distances[i] if lagrangian_ok else None
+        agree = None if distance is None else distance <= agree_tol
+        out.append(PointReduction(
+            tuple(point), STATUS_OK, None, h, dims, iq_identity,
+            d_qs[i], route_a, route_b, lagrangian_ok, distance, agree,
+        ))
+    return out
 
 
-def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol: float):
-    """The PointGeometry of each point of one exact isotropy class h, whose
-    points share P, Fix and the shapes of every stage (V = 0 throughout or
+def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol, agree_tol):
+    """The row of each point of one exact isotropy class h, whose points
+    share P, Fix and the shapes of every stage (V = 0 throughout or
     nowhere).  A stack whose slices decide different ranks at a stage is cut
     by that rank, and each part is reduced as a stack of its own."""
     try:
-        return _stack_geometry(action, h, points, fibers, tol)
+        return _stack_geometry(action, h, points, fibers, tol, agree_tol)
     except MixedRanksError as mixed:
         out = [None] * len(points)
         for rank in np.unique(mixed.args[0]):
             members = np.flatnonzero(mixed.args[0] == rank)
             part = points[members], fibers[members]
-            for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
-                out[i] = geometry
+            for i, row in zip(members, _reduce_stack(action, h, *part, tol, agree_tol)):
+                out[i] = row
         return out
 
 
-def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fibers=None):
-    """The PointGeometry at each point, or the AmbiguousIsotropyError or
-    DegeneratePointError that makes it a skip.
+def _reductions(spec, action, points, rank_tol: float, agree_tol: float, fibers=None) -> list:
+    """The row of each point of the stack ``points`` (N, n), or the
+    AmbiguousIsotropyError or DegeneratePointError that makes it a skip.
 
     Isotropy is decided first, for all points in one stacked call, so a
     guard-band point is reported as such even where the fiber degenerates.
@@ -250,12 +242,11 @@ def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fi
     evaluates it here, at the points whose isotropy is decided.  Those points
     are reduced as one stack per exact isotropy class.
     """
-    points = np.asarray(points, dtype=float).reshape(len(points), action.n)
-    out = isotropy(action, points, tol)
+    out = isotropy(action, points, rank_tol)
     decided = [i for i, h in enumerate(out) if isinstance(h, IsotropyDescriptor)]
     at = np.arange(len(points))  # each point's row in ``fibers``
     if fibers is None:
-        fibers = evaluate_fibers(spec, points[decided], tol)
+        fibers = evaluate_fibers(spec, points[decided], rank_tol)
         at[decided] = np.arange(len(decided))
     stacks: dict = {}
     for i in decided:
@@ -266,20 +257,19 @@ def _geometries(spec: DiracFieldSpec, action: ActionSpec, points, tol: float, fi
         stacks.setdefault((h.continuous_circle, h.pairs), (h, []))[1].append(i)
     for h, members in stacks.values():
         part = points[members], fibers.bases[at[members]]
-        for i, geometry in zip(members, _reduce_stack(action, h, *part, tol)):
-            out[i] = geometry
+        for i, row in zip(members, _reduce_stack(action, h, *part, rank_tol, agree_tol)):
+            out[i] = row
     return out
 
 
-def point_geometry(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
-) -> PointGeometry:
-    """The geometry at m, reduced as a stack of one.  A boundary or degenerate
-    point raises."""
-    geometry = _geometries(spec, action, [m], tol)[0]
-    if isinstance(geometry, Exception):
-        raise geometry
-    return geometry
+def _reduce_one(spec: DiracFieldSpec, action: ActionSpec, m, tol: float) -> PointReduction:
+    """The row of the point m, reduced as a stack of one (its ``agree`` at
+    :func:`reduce_point`'s default).  A boundary or degenerate point raises
+    its AmbiguousIsotropyError or DegeneratePointError."""
+    row = _reductions(spec, action, np.asarray([m], dtype=float), tol, 1e-8)[0]
+    if isinstance(row, Exception):
+        raise row
+    return row
 
 
 def restrict_to_stratum(
@@ -289,26 +279,29 @@ def restrict_to_stratum(
 
     Coordinates on the stratum are an orthonormal basis of Fix(G_m).
     """
-    return point_geometry(spec, action, m, tol).d_q
+    return _reduce_one(spec, action, m, tol).d_q
 
 
-def reduce_isotropy_route(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
-):
+def _quotient(action: ActionSpec, row: PointReduction, tol: float) -> Subspace:
+    """The quotient Fix ⊖ V(m) at the point of ``row``, from the action side
+    of its stack of one."""
+    rows = _action_rows(action, row.descriptor, np.array([row.point]), tol)[1]
+    return Subspace(action.n, rows["quotient"][0], tol)
+
+
+def reduce_isotropy_route(spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL):
     """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
     ``lagrangian`` flag records whether it is a Dirac structure (it is
     wherever the constant-rank hypothesis holds at m)."""
-    geometry = point_geometry(spec, action, m, tol)
-    return geometry.action.quotient, geometry.route_a
+    row = _reduce_one(spec, action, m, tol)
+    return _quotient(action, row, tol), row.route_a
 
 
-def reduce_orbit_route(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL
-):
+def reduce_orbit_route(spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL):
     """Orbit route: (quotient, span of the descending values projected onto
     the quotient)."""
-    geometry = point_geometry(spec, action, m, tol)
-    return geometry.action.quotient, geometry.route_b
+    row = _reduce_one(spec, action, m, tol)
+    return _quotient(action, row, tol), row.route_b
 
 
 @dataclass(frozen=True)
@@ -320,10 +313,12 @@ class RouteComparison:
 def compare_routes(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = 1e-8
 ) -> RouteComparison:
-    """Run both routes at m and compare them (route A must be Lagrangian)."""
-    geometry = point_geometry(spec, action, m, min(DEFAULT_TOL, tol))
-    _ = geometry.route_a.dirac  # raises NotLagrangianError where it is not
-    return RouteComparison(agree=bool(geometry.distance <= tol), distance=geometry.distance)
+    """Run both routes at m and compare the projectors of their images
+    (route A must be Lagrangian; route B need not be)."""
+    row = _reduce_one(spec, action, m, min(DEFAULT_TOL, tol))
+    _ = row.route_a.dirac  # raises NotLagrangianError where it is not
+    distance = row.route_a.space.distance(row.route_b.space)
+    return RouteComparison(agree=bool(distance <= tol), distance=distance)
 
 
 # -- rank bookkeeping ----------------------------------------------------------
@@ -440,70 +435,26 @@ def rank_report(
 # -- rows ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointReduction:
-    """Everything the runner records about one sample point."""
-
-    point: tuple
-    status: str
-    reason: str | None
-    descriptor: IsotropyDescriptor | None
-    dims: RankDims | None
-    iq_identity: bool | None
-    d_q: LinearDirac | None
-    route_a: ForwardImage | None
-    route_b: ForwardImage | None
-    lagrangian_ok: bool | None
-    distance: float | None
-    agree: bool | None
-
-
-def _row(point: tuple, geometry, agree_tol: float) -> PointReduction:
-    if isinstance(geometry, Exception):
-        boundary = isinstance(geometry, AmbiguousIsotropyError)
-        status = STATUS_BOUNDARY if boundary else STATUS_DEGENERATE
-        return PointReduction(point, status, str(geometry), *[None] * 9)
-    dims = geometry.dims
-    lagrangian_ok = geometry.route_a.lagrangian and geometry.route_b.lagrangian
-    distance = geometry.distance if lagrangian_ok else None
-    return PointReduction(
-        point=point,
-        status=STATUS_OK,
-        reason=None,
-        descriptor=geometry.action.descriptor,
-        dims=dims,
-        iq_identity=dims.dq_cap_kq_perp == dims.d_cap_t_vg,
-        d_q=geometry.d_q,
-        route_a=geometry.route_a,
-        route_b=geometry.route_b,
-        lagrangian_ok=lagrangian_ok,
-        distance=distance,
-        agree=None if distance is None else distance <= agree_tol,
-    )
-
-
 def reduce_point(
     spec: DiracFieldSpec,
     action: ActionSpec,
-    m,
+    points,
     rank_tol: float = DEFAULT_TOL,
     agree_tol: float = 1e-8,
-    fiber=None,
-):
-    """The row of the point m, with boundary and degenerate points classified
-    as skips; internal-consistency violations propagate.  ``fiber`` is D(m)
-    already evaluated at ``rank_tol`` (or its DegeneratePointError); ``None``
-    evaluates it here.
-
-    Given a sequence of points (``fiber``: their :func:`evaluate_fibers`, or
-    ``None``), it returns the tuple of their rows, all reduced in one pass:
-    one stack per isotropy class (see :func:`_geometries`)."""
-    points = np.asarray(m, dtype=float)
-    single = points.ndim == 1 and points.size > 0
-    if single:
-        points = points[None]
-        if fiber is not None:
-            fiber = FiberStack.of([fiber], action.n, rank_tol)
-    geometries = _geometries(spec, action, points, rank_tol, fiber)
-    rows = tuple(_row(tuple(p), g, agree_tol) for p, g in zip(points.tolist(), geometries))
-    return rows[0] if single else rows
+    fibers=None,
+) -> tuple:
+    """The rows of the stack ``points`` (N, n), all reduced in one pass: one
+    stack per isotropy class (see :func:`_reductions`).  Boundary and
+    degenerate points are classified as skips; internal-consistency
+    violations propagate.  ``fibers`` is the points' :func:`evaluate_fibers`
+    at ``rank_tol``, already computed; ``None`` evaluates it here."""
+    points = np.asarray(points, dtype=float)
+    if points.ndim != 2 or points.shape[1] != action.n:
+        raise ValueError(f"points of shape {points.shape}, expected (N, {action.n})")
+    rows = _reductions(spec, action, points, rank_tol, agree_tol, fibers)
+    for i, (point, row) in enumerate(zip(points.tolist(), rows)):
+        if isinstance(row, Exception):
+            boundary = isinstance(row, AmbiguousIsotropyError)
+            status = STATUS_BOUNDARY if boundary else STATUS_DEGENERATE
+            rows[i] = PointReduction(tuple(point), status, str(row), *[None] * 9)
+    return tuple(rows)

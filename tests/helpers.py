@@ -4,6 +4,7 @@ group actions used across modules."""
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -12,19 +13,19 @@ from dirac_reduce import (
     CircleFactor,
     FiniteGroupRep,
     LinearDirac,
-    PolyTwoForm,
     Subspace,
-    TwoFormSpec,
     from_bivector,
     from_distribution,
     from_two_form,
+    isotropy,
     span,
     transform,
     validate_action,
 )
-from dirac_reduce.poly import Poly
-from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField
-from dirac_reduce.reduction import ActionGeometry, point_geometry
+from dirac_reduce.poly import Poly, parse_poly
+from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, SectionsSpec
+from dirac_reduce.reduction import _action_rows
+from dirac_reduce.subspace import DEFAULT_TOL
 
 
 def random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -84,6 +85,19 @@ def random_section(rng: np.random.Generator, n_vars: int, degree: int) -> PolySe
     )
 
 
+def vanishing_sections() -> SectionsSpec:
+    """The sections x ∂x and x ∂y on R^2: the fiber is TM wherever x != 0,
+    and the sections span nothing on the line x = 0."""
+    x, zero = parse_poly("x", 2), Poly.zero(2)
+    return SectionsSpec(
+        (
+            PolySection(PolyVectorField((x, zero)), PolyOneForm.zero(2)),
+            PolySection(PolyVectorField((zero, x)), PolyOneForm.zero(2)),
+        ),
+        basepoint=(1.0, 0.0),
+    )
+
+
 # -- actions used in many tests ---------------------------------------------
 
 
@@ -117,10 +131,16 @@ def product_action_r3() -> ActionSpec:
     )
 
 
-def action_geometry(act: ActionSpec, m) -> ActionGeometry:
-    """The action side of :func:`point_geometry` at m; it does not depend on
-    the fiber, so the zero two-form stands in for the Dirac structure."""
-    return point_geometry(TwoFormSpec(PolyTwoForm.zero(act.n)), act, np.asarray(m, float)).action
+def action_geometry(act: ActionSpec, m, tol: float = DEFAULT_TOL) -> SimpleNamespace:
+    """The action side of the reduction at m, a stack of one: its isotropy
+    ``descriptor``, ``fix`` = Fix(G_m), ``phi``, and each other stacked row set
+    as the Subspace it spans at m (``v_g_ann`` is the quotient)."""
+    m = np.asarray(m, dtype=float)
+    h = isotropy(act, m, tol)
+    fix, rows = _action_rows(act, h, m[None], tol)
+    spaces = {k: Subspace(v.shape[-1], v[0], tol) for k, v in rows.items()}
+    spaces.update(descriptor=h, fix=fix, phi=rows["phi"][0], v_g_ann=spaces["quotient"])
+    return SimpleNamespace(**spaces)
 
 
 def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:

@@ -372,12 +372,7 @@ def test_average_projector_continuous_circle_closed_form():
 
 
 def test_fixed_subspace_product_action():
-    act = ActionSpec(
-        3,
-        FiniteGroupRep((np.eye(3), np.diag([1.0, 1.0, -1.0]))),
-        CircleFactor((1,), fixed_dim=1),
-    )
-    validate_action(act)
+    act = product_action_r3()
     h = isotropy(act, np.zeros(3))  # full group
     assert fixed_subspace(h, act).dim == 0
     h_axis = isotropy(act, np.array([0.0, 0.0, 1.0]))
@@ -483,12 +478,7 @@ def test_v_g_annihilator_free_circle_point_is_v_annihilator():
 
 
 def test_tangent_spaces_product_action():
-    act = ActionSpec(
-        3,
-        FiniteGroupRep((np.eye(3), np.diag([1.0, 1.0, -1.0]))),
-        CircleFactor((1,), fixed_dim=1),
-    )
-    validate_action(act)
+    act = product_action_r3()
     geometry = action_geometry(act, [0.8, 0.5, 0.0])
     t_g = geometry.fix
     t = geometry.fix
@@ -500,12 +490,7 @@ def test_tangent_spaces_product_action():
 
 def test_vertical_inside_fixed_subspace_everywhere():
     """With a central circle the orbit direction is fixed by the isotropy."""
-    act = ActionSpec(
-        3,
-        FiniteGroupRep((np.eye(3), np.diag([1.0, 1.0, -1.0]))),
-        CircleFactor((1,), fixed_dim=1),
-    )
-    validate_action(act)
+    act = product_action_r3()
     rng = np.random.default_rng(31)
     for _ in range(10):
         m = rng.uniform(0.3, 1.5, size=3)

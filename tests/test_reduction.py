@@ -15,26 +15,23 @@ from dirac_reduce.action import (
     ANGLE_TOL,
     TWO_PI,
     ActionSpec,
+    AmbiguousIsotropyError,
     CircleFactor,
     FiniteGroupRep,
     IsotropyDescriptor,
     average_projector,
     fixed_subspace,
     isotropy,
+    validate_action,
 )
 from dirac_reduce.poly import parse_poly
 from dirac_reduce.polyfield import (
     BivectorSpec,
     DegeneratePointError,
     DistributionSpec,
-    PolyOneForm,
-    PolySection,
     PolyTwoForm,
-    PolyVectorField,
-    SectionsSpec,
     TwoFormSpec,
     evaluate_at,
-    Poly,
     evaluate_fibers,
 )
 from dirac_reduce.reduction import (
@@ -44,7 +41,6 @@ from dirac_reduce.reduction import (
     InternalConsistencyError,
     compare_routes,
     descriptor_classes,
-    point_geometry,
     rank_report,
     reduce_isotropy_route,
     reduce_orbit_route,
@@ -67,6 +63,7 @@ from helpers import (
     circle_action,
     d4_action,
     product_action_r3,
+    vanishing_sections,
     z2_reflection_action,
 )
 
@@ -77,8 +74,6 @@ AXIS_DISTRIBUTION = DistributionSpec(span(np.array([[1.0, 0.0]]), ambient_dim=2)
 
 
 def trivial_action(n: int):
-    from dirac_reduce.action import ActionSpec, FiniteGroupRep, validate_action
-
     return validate_action(ActionSpec(n, FiniteGroupRep.trivial(n)))
 
 
@@ -305,16 +300,8 @@ def test_rank_report_skips_ambiguous_boundary_points():
 
 
 def test_rank_report_skips_degenerate_sections_points():
-    x = parse_poly("x", 2)
-    zero = Poly.zero(2)
-    spec = SectionsSpec(
-        (
-            PolySection(PolyVectorField((x, zero)), PolyOneForm.zero(2)),
-            PolySection(PolyVectorField((zero, x)), PolyOneForm.zero(2)),
-        ),
-        basepoint=(1.0, 0.0),
-    )
-    report = rank_report(spec, trivial_action(2), [np.array([1.0, 0.5]), np.array([0.0, 1.0])])
+    points = [np.array([1.0, 0.5]), np.array([0.0, 1.0])]
+    report = rank_report(vanishing_sections(), trivial_action(2), points)
     assert report.rows[0].status == STATUS_OK
     assert report.rows[1].status == STATUS_DEGENERATE
     assert "rank" in report.rows[1].reason
@@ -461,7 +448,7 @@ def test_dims_are_invariant_along_group_motion():
 
 
 def test_reduce_point_populates_everything_at_a_good_point():
-    out = reduce_point(PI_SPEC, circle_action((1,)), np.array([1.0, 0.0]))
+    out = reduce_point(PI_SPEC, circle_action((1,)), [np.array([1.0, 0.0])])[0]
     assert out.status == STATUS_OK and out.reason is None
     assert out.descriptor is not None and out.dims is not None
     assert out.iq_identity and out.lagrangian_ok and out.agree
@@ -471,30 +458,55 @@ def test_reduce_point_populates_everything_at_a_good_point():
 
 
 def test_reduce_point_skips_boundary_without_comparisons():
-    out = reduce_point(AREA_SPEC, z2_reflection_action(), np.array([1.0, 1e-8]))
+    out = reduce_point(AREA_SPEC, z2_reflection_action(), [np.array([1.0, 1e-8])])[0]
     assert out.status == STATUS_BOUNDARY
     assert out.reason
     assert out.distance is None and out.agree is None and out.route_a is None
 
 
 def test_reduce_point_decides_isotropy_before_using_a_degenerate_fiber():
-    x = parse_poly("x", 2)
-    zero = Poly.zero(2)
-    spec = SectionsSpec(
-        (
-            PolySection(PolyVectorField((x, zero)), PolyOneForm.zero(2)),
-            PolySection(PolyVectorField((zero, x)), PolyOneForm.zero(2)),
-        ),
-        basepoint=(1.0, 0.0),
-    )
+    spec = vanishing_sections()
     m = np.array([0.0, 1e-8])  # sections vanish, reflection fixes m only in the guard band
-    fiber = evaluate_fibers(spec, [m])[0]
-    assert isinstance(fiber, DegeneratePointError)
-    out = reduce_point(spec, z2_reflection_action(), m, fiber=fiber)
+    fibers = evaluate_fibers(spec, [m])
+    assert isinstance(fibers[0], DegeneratePointError)
+    out = reduce_point(spec, z2_reflection_action(), [m], fibers=fibers)[0]
     assert out.status == STATUS_BOUNDARY
     moved = np.array([0.0, 1.0])
-    out = reduce_point(spec, z2_reflection_action(), moved, fiber=evaluate_fibers(spec, [moved])[0])
+    fibers = evaluate_fibers(spec, [moved])
+    out = reduce_point(spec, z2_reflection_action(), [moved], fibers=fibers)[0]
     assert out.status == STATUS_DEGENERATE and "rank" in out.reason
+
+
+def test_reduce_point_takes_a_stack_of_points():
+    """reduce_point, and so rank_report, take points (N, n): one point or
+    the wrong width raises, naming the expected shape, and an empty stack
+    has no rows."""
+    act = circle_action((1,))
+    for points in (np.array([1.0, 0.0]), np.zeros((1, 3))):
+        for reduce in (reduce_point, rank_report):
+            with pytest.raises(ValueError, match=r"expected \(N, 2\)"):
+                reduce(PI_SPEC, act, points)
+    assert reduce_point(PI_SPEC, act, np.zeros((0, 2))) == ()
+    report = rank_report(PI_SPEC, act, np.zeros((0, 2)))
+    assert report.rows == () and report.classes == ()
+
+
+@pytest.mark.parametrize(
+    "single", [restrict_to_stratum, reduce_isotropy_route, reduce_orbit_route, compare_routes]
+)
+def test_single_point_functions_raise_the_error_of_a_skip(single):
+    """Where reduce_point reports a skip, each single-point function raises
+    the error behind it: at a guard-band point of the reflection, and where
+    the sections of a sections spec vanish."""
+    act = z2_reflection_action()
+    for spec, m, error in [
+        (AREA_SPEC, (1.0, 1e-8), AmbiguousIsotropyError),
+        (vanishing_sections(), (0.0, 1.0), DegeneratePointError),
+    ]:
+        reason = reduce_point(spec, act, [m])[0].reason
+        with pytest.raises(error) as excinfo:
+            single(spec, act, np.array(m))
+        assert type(excinfo.value) is error and str(excinfo.value) == reason
 
 
 def test_vertical_space_outside_the_fixed_space_raises():
@@ -503,7 +515,7 @@ def test_vertical_space_outside_the_fixed_space_raises():
     raises instead of reporting a row."""
     act = ActionSpec(2, FiniteGroupRep((np.eye(2), np.diag([1.0, -1.0]))), CircleFactor((1,)))
     with pytest.raises(InternalConsistencyError, match=r"residual \d"):
-        reduce_point(AREA_SPEC, act, np.array([1.0, 0.0]))
+        reduce_point(AREA_SPEC, act, [np.array([1.0, 0.0])])
 
 
 BUNDLED = {
@@ -517,7 +529,7 @@ BUNDLED = {
 def test_reduce_point_equals_the_public_views_bit_for_bit(data):
     """At a sample point of a bundled scenario moved by a random group
     element and scale (so every sampled stratum is visited), the runner's
-    reduce_point, fed the pre-evaluated fiber, returns exactly what the
+    reduce_point, fed the pre-evaluated fibers, returns exactly what the
     public per-object functions return."""
     s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
     points = sample_points(s)
@@ -527,8 +539,8 @@ def test_reduce_point_equals_the_public_views_bit_for_bit(data):
         g = g @ s.action.circle.rotation(data.draw(st.floats(0.0, 2 * np.pi)))
     m = g @ (data.draw(st.floats(0.5, 2.0)) * base)
     tol = s.rank_tol
-    fiber = evaluate_fibers(s.dirac, [m], tol)[0]
-    out = reduce_point(s.dirac, s.action, m, tol, s.agree_tol, fiber)
+    fibers = evaluate_fibers(s.dirac, [m], tol)
+    out = reduce_point(s.dirac, s.action, [m], tol, s.agree_tol, fibers)[0]
     row = rank_report(s.dirac, s.action, [m], tol).rows[0]
     assert (out.status, out.reason, out.descriptor, out.dims, out.iq_identity) == (
         row.status, row.reason, row.descriptor, row.dims, row.iq_identity
@@ -616,17 +628,8 @@ def test_run_rows_equal_standalone_reduce_point_bit_for_bit(name):
     if name == "cube_lie_poisson":  # every point ok, three per non-trivial class
         assert len(ok_rows) == len(report.points) > len(report.classes)
     for row in ok_rows:
-        alone = reduce_point(s.dirac, s.action, row.point, s.rank_tol, s.agree_tol)
-        assert (row.descriptor, row.dims, row.iq_identity, row.lagrangian_ok) == (
-            alone.descriptor, alone.dims, alone.iq_identity, alone.lagrangian_ok
-        )
-        assert (row.distance, row.agree) == (alone.distance, alone.agree)
-        assert np.array_equal(row.d_q.space.basis, alone.d_q.space.basis)
-        for mine, theirs in ((row.route_a, alone.route_a), (row.route_b, alone.route_b)):
-            assert (mine.base_dim, mine.lagrangian, mine.surjective) == (
-                theirs.base_dim, theirs.lagrangian, theirs.surjective
-            )
-            assert np.array_equal(mine.space.basis, theirs.space.basis)
+        alone = reduce_point(s.dirac, s.action, [row.point], s.rank_tol, s.agree_tol)[0]
+        _assert_same_row(row, alone)
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED))
@@ -649,7 +652,7 @@ def test_action_geometry_identities_match_the_general_formulas(name):
     for row in run_scenario(s).points:
         if row.status != STATUS_OK:
             continue
-        a = point_geometry(s.dirac, s.action, row.point, s.rank_tol).action
+        a = action_geometry(s.action, row.point, s.rank_tol)
         v_ann = a.vertical.annihilator()
         projector = average_projector(a.descriptor, s.action)
         v_g_ann = span(v_ann.basis @ projector, ambient_dim=s.n, tol=s.rank_tol)
@@ -676,9 +679,9 @@ def test_route_a_equals_the_reference_forward_image(monkeypatch, name):
     for row in run_scenario(s).points:
         if row.status != STATUS_OK:
             continue
-        g = point_geometry(s.dirac, s.action, row.point, s.rank_tol)
+        phi = action_geometry(s.action, row.point, s.rank_tol).phi
         kernels.clear()
-        reference = lindirac.forward_image(g.action.phi, g.d_q)
+        reference = lindirac.forward_image(phi, row.d_q)
         assert row.route_a.space.distance(reference.space) <= 1e-12, row.point
         assert (row.route_a.base_dim, row.route_a.lagrangian, row.route_a.surjective) == (
             reference.base_dim, reference.lagrangian, reference.surjective
@@ -773,7 +776,8 @@ def test_stack_with_mixed_ranks_is_split_and_matches_each_point_alone(monkeypatc
     assert [c.constant for c in report.classes] == [False]
     assert [r.dims.d_cap_t_vg for r in report.points] == [2, 3, 2, 3]
     for row in report.points:
-        _assert_same_row(row, reduce_point(s.dirac, s.action, row.point, s.rank_tol, s.agree_tol))
+        alone = reduce_point(s.dirac, s.action, [row.point], s.rank_tol, s.agree_tol)[0]
+        _assert_same_row(row, alone)
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,9 @@ Isotropy and fiber evaluation run once over a stack of all sample points;
 the per-point functions are stacks of one.  On every bundled scenario and
 on the three benchmark workloads (seed 7) a point's descriptor or error,
 and its fiber basis, must not depend on the rest of the stack, bit for bit,
-and the stacked polynomial evaluation must be Poly.evaluate's arithmetic.
+and the stacked polynomial evaluation must be Poly.evaluate's arithmetic;
+a sections spec's fibers, spanned by one stacked SVD, must equal the span of
+each point's own section values.
 The reduction checks each stage once per stack and places each exact
 isotropy descriptor into its rank class once, so its check and comparison
 counts grow with the stacks and classes, not with the points.  Integer
@@ -21,9 +23,18 @@ import pytest
 
 from dirac_reduce import reduction
 from dirac_reduce.action import AmbiguousIsotropyError, IsotropyDescriptor, isotropy
-from dirac_reduce.polyfield import DegeneratePointError, evaluate_at, evaluate_fibers
-from dirac_reduce.scenario import load_scenario, run_scenario, sample_points
-from dirac_reduce.subspace import Subspace
+from dirac_reduce.lindirac import is_lagrangian
+from dirac_reduce.polyfield import (
+    DegeneratePointError,
+    SectionsSpec,
+    evaluate_at,
+    evaluate_fibers,
+    generating_sections,
+)
+from dirac_reduce.scenario import _parse_dirac, load_scenario, run_scenario, sample_points
+from dirac_reduce.subspace import Subspace, span
+
+from helpers import vanishing_sections
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -86,6 +97,39 @@ def test_stacked_fibers_equal_evaluate_at(name, workload_dir):
             continue
         assert fibers.errors[i] is None, m
         assert np.array_equal(_bits(fibers.bases[i]), _bits(alone.space.basis)), m
+
+
+_CONSTANT = load_scenario(str(ROOT / "scenarios" / "sections_constant_poisson.json"))
+_SO3 = load_scenario(str(ROOT / "scenarios" / "so3_lie_poisson.json"))
+_SKEW = [  # (d/dx, 0) and (x d/dy, y dx) pair to y: Dirac only where y = 0 and x != 0
+    {"tangent": ["1", "0"], "covector": ["0", "0"]},
+    {"tangent": ["0", "x"], "covector": ["y", "0"]},
+]
+SECTIONS = {  # a sections spec, and points at which to evaluate it besides random ones
+    "constant": (_CONSTANT.dirac, sample_points(_CONSTANT).tolist()),
+    "vanishing": (vanishing_sections(), [[0.0, 1.0], [0.0, 1e-8], [0.0, 0.0], [0.0, -2.5]]),
+    "skew": (_parse_dirac({"sections": _SKEW, "basepoint": [1, 0]}, 2), [[2.0, 0.0], [0.0, 0.0]]),
+    # the graph sections (pi(dx_i), dx_i) of the so(3)* Lie-Poisson bivector
+    "lie-poisson": (SectionsSpec(generating_sections(_SO3.dirac), (1, 0, 0)), [[0.0, 0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SECTIONS))
+def test_stacked_sections_fibers_equal_the_span_at_each_point(name):
+    """One stacked SVD over all points gives each point the basis and the
+    verdict of the span() of its own section values and is_lagrangian, bit
+    for bit, and the same message where that span is not Dirac (whose rows
+    stay zero): at the given points and at 40 seeded random ones."""
+    spec, points = SECTIONS[name]
+    points = points + np.random.default_rng(40).uniform(-2, 2, (40, spec.base_dim)).tolist()
+    fibers = evaluate_fibers(spec, points)
+    for point, basis, error in zip(points, fibers.bases, fibers.errors, strict=True):
+        alone = span([x.evaluate(point) for x in spec.sections], ambient_dim=2 * spec.base_dim)
+        if is_lagrangian(alone):
+            assert error is None and np.array_equal(_bits(basis), _bits(alone.basis)), point
+        else:
+            message = f"sections span a rank-{alone.dim} non-Dirac space at point {tuple(point)}"
+            assert str(error) == message and not basis.any(), point
 
 
 def test_stacked_evaluation_is_poly_evaluate_bit_for_bit(workload_dir):
