@@ -6,8 +6,9 @@ the remaining coordinates).  This module computes isotropy subgroups
 exactly, averaging projectors and fixed subspaces, the vertical space V(m),
 and Haar averages of polynomial sections.  Isotropy is decided for a stack of
 points at once: the residuals, fixed-coordinate differences and block norms
-of every (point, element) pair are arrays, and only the pairs whose fixed
-coordinates match go on to candidate angles.  The subspaces the reduction
+of every (point, element) pair are arrays, and the circle angles of all
+pairs whose fixed coordinates match are solved together, as flat arrays of
+candidate angles (:func:`_circle_isotropies`).  The subspaces the reduction
 routes build from these are computed for a whole isotropy class at once in
 :mod:`.reduction`.
 """
@@ -51,7 +52,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-7  # isotropy angles closer than this name one subgroup
-MAX_WEIGHT = 1000  # largest |circle weight|: isotropy tries |w| angles per block and element
+MAX_WEIGHT = 1000  # largest |circle weight|: isotropy lists |w| angles per point and element
 
 
 class ActionValidationError(ValueError):
@@ -309,145 +310,180 @@ def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _candidate_angles(source, target, ns, nt, weight, atol, guard):
-    """Angles theta with R(weight*theta) source = target on one 2-d block,
-    the two vectors having norms ``ns`` and ``nt``.
-
-    Returns None for "unconstrained" (both vectors vanish), an array of
-    candidate angles, or raises on ambiguity.
-    """
-    if ns <= atol and nt <= atol:
-        return None
-    if min(ns, nt) <= guard:
-        if min(ns, nt) <= atol and max(ns, nt) > guard:
-            return np.empty(0)  # one side is zero, the other is definitely not
-        raise AmbiguousIsotropyError(
-            "a rotation block has magnitude inside the guard band"
-        )
-    if abs(ns - nt) > guard:
-        return np.empty(0)
-    if abs(ns - nt) > atol:
-        raise AmbiguousIsotropyError(
-            "rotation-block magnitudes match only inside the guard band"
-        )
-    psi = math.atan2(target[1], target[0]) - math.atan2(source[1], source[0])
-    return ((psi + TWO_PI * np.arange(abs(weight))) / weight) % TWO_PI
+# Why a (point, element) pair is ambiguous, in the order its search meets the
+# cases: the fixed coordinates, each block's magnitudes, the merge of two
+# blocks' angles, no constraining block, and a candidate's residual.
+_AMBIGUITIES = (
+    None,
+    "fixed coordinates under element {idx} match only inside the guard band",
+    "a rotation block has magnitude inside the guard band",
+    "rotation-block magnitudes match only inside the guard band",
+    "candidate angles of two blocks agree only inside the guard band",
+    "every rotation block is below tolerance while the vertical direction is not",
+    "element {idx} with angle {theta:.6f} fixes the point only inside the guard band",
+)
+_FIXED, _MAGNITUDE, _MATCH, _MERGE, _UNCONSTRAINED, _RESIDUAL = range(1, 7)
+_PASS_FLOATS = 1 << 21  # the most floats of a stacked array in one pass of the circle solve
 
 
-def _merge_angles(candidates: np.ndarray, block: np.ndarray, atol: float, guard: float):
-    """The ``candidates`` within ``atol`` of an angle of ``block`` on the
-    circle, in their order; raises if the nearest is farther than ``atol`` but
-    within ``guard``.  The angle of the sorted block nearest a candidate is one
-    of the two around its insertion point or one of the two ends (the circle
-    wraps at 2 pi), so the merge is a binary search, not |c|*|b| distances."""
-    u = np.sort(block)
-    at = np.searchsorted(u, candidates)
-    near = u[np.stack([at - 1, at % len(u), np.zeros_like(at), np.full_like(at, -1)])]
-    best = _angle_distance(candidates, near).min(axis=0)
-    if ((best > atol) & (best <= guard)).any():
-        raise AmbiguousIsotropyError(
-            "candidate angles of two blocks agree only inside the guard band"
-        )
-    return candidates[best <= atol]
+def _block_angles(vectors: np.ndarray) -> np.ndarray:
+    """math.atan2 of each 2-d block of each row of ``vectors`` (P, 2k), as
+    (P, k); numpy's arctan2 rounds some angles differently."""
+    ys, xs = vectors[:, 1::2], vectors[:, 0::2]
+    angles = map(math.atan2, ys.ravel().tolist(), xs.ravel().tolist())
+    return np.array(list(angles)).reshape(ys.shape)
 
 
-def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> list:
-    """The pairs (idx, theta) with f R(theta) m = m for the finite element f =
-    ``idx``, whose fixed coordinates already match (``ns`` and ``nt`` the
-    block norms of m and f^T m); raises on ambiguity.  The angles are read off
-    f^T m taken as one matrix-vector product, as for a single point."""
-    circle = spec.circle
-    f = spec.finite.elements[idx]
-    target = f.T @ m
+def _nearest_block_angle(candidates: np.ndarray, psi: np.ndarray, weight: int) -> np.ndarray:
+    """The distance on the circle from each candidate to the nearest angle
+    ((psi + 2 pi k) / weight) mod 2 pi, 0 <= k < |weight|, of its block, with
+    ``psi`` given per candidate.  Those angles are 2 pi / |weight| apart, and
+    candidate c lies between the two with k = x and x + 1 (mod |weight|), x =
+    floor((c weight - psi) / 2 pi): only those two are computed, each as the
+    whole block would compute it, so no block is listed."""
+    count = abs(weight)
+    k = np.floor((candidates * weight - psi) / TWO_PI).astype(np.int64)
+    near = np.stack([((psi + TWO_PI * ((k + d) % count)) / weight) % TWO_PI for d in (0, 1)])
+    return _angle_distance(candidates, near).min(axis=0)
+
+
+def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: float) -> list:
+    """For each point m of a stack (N, n) that the circle does not fix, the
+    pairs (f, theta) with f R(theta) m = m, or the message of its
+    AmbiguousIsotropyError; ``atol`` and ``guard`` are per point.
+
+    Every (point, element) pair whose fixed coordinates match within the
+    guard band is solved at once, block by block.  A block either leaves the
+    angle free, admits none (the pair ends with no component), is ambiguous,
+    or constrains theta to (psi + 2 pi k) / w: the first constraining block
+    lists a pair's candidate angles in one flat array with an owner index,
+    and each later block keeps those nearest one of its own angles.  Each
+    surviving candidate is checked by its residual |f R(theta) m - m|.  A
+    pair's error is the first case it meets in that order, and a point's the
+    first in element order; the arithmetic of each pair (f^T m and (f R) m
+    one matrix product each, atan2 from math) is that of the pair alone."""
+    circle, elements, n = spec.circle, np.stack(spec.finite.elements), spec.n
+    k2 = 2 * len(circle.weights)
     angle_atol = max(tol, 1e-12)
     angle_guard = 1000.0 * angle_atol
-    candidates = None  # None = every angle admissible so far
+    targets = _act(np.swapaxes(elements, -1, -2), points)  # f^T m
+    fixed_diff = np.abs(targets[..., k2:] - points[:, None, k2:]).max(axis=-1, initial=0.0)
+    at, idx = np.nonzero(fixed_diff <= guard[:, None])  # the pairs, point-major
+    pa, pg = atol[at, None], guard[at, None]
+    code = np.where(fixed_diff[at, idx] > pa[:, 0], _FIXED, 0)
+
+    ns = np.hypot(points[at, 0:k2:2], points[at, 1:k2:2])  # (pairs, blocks)
+    nt = np.hypot(targets[at, idx, 0:k2:2], targets[at, idx, 1:k2:2])
+    low, high, gap = np.minimum(ns, nt), np.maximum(ns, nt), np.abs(ns - nt)
+    free = (ns <= pa) & (nt <= pa)
+    banded = low <= pg
+    empty = ~free & np.where(banded, (low <= pa) & (high > pg), gap > pg)
+    ambiguous = np.where(banded, _MAGNITUDE, np.where(gap > pa, _MATCH, 0))
+    block_code = np.where(free | empty, 0, ambiguous)
+    angled = ~free & ~empty & (block_code == 0)
+    psi = np.zeros(ns.shape)
+    need = np.flatnonzero(angled.any(axis=1))
+    if need.size:  # a stacked matmul makes, per pair, the BLAS call of f.T @ m alone
+        exact = (np.swapaxes(elements[idx[need]], -1, -2) @ points[at[need], :, None])[..., 0]
+        psi[need] = _block_angles(exact[:, :k2]) - _block_angles(points[at[need], :k2])
+
+    theta, owner = np.empty(0), np.empty(0, dtype=np.int64)
+    alive, started = code == 0, np.zeros(len(at), dtype=bool)
     for j, w in enumerate(circle.weights):
-        block = _candidate_angles(
-            m[2 * j : 2 * j + 2], target[2 * j : 2 * j + 2], ns[j], nt[j], w, atol, guard
-        )
-        if block is None:
-            continue
-        if block.size and candidates is not None:
-            block = _merge_angles(candidates, block, angle_atol, angle_guard)
-        if not block.size:
-            return []
-        candidates = block
-    if candidates is None:
-        # not continuous, yet no block constrained the angle: the point is
-        # too close to the circle-fixed set to classify
-        raise AmbiguousIsotropyError(
-            "every rotation block is below tolerance while the vertical "
-            "direction is not"
-        )
-    pairs = []
-    for theta in candidates.tolist():
-        residual = float(np.max(np.abs(f @ circle.rotation(theta) @ m - m)))
-        if residual <= atol:
-            if _angle_distance(theta, 0.0) <= angle_atol:
-                theta = 0.0
-            pairs.append((idx, theta))
-        elif residual <= guard:
-            raise AmbiguousIsotropyError(
-                f"element {idx} with angle {theta:.6f} fixes the point only "
-                "inside the guard band"
-            )
-    return pairs
+        failing = alive & (block_code[:, j] > 0)
+        code[failing] = block_code[failing, j]
+        alive &= ~failing & ~empty[:, j]
+        merging, first = alive & angled[:, j] & started, alive & angled[:, j] & ~started
+        if merging.any():
+            on = merging[owner]
+            best = _nearest_block_angle(theta[on], psi[owner[on], j], w)
+            code[owner[on][(best > angle_atol) & (best <= angle_guard)]] = _MERGE
+            keep = ~on
+            keep[on] = best <= angle_atol
+            theta, owner = theta[keep], owner[keep]
+            kept = np.zeros(len(at), dtype=bool)
+            kept[owner] = True
+            alive &= (code == 0) & (kept | ~merging)
+        if first.any():
+            new, count = np.flatnonzero(first), abs(w)
+            k = np.tile(np.arange(count), len(new))
+            angles = ((np.repeat(psi[new, j], count) + TWO_PI * k) / w) % TWO_PI
+            theta = np.concatenate([theta, angles])
+            owner = np.concatenate([owner, np.repeat(new, count)])
+            started |= first
+    code[alive & ~started] = _UNCONSTRAINED
+    alive &= started
+
+    order = np.argsort(owner, kind="stable")
+    on = order[alive[owner[order]]]
+    theta, owner = theta[on], owner[on]  # grouped by pair, in each pair's candidate order
+    rotation = np.tile(np.eye(n), (len(theta), 1, 1))
+    for j, w in enumerate(circle.weights):
+        c, s = np.cos(w * theta), np.sin(w * theta)
+        rotation[:, 2 * j, 2 * j], rotation[:, 2 * j, 2 * j + 1] = c, -s
+        rotation[:, 2 * j + 1, 2 * j], rotation[:, 2 * j + 1, 2 * j + 1] = s, c
+    m = points[at[owner]]  # (f R) m, with f R first, as a single angle's product
+    residual = np.abs(((elements[idx[owner]] @ rotation) @ m[..., None])[..., 0] - m).max(axis=-1)
+    fixes = residual <= atol[at[owner]]
+    inside = ~fixes & (residual <= guard[at[owner]])
+    bad, first_bad = np.unique(owner[inside], return_index=True)
+    code[bad] = _RESIDUAL
+    bad_theta = np.zeros(len(at))
+    bad_theta[bad] = theta[inside][first_bad]
+    theta = np.where(_angle_distance(theta, 0.0) <= angle_atol, 0.0, theta)
+
+    out: list = [[] for _ in range(len(points))]
+    at_list, idx_list = at.tolist(), idx.tolist()
+    for o, t in zip(owner[fixes].tolist(), theta[fixes].tolist()):
+        out[at_list[o]].append((idx_list[o], t))
+    errors = np.flatnonzero(code)
+    failed, first_error = np.unique(at[errors], return_index=True)
+    for p, e in zip(failed.tolist(), errors[first_error].tolist()):
+        out[p] = _AMBIGUITIES[code[e]].format(idx=idx_list[e], theta=float(bad_theta[e]))
+    return out
 
 
 def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
     """The descriptor, or the AmbiguousIsotropyError, of each point of a stack
-    (N, n).  Residuals, fixed-coordinate differences and block norms are
-    arrays over points x elements; the pairs whose fixed coordinates match go
-    on to candidate angles one by one.  A point's error is the first one in
-    element order."""
+    (N, n), in array passes over points x elements.  Where the circle fixes a
+    point, theta is free and an element belongs iff it fixes the point by
+    itself; elsewhere :func:`_circle_isotropies` solves for theta.  A point's
+    error is the first one in element order.  Points with one outcome share
+    one descriptor."""
     atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
     guard = 1000.0 * atol
     continuous = _circle_fixes(spec, points, tol)
     elements = np.stack(spec.finite.elements)
-    out: list = [None] * len(points)
+    outcomes: list = [None] * len(points)  # (continuous, pairs), or an error message
 
-    # theta is unconstrained; f belongs iff it fixes m by itself
     rows = np.flatnonzero(continuous)
     residual = np.abs(_act(elements, points[rows]) - points[rows, None]).max(axis=-1)
     belongs = residual <= atol[rows, None]
     inside = ~belongs & (residual <= guard[rows, None])
     first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
     for p, member, idx in zip(rows.tolist(), belongs, first.tolist()):
-        out[p] = (
-            AmbiguousIsotropyError(
-                f"finite element {idx} fixes the point only inside the guard band"
-            )
+        outcomes[p] = (
+            f"finite element {idx} fixes the point only inside the guard band"
             if idx >= 0
-            else IsotropyDescriptor(True, tuple((i, 0.0) for i in np.flatnonzero(member).tolist()))
+            else (True, tuple((i, 0.0) for i in np.flatnonzero(member).tolist()))
         )
 
     rows = np.flatnonzero(~continuous)
-    if not rows.size:
-        return out
-    k2 = 2 * len(spec.circle.weights)
-    moving = points[rows]
-    targets = _act(np.swapaxes(elements, -1, -2), moving)  # f^T m
-    fixed_diff = np.abs(targets[..., k2:] - moving[:, None, k2:]).max(axis=-1, initial=0.0)
-    source_norms = np.hypot(moving[:, 0:k2:2], moving[:, 1:k2:2]).tolist()
-    target_norms = np.hypot(targets[..., 0:k2:2], targets[..., 1:k2:2])
-    for r, p in enumerate(rows.tolist()):
-        pairs = []
-        try:
-            for idx in np.flatnonzero(fixed_diff[r] <= guard[p]).tolist():
-                if fixed_diff[r, idx] > atol[p]:
-                    raise AmbiguousIsotropyError(
-                        f"fixed coordinates under element {idx} match only inside the guard band"
-                    )
-                pairs += _circle_components(
-                    spec, idx, moving[r], source_norms[r], target_norms[r, idx].tolist(),
-                    atol[p], guard[p], tol,
-                )
-        except AmbiguousIsotropyError as exc:
-            out[p] = exc
-            continue
-        out[p] = IsotropyDescriptor(False, tuple(pairs))
-    return out
+    if rows.size:
+        # A point has at most (elements x |w|) candidate angles, each an n x n
+        # product: solve the points in passes that keep those stacks small.
+        per_point = len(elements) * max(abs(w) for w in spec.circle.weights) * spec.n**2
+        step = max(1, _PASS_FLOATS // per_point)
+        for start in range(0, len(rows), step):
+            part = rows[start : start + step]
+            solved = _circle_isotropies(spec, points[part], atol[part], guard[part], tol)
+            for p, pairs in zip(part.tolist(), solved):
+                outcomes[p] = pairs if isinstance(pairs, str) else (False, tuple(pairs))
+    shared: dict = {}  # one descriptor per distinct outcome
+    for o in outcomes:
+        if not isinstance(o, str) and o not in shared:
+            shared[o] = IsotropyDescriptor(*o)
+    return [AmbiguousIsotropyError(o) if isinstance(o, str) else shared[o] for o in outcomes]
 
 
 def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL):
@@ -456,7 +492,9 @@ def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL):
     Points whose classification depends on sub-guard-band distinctions
     raise AmbiguousIsotropyError instead of being silently classified.  A
     stack of points (N, n) gives, per point in order, its descriptor or the
-    AmbiguousIsotropyError it would raise; one point is a stack of one.
+    AmbiguousIsotropyError it would raise, all solved in one pass of array
+    operations (:func:`_isotropies`); one point is a stack of one, and a
+    point's outcome does not depend on the rest of its stack.
     """
     points = np.asarray(m, dtype=float)
     if points.ndim == 2:

@@ -539,19 +539,18 @@ class FiberStack:
 
 
 def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> FiberStack:
-    """D(m) at each sample, in order; where the sections degenerate, the
-    DegeneratePointError raised there takes the fiber's place.  A graph is
-    evaluated at all samples at once (:func:`evaluate_polys`) and its fibers
-    are one stacked :func:`.lindirac.graph_bases`; a distribution's fiber is
-    the same at every point.  Sections are evaluated at all samples at once
-    and spanned by one stacked SVD with the rank rule of
-    :func:`.subspace.orthonormal_rows`; a non-Lagrangian span is degenerate."""
+    """D(m) at each sample of the stack ``samples`` (N, n), in order, (0, n)
+    included; where the sections degenerate, the DegeneratePointError raised
+    there takes the fiber's place.  A graph is evaluated at all samples at
+    once (:func:`evaluate_polys`) and its fibers are one stacked
+    :func:`.lindirac.graph_bases`; a distribution's fiber is the same at
+    every point.  Sections are evaluated at all samples at once and spanned
+    by one stacked SVD with the rank rule of :func:`.subspace.orthonormal_rows`;
+    a non-Lagrangian span is degenerate."""
     n = spec.base_dim
     points = np.asarray(samples, dtype=float)
-    if points.size == 0:
-        points = points.reshape(0, n)
     if points.ndim != 2 or points.shape[1] != n:
-        raise ValueError(f"point of length {points.shape[-1]}, expected {n}")
+        raise ValueError(f"points of shape {points.shape}, expected (N, {n})")
     count = len(points)
     if isinstance(spec, _GRAPH_SPECS):
         kind = "bivector" if isinstance(spec, BivectorSpec) else "two-form"

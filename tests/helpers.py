@@ -3,6 +3,7 @@ group actions used across modules."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,6 +22,14 @@ from dirac_reduce import (
     span,
     transform,
     validate_action,
+)
+from dirac_reduce.action import (
+    TWO_PI,
+    AmbiguousIsotropyError,
+    IsotropyDescriptor,
+    _act,
+    _angle_distance,
+    _circle_fixes,
 )
 from dirac_reduce.poly import Poly, parse_poly
 from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, SectionsSpec
@@ -147,3 +156,151 @@ def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:
     assert a.ambient_dim == b.ambient_dim
     d = a.distance(b)
     assert d <= tol, f"subspace distance {d} exceeds {tol}"
+
+
+# -- the per-pair isotropy solver: the reference for action.isotropy ---------
+#
+# Each (point, element) pair whose fixed coordinates match is solved on its
+# own: candidate angles per rotation block, merged block by block, then one
+# residual per surviving angle.
+
+
+def _candidate_angles(source, target, ns, nt, weight, atol, guard):
+    """Angles theta with R(weight*theta) source = target on one 2-d block,
+    the two vectors having norms ``ns`` and ``nt``.
+
+    Returns None for "unconstrained" (both vectors vanish), an array of
+    candidate angles, or raises on ambiguity.
+    """
+    if ns <= atol and nt <= atol:
+        return None
+    if min(ns, nt) <= guard:
+        if min(ns, nt) <= atol and max(ns, nt) > guard:
+            return np.empty(0)  # one side is zero, the other is definitely not
+        raise AmbiguousIsotropyError(
+            "a rotation block has magnitude inside the guard band"
+        )
+    if abs(ns - nt) > guard:
+        return np.empty(0)
+    if abs(ns - nt) > atol:
+        raise AmbiguousIsotropyError(
+            "rotation-block magnitudes match only inside the guard band"
+        )
+    psi = math.atan2(target[1], target[0]) - math.atan2(source[1], source[0])
+    return ((psi + TWO_PI * np.arange(abs(weight))) / weight) % TWO_PI
+
+
+def _merge_angles(candidates: np.ndarray, block: np.ndarray, atol: float, guard: float):
+    """The ``candidates`` within ``atol`` of an angle of ``block`` on the
+    circle, in their order; raises if the nearest is farther than ``atol`` but
+    within ``guard``.  The angle of the sorted block nearest a candidate is one
+    of the two around its insertion point or one of the two ends (the circle
+    wraps at 2 pi), so the merge is a binary search, not |c|*|b| distances."""
+    u = np.sort(block)
+    at = np.searchsorted(u, candidates)
+    near = u[np.stack([at - 1, at % len(u), np.zeros_like(at), np.full_like(at, -1)])]
+    best = _angle_distance(candidates, near).min(axis=0)
+    if ((best > atol) & (best <= guard)).any():
+        raise AmbiguousIsotropyError(
+            "candidate angles of two blocks agree only inside the guard band"
+        )
+    return candidates[best <= atol]
+
+
+def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> list:
+    """The pairs (idx, theta) with f R(theta) m = m for the finite element f =
+    ``idx``, whose fixed coordinates already match (``ns`` and ``nt`` the
+    block norms of m and f^T m); raises on ambiguity.  The angles are read off
+    f^T m taken as one matrix-vector product, as for a single point."""
+    circle = spec.circle
+    f = spec.finite.elements[idx]
+    target = f.T @ m
+    angle_atol = max(tol, 1e-12)
+    angle_guard = 1000.0 * angle_atol
+    candidates = None  # None = every angle admissible so far
+    for j, w in enumerate(circle.weights):
+        block = _candidate_angles(
+            m[2 * j : 2 * j + 2], target[2 * j : 2 * j + 2], ns[j], nt[j], w, atol, guard
+        )
+        if block is None:
+            continue
+        if block.size and candidates is not None:
+            block = _merge_angles(candidates, block, angle_atol, angle_guard)
+        if not block.size:
+            return []
+        candidates = block
+    if candidates is None:
+        # not continuous, yet no block constrained the angle: the point is
+        # too close to the circle-fixed set to classify
+        raise AmbiguousIsotropyError(
+            "every rotation block is below tolerance while the vertical "
+            "direction is not"
+        )
+    pairs = []
+    for theta in candidates.tolist():
+        residual = float(np.max(np.abs(f @ circle.rotation(theta) @ m - m)))
+        if residual <= atol:
+            if _angle_distance(theta, 0.0) <= angle_atol:
+                theta = 0.0
+            pairs.append((idx, theta))
+        elif residual <= guard:
+            raise AmbiguousIsotropyError(
+                f"element {idx} with angle {theta:.6f} fixes the point only "
+                "inside the guard band"
+            )
+    return pairs
+
+
+def reference_isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
+    """The reference for ``isotropy`` on a stack: the descriptor, or the
+    AmbiguousIsotropyError, of each point of a stack (N, n).  Residuals,
+    fixed-coordinate differences and block norms are arrays over points x
+    elements; the pairs whose fixed coordinates match go on to candidate
+    angles one by one.  A point's error is the first one in element order."""
+    atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
+    guard = 1000.0 * atol
+    continuous = _circle_fixes(spec, points, tol)
+    elements = np.stack(spec.finite.elements)
+    out: list = [None] * len(points)
+
+    # theta is unconstrained; f belongs iff it fixes m by itself
+    rows = np.flatnonzero(continuous)
+    residual = np.abs(_act(elements, points[rows]) - points[rows, None]).max(axis=-1)
+    belongs = residual <= atol[rows, None]
+    inside = ~belongs & (residual <= guard[rows, None])
+    first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+    for p, member, idx in zip(rows.tolist(), belongs, first.tolist()):
+        out[p] = (
+            AmbiguousIsotropyError(
+                f"finite element {idx} fixes the point only inside the guard band"
+            )
+            if idx >= 0
+            else IsotropyDescriptor(True, tuple((i, 0.0) for i in np.flatnonzero(member).tolist()))
+        )
+
+    rows = np.flatnonzero(~continuous)
+    if not rows.size:
+        return out
+    k2 = 2 * len(spec.circle.weights)
+    moving = points[rows]
+    targets = _act(np.swapaxes(elements, -1, -2), moving)  # f^T m
+    fixed_diff = np.abs(targets[..., k2:] - moving[:, None, k2:]).max(axis=-1, initial=0.0)
+    source_norms = np.hypot(moving[:, 0:k2:2], moving[:, 1:k2:2]).tolist()
+    target_norms = np.hypot(targets[..., 0:k2:2], targets[..., 1:k2:2])
+    for r, p in enumerate(rows.tolist()):
+        pairs = []
+        try:
+            for idx in np.flatnonzero(fixed_diff[r] <= guard[p]).tolist():
+                if fixed_diff[r, idx] > atol[p]:
+                    raise AmbiguousIsotropyError(
+                        f"fixed coordinates under element {idx} match only inside the guard band"
+                    )
+                pairs += _circle_components(
+                    spec, idx, moving[r], source_norms[r], target_norms[r, idx].tolist(),
+                    atol[p], guard[p], tol,
+                )
+        except AmbiguousIsotropyError as exc:
+            out[p] = exc
+            continue
+        out[p] = IsotropyDescriptor(False, tuple(pairs))
+    return out

@@ -1,11 +1,11 @@
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from dirac_reduce import action as action_module
 from dirac_reduce.action import (
     MAX_WEIGHT,
     ActionSpec,
@@ -26,8 +26,9 @@ from dirac_reduce.action import (
 )
 from dirac_reduce.poly import Poly, parse_poly
 from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, d_function
-from dirac_reduce.subspace import span
+from dirac_reduce.subspace import DEFAULT_TOL, span
 
+import helpers
 from helpers import (
     action_geometry,
     assert_subspace_close,
@@ -245,7 +246,7 @@ def test_isotropy_dihedral_table():
 
 def _pairwise_merge(candidates, block, atol, guard):
     """The merge of two blocks' candidate angles as every candidate against
-    every angle of the block: the reference for action._merge_angles."""
+    every angle of the block: the reference for helpers._merge_angles."""
     merged = []
     for t in candidates.tolist():
         distances = (abs(t - u) % (2 * math.pi) for u in block.tolist())
@@ -279,12 +280,12 @@ def test_merge_angles_matches_the_pairwise_merge(seed):
     block = np.concatenate([planted[rng.random(len(planted)) < 0.6], rng.uniform(0.0, two_pi, 5)])
     rng.shuffle(block)
     args = (candidates, block, 1e-9, 1e-6)
-    assert _outcome(action_module._merge_angles, *args) == _outcome(_pairwise_merge, *args)
+    assert _outcome(helpers._merge_angles, *args) == _outcome(_pairwise_merge, *args)
 
 
 def test_merge_angles_wraps_around_two_pi():
     candidates = np.array([2 * math.pi - 1e-11, 1.0])
-    kept = action_module._merge_angles(candidates, np.array([3.0, 0.0]), 1e-9, 1e-6)
+    kept = helpers._merge_angles(candidates, np.array([3.0, 0.0]), 1e-9, 1e-6)
     assert kept.tolist() == [2 * math.pi - 1e-11]
 
 
@@ -300,6 +301,8 @@ def _rotating_group(weights):
 
 @pytest.mark.parametrize("weights", [(3, 2), (4, 6), (2, -4)])
 def test_two_block_isotropy_matches_the_pairwise_merge(monkeypatch, weights):
+    """The stacked solve against the per-pair reference with its merge done
+    pairwise."""
     act = _rotating_group(weights)
     rng = np.random.default_rng(11)
     points = rng.uniform(-2.0, 2.0, (60, 4))
@@ -307,23 +310,55 @@ def test_two_block_isotropy_matches_the_pairwise_merge(monkeypatch, weights):
     points[15:30, 2:] = 0.0  # only the first does
     points[30:40, 2:] = points[30:40, :2]  # blocks of equal size
     fast = isotropy(act, points)
-    monkeypatch.setattr(action_module, "_merge_angles", _pairwise_merge)
-    slow = isotropy(act, points)
+    monkeypatch.setattr(helpers, "_merge_angles", _pairwise_merge)
+    slow = helpers.reference_isotropies(act, points, DEFAULT_TOL)
     assert [str(h) for h in fast] == [str(h) for h in slow]
     assert any(isinstance(h, IsotropyDescriptor) and h.component_count > 1 for h in fast)
+
+
+def _large_weights_action():
+    return validate_action(
+        ActionSpec(4, FiniteGroupRep((np.eye(4), -np.eye(4))), CircleFactor((1000, 999)))
+    )
 
 
 def test_two_large_blocks_merge_promptly():
     """Weights near the bound give about 1000 candidate angles per block,
     which a pairwise merge compares a million times per element and point."""
-    act = validate_action(
-        ActionSpec(4, FiniteGroupRep((np.eye(4), -np.eye(4))), CircleFactor((1000, 999)))
-    )
+    act = _large_weights_action()
     points = np.random.default_rng(3).uniform(0.4, 2.0, (3, 4))
     start = time.perf_counter()
     descriptors = [isotropy(act, m) for m in points]
     assert time.perf_counter() - start < 0.5
     assert all(h.pairs == ((0, 0.0),) for h in descriptors)
+
+
+def test_a_stack_of_two_large_blocks_merges_promptly():
+    """200 points at weights (1000, 999): a flat array of 1000 candidate
+    angles per point and element, each merged against its nearest angle of
+    the second block without listing that block."""
+    act = _large_weights_action()
+    points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
+    start = time.perf_counter()
+    descriptors = isotropy(act, points)
+    assert time.perf_counter() - start < 0.5
+    assert all(h.pairs == ((0, 0.0),) for h in descriptors)
+
+
+def test_large_weights_are_solved_in_bounded_memory():
+    """Under eight elements at weights (1000, 999), 200 points list 1.6
+    million candidate angles; solved in passes of a bounded number of
+    points, isotropy's arrays peak near 15 MB (in one pass, 185 MB)."""
+    act = _rotating_group((1000, 999))
+    points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
+    tracemalloc.start()
+    try:
+        descriptors = isotropy(act, points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert all(h.component_count == 2 for h in descriptors)
 
 
 def test_isotropy_boundary_band_is_ambiguous():

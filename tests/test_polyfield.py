@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 
@@ -202,18 +203,34 @@ def test_generating_sections_conventions():
     np.testing.assert_allclose(evald[1], [0.0, 0.0, 0.0, 1.0])
 
 
-def test_evaluate_at_graphs():
-    pi = PolyTwoForm(
-        (
-            (Poly.zero(3), parse_poly("z", 3), parse_poly("-y", 3)),
-            (parse_poly("-z", 3), Poly.zero(3), parse_poly("x", 3)),
-            (parse_poly("y", 3), parse_poly("-x", 3), Poly.zero(3)),
-        )
+_SO3_PI = PolyTwoForm(  # the so(3)* Lie-Poisson bivector
+    (
+        (Poly.zero(3), parse_poly("z", 3), parse_poly("-y", 3)),
+        (parse_poly("-z", 3), Poly.zero(3), parse_poly("x", 3)),
+        (parse_poly("y", 3), parse_poly("-x", 3), Poly.zero(3)),
     )
-    d = evaluate_at(BivectorSpec(pi), np.array([1.0, 2.0, 3.0]))
+)
+
+
+def test_evaluate_at_graphs():
+    d = evaluate_at(BivectorSpec(_SO3_PI), np.array([1.0, 2.0, 3.0]))
     assert d.base_dim == 3 and is_lagrangian(d.space)
     # section 1 at (1,2,3): Pi column 1 = (0, -z, y) = (0,-3,2), covector dx
     assert d.space.contains(np.array([0.0, -3.0, 2.0, 1.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("shape", [(3, 0), (0,), (2, 4)])
+def test_evaluate_fibers_rejects_a_point_stack_of_the_wrong_shape(shape):
+    """Only (N, 3) is a stack of points of R^3; an empty array of another
+    shape raises as a full one does."""
+    message = re.escape(f"points of shape {shape}, expected (N, 3)")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_fibers(BivectorSpec(_SO3_PI), np.zeros(shape))
+
+
+def test_evaluate_fibers_of_an_empty_stack_is_empty():
+    fibers = evaluate_fibers(BivectorSpec(_SO3_PI), np.zeros((0, 3)))
+    assert len(fibers) == 0 and fibers.bases.shape == (0, 3, 6)
 
 
 _OVERFLOWING = "x^600*y^600 - x^601*y^599"  # inf - inf at (3, 3): every power is finite
