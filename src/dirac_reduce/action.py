@@ -227,7 +227,7 @@ def _circle_fixes(spec: ActionSpec, points: np.ndarray, tol: float) -> np.ndarra
 
 def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     """V(m) = span of the fundamental vector fields at m."""
-    m = _as_point(spec, m)
+    m = _as_points(spec, m, (1,))
     if _circle_fixes(spec, m[None], tol)[0]:
         return Subspace.zero(spec.n, tol)
     return span([spec.circle.generator() @ m], ambient_dim=spec.n, tol=tol)
@@ -293,11 +293,13 @@ def _angle_distance(a, b):
     return np.minimum(d, TWO_PI - d)
 
 
-def _as_point(spec: ActionSpec, m) -> np.ndarray:
-    m = np.asarray(m, dtype=float).reshape(-1)
-    if m.shape != (spec.n,):
-        raise ValueError(f"point of length {m.shape[0]}, expected {spec.n}")
-    return m
+def _as_points(spec: ActionSpec, m, ndims: tuple) -> np.ndarray:
+    """``m`` as floats, of shape (n,) or (N, n) as ``ndims`` allows."""
+    points = np.asarray(m, dtype=float)
+    if points.ndim not in ndims or points.shape[-1] != spec.n:
+        expected = f"(N, {spec.n})" if 2 in ndims else f"({spec.n},)"
+        raise ValueError(f"points of shape {points.shape}, expected {expected}")
+    return points
 
 
 def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -494,14 +496,13 @@ def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL):
     stack of points (N, n) gives, per point in order, its descriptor or the
     AmbiguousIsotropyError it would raise, all solved in one pass of array
     operations (:func:`_isotropies`); one point is a stack of one, and a
-    point's outcome does not depend on the rest of its stack.
+    point's outcome does not depend on the rest of its stack.  Any shape but
+    (n,) or (N, n) raises ValueError.
     """
-    points = np.asarray(m, dtype=float)
+    points = _as_points(spec, m, (1, 2))
     if points.ndim == 2:
-        if points.shape[1] != spec.n:
-            raise ValueError(f"points of length {points.shape[1]}, expected {spec.n}")
         return _isotropies(spec, points, tol)
-    h = _isotropies(spec, _as_point(spec, points)[None], tol)[0]
+    h = _isotropies(spec, points[None], tol)[0]
     if isinstance(h, AmbiguousIsotropyError):
         raise h
     return h

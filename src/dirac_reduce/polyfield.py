@@ -7,10 +7,12 @@ distribution, explicit sections), each of which knows its canonical
 generating sections and how to evaluate to a :class:`LinearDirac` fiber.
 
 The structure's hypotheses, integrability and circle invariance, are
-decided by the spec type.  For a graph (bivector or two-form) each is an
-identity of exact polynomials, decided with no tolerance and no sample
-points; distribution and sections specs are checked by membership of
-brackets and Lie derivatives of the generating sections at the samples.
+decided from the spec alone, with no sample points.  Each is a finite list
+of identities of exact polynomials, decided with no tolerance: dW = 0 or
+the Jacobi identity and L_xi W = 0 for a graph (bivector or two-form), and
+for explicit sections the pairings and Courant tensor of the generating
+sections.  A constant distribution is integrable, and its invariance is
+one membership test of constant vectors, at a tolerance.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .lindirac import LinearDirac, from_distribution, graph_bases, lagrangian_flags
 from .poly import Poly, _coerce, _from_dict
-from .subspace import DEFAULT_TOL, Subspace
+from .subspace import DEFAULT_TOL, Subspace, block_diagonal
 
 __all__ = [
     "DegeneratePointError",
@@ -87,10 +89,6 @@ class _Components:
     @property
     def base_dim(self) -> int:
         return len(self.components)
-
-    def evaluate(self, point) -> np.ndarray:
-        point = list(point)
-        return np.array([float(c.evaluate(point)) for c in self.components])
 
     def degree(self) -> int:
         return max((c.degree() for c in self.components), default=0)
@@ -233,9 +231,6 @@ class PolySection:
     @property
     def base_dim(self) -> int:
         return self.tangent.base_dim
-
-    def evaluate(self, point) -> np.ndarray:
-        return np.concatenate([self.tangent.evaluate(point), self.covector.evaluate(point)])
 
     def __add__(self, other: "PolySection") -> "PolySection":
         return PolySection(self.tangent + other.tangent, self.covector + other.covector)
@@ -538,17 +533,26 @@ class FiberStack:
         return LinearDirac(n, Subspace(2 * n, self.bases[i], self.tol))
 
 
-def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> FiberStack:
-    """D(m) at each sample of the stack ``samples`` (N, n), in order, (0, n)
+def _distribution_fiber(spec: DistributionSpec, tol: float):
+    """Delta at ``tol``, and the orthonormal rows of its constant fiber
+    Delta + ann(Delta)."""
+    delta = spec.subspace
+    if delta.tol != tol:
+        delta = Subspace(delta.ambient_dim, delta.basis, tol)
+    return delta, from_distribution(delta).space.basis
+
+
+def evaluate_fibers(spec: DiracFieldSpec, points, tol: float = DEFAULT_TOL) -> FiberStack:
+    """D(m) at each point of the stack ``points`` (N, n), in order, (0, n)
     included; where the sections degenerate, the DegeneratePointError raised
-    there takes the fiber's place.  A graph is evaluated at all samples at
+    there takes the fiber's place.  A graph is evaluated at all points at
     once (:func:`evaluate_polys`) and its fibers are one stacked
     :func:`.lindirac.graph_bases`; a distribution's fiber is the same at
-    every point.  Sections are evaluated at all samples at once and spanned
+    every point.  Sections are evaluated at all points at once and spanned
     by one stacked SVD with the rank rule of :func:`.subspace.orthonormal_rows`;
     a non-Lagrangian span is degenerate."""
     n = spec.base_dim
-    points = np.asarray(samples, dtype=float)
+    points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != n:
         raise ValueError(f"points of shape {points.shape}, expected (N, {n})")
     count = len(points)
@@ -557,10 +561,7 @@ def evaluate_fibers(spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL) -> 
         bases = graph_bases(spec.matrix.evaluate_stack(points), tol, kind)
         return FiberStack(bases, (None,) * count, tol)
     if isinstance(spec, DistributionSpec):
-        delta = spec.subspace
-        if delta.tol != tol:
-            delta = Subspace(delta.ambient_dim, delta.basis, tol)
-        basis = from_distribution(delta).space.basis
+        basis = _distribution_fiber(spec, tol)[1]
         return FiberStack(np.broadcast_to(basis, (count, *basis.shape)), (None,) * count, tol)
     if isinstance(spec, SectionsSpec):
         polys = [c for x in spec.sections for c in x.tangent.components + x.covector.components]
@@ -592,20 +593,19 @@ def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> Linear
 
 @dataclass(frozen=True)
 class BracketResidual:
-    """One failure of a check: the section pair or section (sampled) or the
-    tensor component (exact) at fault, the sample point (None when exact),
-    and the residual there (for an exact check, the component's largest
-    |coefficient|)."""
+    """One failure of a check: the tensor component or section at fault
+    (``index``) and its residual (for an exact check, the component's
+    largest |coefficient|)."""
 
     index: tuple
-    point_index: int | None
     residual: float
 
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Verdict of one check; ``method`` is ``"exact"`` or ``"sampled"``.  An
-    exact check fails on any nonzero coefficient, so its ``tol`` is 0."""
+    """Verdict of one check; ``method`` is ``"exact"`` (polynomial
+    identities, failing on any nonzero coefficient, so ``tol`` is 0) or
+    ``"linear"`` (a constant distribution's membership test at ``tol``)."""
 
     kind: str
     method: str
@@ -613,49 +613,15 @@ class CheckReport:
     tol: float
     max_residual: float
     failures: tuple
-    skipped: tuple
 
 
 _GRAPH_SPECS = (BivectorSpec, TwoFormSpec)
 
 
-def _membership_residual(value: np.ndarray, projector: np.ndarray) -> float:
-    defect = value - projector @ value
-    return float(np.linalg.norm(defect) / max(1.0, np.linalg.norm(value)))
-
-
-def _sampled_check(kind, spec, derived, samples, tol, fibers=None):
-    """Each ``(index, section)`` of ``derived`` must lie in D(m) at every sample."""
-    if fibers is None:
-        fibers = evaluate_fibers(spec, samples, tol)
-    failures = []
-    skipped = []
-    max_residual = 0.0
-    for p_idx, (point, basis, error) in enumerate(zip(samples, fibers.bases, fibers.errors)):
-        if error is not None:
-            skipped.append(p_idx)
-            continue
-        projector = basis.T @ basis
-        for index, section in derived:
-            residual = _membership_residual(section.evaluate(point), projector)
-            max_residual = max(max_residual, residual)
-            if residual > tol:
-                failures.append(BracketResidual(index, p_idx, residual))
-    return CheckReport(
-        kind=kind,
-        method="sampled",
-        ok=not failures,
-        tol=tol,
-        max_residual=max_residual,
-        failures=tuple(failures),
-        skipped=tuple(skipped),
-    )
-
-
 def _exact_check(kind, components) -> CheckReport:
     """The identity holds iff every ``(index, poly)`` is the zero polynomial."""
     failures = tuple(
-        BracketResidual(index, None, float(max(abs(c) for _, c in poly.terms)))
+        BracketResidual(index, float(max(abs(c) for _, c in poly.terms)))
         for index, poly in components
         if not poly.is_zero()
     )
@@ -666,7 +632,6 @@ def _exact_check(kind, components) -> CheckReport:
         tol=0.0,
         max_residual=max((f.residual for f in failures), default=0.0),
         failures=failures,
-        skipped=(),
     )
 
 
@@ -716,50 +681,80 @@ def _lie_derivative_components(spec, generator):
         yield (i, j), _from_dict(n, out)
 
 
-def integrability_check(
-    spec: DiracFieldSpec, samples, tol: float = DEFAULT_TOL, fibers=None
-) -> CheckReport:
-    """Whether the structure is closed under the Courant bracket.
+def _pairing(s1: PolySection, s2: PolySection) -> Poly:
+    """<(X, alpha), (Y, beta)> = alpha(Y) + beta(X)."""
+    return s1.covector.pair(s2.tangent) + s2.covector.pair(s1.tangent)
 
-    For a two-form or bivector graph this is decided exactly, as dW = 0 or
-    [W, W] = 0 (see :func:`_closure_components`); ``samples``, ``tol`` and
-    ``fibers`` are not used.  Otherwise the Courant bracket of every pair of
-    generating sections must lie in the fiber at each sample.  ``fibers``:
-    the samples' :func:`evaluate_fibers`, if already computed.
-    """
+
+def _sections_closure_components(sections):
+    """``((i, j), <s_i, s_j>)`` for i <= j (isotropy), then
+    ``((i, j, k), <[s_i, s_j], s_k>)`` for i < j < k (the Courant tensor).
+    The sections span D on a dense open set (a SectionsSpec's basepoint
+    certifies rank n there), so D is Lagrangian exactly when the pairings
+    vanish, and a Lagrangian D is integrable exactly when the tensor, which
+    is then totally antisymmetric, vanishes (Courant, Dirac manifolds)."""
+    n = len(sections)
+    for i in range(n):
+        for j in range(i, n):
+            yield (i, j), _pairing(sections[i], sections[j])
+    for i, j in combinations(range(n - 1), 2):
+        bracket = courant_bracket(sections[i], sections[j])
+        for k in range(j + 1, n):
+            yield (i, j, k), _pairing(bracket, sections[k])
+
+
+def _linear_invariance(spec: DistributionSpec, generator, tol: float) -> CheckReport:
+    """A Delta in Delta for a distribution and xi = A x: the Lie derivative
+    of each generating section, (v, 0) or (0, w), is the constant (-A v, 0)
+    or (0, A^T w), and it must lie in the constant fiber, within ``tol``
+    relative to max(1, its norm)."""
+    delta, basis = _distribution_fiber(spec, tol)
+    a = np.asarray(generator, dtype=float)
+    derived = block_diagonal(-delta.basis @ a.T, delta.annihilator().basis @ a)
+    defect = np.linalg.norm(derived - derived @ basis.T @ basis, axis=-1)
+    residuals = (defect / np.maximum(1.0, np.linalg.norm(derived, axis=-1))).tolist()
+    failures = tuple(BracketResidual((k,), r) for k, r in enumerate(residuals) if r > tol)
+    return CheckReport("invariance", "linear", not failures, tol, max(residuals, default=0.0), failures)
+
+
+def integrability_check(spec: DiracFieldSpec) -> CheckReport:
+    """Whether the structure is closed under the Courant bracket, decided
+    exactly from the spec: dW = 0 or [W, W] = 0 for a two-form or bivector
+    graph (:func:`_closure_components`); the pairings and Courant tensor of
+    the sections (:func:`_sections_closure_components`); a constant
+    distribution is always integrable, as every bracket of constant sections
+    vanishes."""
     if isinstance(spec, _GRAPH_SPECS):
         return _exact_check("integrability", _closure_components(spec))
-    sections = generating_sections(spec)
-    derived = [
-        ((i, j), courant_bracket(sections[i], sections[j]))
-        for i in range(len(sections))
-        for j in range(i + 1, len(sections))
-    ]
-    return _sampled_check("integrability", spec, derived, samples, tol, fibers)
+    if isinstance(spec, DistributionSpec):
+        return _exact_check("integrability", ())
+    return _exact_check("integrability", _sections_closure_components(generating_sections(spec)))
 
 
-def infinitesimal_invariance(
-    spec: DiracFieldSpec, action, samples, tol: float = DEFAULT_TOL, fibers=None
-) -> CheckReport:
-    """Whether the structure is invariant under the circle generator.
+def infinitesimal_invariance(spec: DiracFieldSpec, action, tol: float = DEFAULT_TOL) -> CheckReport:
+    """Whether the structure is invariant under the circle generator xi = A x.
 
     ``action`` only needs a ``circle`` attribute (or None); finite factors
     contribute nothing infinitesimal, so an action without a circle passes
-    vacuously.  For a two-form or bivector graph this is decided exactly,
-    as L_xi W = 0 (see :func:`_lie_derivative_components`); ``samples``,
-    ``tol`` and ``fibers`` are not used.  Otherwise the Lie derivative of
-    every generating section must lie in the fiber at each sample.
-    ``fibers``: the samples' :func:`evaluate_fibers`, if computed.
+    vacuously.  For a graph it is L_xi W = 0 (:func:`_lie_derivative_components`)
+    and for sections <L_xi s_i, s_k> = 0 for all i, k, index (i, k), both
+    decided exactly; ``tol`` is used only for a distribution, whose
+    invariance A Delta in Delta is :func:`_linear_invariance`.
     """
     circle = getattr(action, "circle", None)
-    if isinstance(spec, _GRAPH_SPECS):
-        components = () if circle is None else _lie_derivative_components(spec, circle.generator())
-        return _exact_check("invariance", components)
     if circle is None:
-        return CheckReport("invariance", "sampled", True, tol, 0.0, (), ())
+        return _exact_check("invariance", ())
+    if isinstance(spec, _GRAPH_SPECS):
+        return _exact_check("invariance", _lie_derivative_components(spec, circle.generator()))
+    if isinstance(spec, DistributionSpec):
+        return _linear_invariance(spec, circle.generator(), tol)
+    sections = generating_sections(spec)
     xi = PolyVectorField.from_linear(circle.generator())
     derived = [
-        ((k,), PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector)))
-        for k, s in enumerate(generating_sections(spec))
+        PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector))
+        for s in sections
     ]
-    return _sampled_check("invariance", spec, derived, samples, tol, fibers)
+    return _exact_check(
+        "invariance",
+        (((i, k), _pairing(d, s)) for i, d in enumerate(derived) for k, s in enumerate(sections)),
+    )

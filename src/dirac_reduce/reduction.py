@@ -232,31 +232,28 @@ def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol
         return out
 
 
-def _reductions(spec, action, points, rank_tol: float, agree_tol: float, fibers=None) -> list:
+def _reductions(spec, action, points, rank_tol: float, agree_tol: float) -> list:
     """The row of each point of the stack ``points`` (N, n), or the
     AmbiguousIsotropyError or DegeneratePointError that makes it a skip.
 
-    Isotropy is decided first, for all points in one stacked call, so a
-    guard-band point is reported as such even where the fiber degenerates.
-    ``fibers`` is the points' :class:`FiberStack`, already evaluated; ``None``
-    evaluates it here, at the points whose isotropy is decided.  Those points
-    are reduced as one stack per exact isotropy class.
+    The fibers are evaluated at every point, in one :func:`evaluate_fibers`
+    call.  Isotropy is decided for all points in one stacked call, and first
+    in the verdict, so a guard-band point is reported as such even where
+    the fiber degenerates.  The other points are reduced as one stack per
+    exact isotropy class.
     """
+    fibers = evaluate_fibers(spec, points, rank_tol)
     out = isotropy(action, points, rank_tol)
-    decided = [i for i, h in enumerate(out) if isinstance(h, IsotropyDescriptor)]
-    at = np.arange(len(points))  # each point's row in ``fibers``
-    if fibers is None:
-        fibers = evaluate_fibers(spec, points[decided], rank_tol)
-        at[decided] = np.arange(len(decided))
     stacks: dict = {}
-    for i in decided:
-        h, error = out[i], fibers.errors[at[i]]
-        if error is not None:
-            out[i] = error
+    for i, h in enumerate(out):
+        if not isinstance(h, IsotropyDescriptor):
+            continue
+        if fibers.errors[i] is not None:
+            out[i] = fibers.errors[i]
             continue
         stacks.setdefault((h.continuous_circle, h.pairs), (h, []))[1].append(i)
     for h, members in stacks.values():
-        part = points[members], fibers.bases[at[members]]
+        part = points[members], fibers.bases[members]
         for i, row in zip(members, _reduce_stack(action, h, *part, rank_tol, agree_tol)):
             out[i] = row
     return out
@@ -441,17 +438,15 @@ def reduce_point(
     points,
     rank_tol: float = DEFAULT_TOL,
     agree_tol: float = 1e-8,
-    fibers=None,
 ) -> tuple:
     """The rows of the stack ``points`` (N, n), all reduced in one pass: one
     stack per isotropy class (see :func:`_reductions`).  Boundary and
     degenerate points are classified as skips; internal-consistency
-    violations propagate.  ``fibers`` is the points' :func:`evaluate_fibers`
-    at ``rank_tol``, already computed; ``None`` evaluates it here."""
+    violations propagate."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != action.n:
         raise ValueError(f"points of shape {points.shape}, expected (N, {action.n})")
-    rows = _reductions(spec, action, points, rank_tol, agree_tol, fibers)
+    rows = _reductions(spec, action, points, rank_tol, agree_tol)
     for i, (point, row) in enumerate(zip(points.tolist(), rows)):
         if isinstance(row, Exception):
             boundary = isinstance(row, AmbiguousIsotropyError)

@@ -35,7 +35,6 @@ from .polyfield import (
     PolyVectorField,
     SectionsSpec,
     TwoFormSpec,
-    evaluate_fibers,
     infinitesimal_invariance,
     integrability_check,
 )
@@ -472,26 +471,20 @@ class RunReport:
 
 def run_scenario(s: Scenario) -> RunReport:
     """Reduce every sample point along both routes, in input order, and run
-    the whole-scenario checks.  Each fiber D(m) is evaluated once and shared
-    by the reduction and the sampled checks (graph specs are checked exactly,
-    without the samples); the reduction runs once over all the points, as
-    one stack per isotropy class (see :mod:`.reduction`)."""
+    the whole-scenario checks.  The checks are decided from the spec alone;
+    the reduction evaluates each fiber D(m) once and runs once over all the
+    points, as one stack per isotropy class (see :mod:`.reduction`)."""
     points = sample_points(s)
     try:  # every polynomial evaluation at the samples happens here
-        fibers = evaluate_fibers(s.dirac, points, s.rank_tol)
-        integrability = integrability_check(s.dirac, points, s.rank_tol, fibers)
-        invariance = infinitesimal_invariance(
-            s.dirac, s.action, points, s.rank_tol, fibers
-        )
+        rows = reduce_point(s.dirac, s.action, points, s.rank_tol, s.agree_tol)
     except OverflowError as exc:
         raise ScenarioError(f"sample evaluation: {exc}") from None
-    rows = reduce_point(s.dirac, s.action, points, s.rank_tol, s.agree_tol, fibers)
     return RunReport(
         scenario=s,
         points=rows,
         classes=rank_classes(rows),
-        integrability=integrability,
-        invariance=invariance,
+        integrability=integrability_check(s.dirac),
+        invariance=infinitesimal_invariance(s.dirac, s.action, s.rank_tol),
     )
 
 
@@ -545,11 +538,13 @@ def _check_to_dict(check: CheckReport) -> dict:
         "ok": check.ok,
         "tol": check.tol,
         "max_residual": check.max_residual,
+        # every check is decided from the spec, so no failure has a point
+        # and no point is skipped; both keys stay for the report's layout
         "failures": [
-            {"index": list(f.index), "point": f.point_index, "residual": f.residual}
+            {"index": list(f.index), "point": None, "residual": f.residual}
             for f in check.failures
         ],
-        "skipped": list(check.skipped),
+        "skipped": [],
     }
 
 
@@ -625,19 +620,12 @@ def _check_lines(check: CheckReport, tag: str) -> list:
     verdict = "pass" if check.ok else "fail"
     lines = [f"{tag}: {verdict} ({check.method}, max residual {check.max_residual:.3e})"]
     if not check.ok:
+        label = "component" if check.method == "exact" else "section"
         for f in check.failures[:5]:
             index = ",".join(map(str, f.index))
-            if check.method == "exact":
-                label = f"component ({index})"
-            elif check.kind == "invariance":
-                label = f"xi=1, section {index}, point {f.point_index}"
-            else:
-                label = f"pair ({index}), point {f.point_index}"
-            lines.append(f"{tag}: FAIL ({label}, residual {f.residual:.3e})")
+            lines.append(f"{tag}: FAIL ({label} ({index}), residual {f.residual:.3e})")
         if len(check.failures) > 5:
             lines.append(f"{tag}: ... {len(check.failures) - 5} more failures")
-    if check.skipped:
-        lines.append(f"{tag}: skipped degenerate points {list(check.skipped)}")
     return lines
 
 

@@ -32,7 +32,17 @@ from dirac_reduce.action import (
     _circle_fixes,
 )
 from dirac_reduce.poly import Poly, parse_poly
-from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, SectionsSpec
+from dirac_reduce.polyfield import (
+    PolyOneForm,
+    PolySection,
+    PolyVectorField,
+    SectionsSpec,
+    courant_bracket,
+    dorfman_bracket,
+    evaluate_fibers,
+    evaluate_polys,
+    generating_sections,
+)
 from dirac_reduce.reduction import _action_rows
 from dirac_reduce.subspace import DEFAULT_TOL
 
@@ -104,6 +114,76 @@ def vanishing_sections() -> SectionsSpec:
             PolySection(PolyVectorField((zero, x)), PolyOneForm.zero(2)),
         ),
         basepoint=(1.0, 0.0),
+    )
+
+
+def poly_values(polys, point) -> np.ndarray:
+    """Each of ``polys`` at one point, one Poly.evaluate call each."""
+    point = list(point)
+    return np.array([float(p.evaluate(point)) for p in polys])
+
+
+def section_polys(section: PolySection) -> tuple:
+    """The tangent components of ``section``, then its covector components."""
+    return section.tangent.components + section.covector.components
+
+
+# -- references for the hypothesis checks --------------------------------------
+
+
+def sampled_membership(spec, derived, points, tol: float) -> bool:
+    """Whether every section of ``derived`` lies in the fiber D(m) at every
+    point where D(m) is Dirac (the others are skipped): the defect of its
+    value (by evaluate_polys) from the fiber's projector is at most ``tol``
+    times max(1, |value|)."""
+    points = np.asarray(points, dtype=float)
+    fibers = evaluate_fibers(spec, points, tol)
+    polys = [c for section in derived for c in section_polys(section)]
+    values = evaluate_polys(polys, points).T.reshape(len(points), len(derived), -1)
+    for basis, error, rows in zip(fibers.bases, fibers.errors, values):
+        if error is None:
+            defect = np.linalg.norm(rows - rows @ basis.T @ basis, axis=-1)
+            if (defect > tol * np.maximum(1.0, np.linalg.norm(rows, axis=-1))).any():
+                return False
+    return True
+
+
+def _lie_derivatives(sections, action) -> list:
+    """L_xi s for xi = A x: the Dorfman bracket [(xi, 0), s]."""
+    xi = PolySection(PolyVectorField.from_linear(action.circle.generator()), PolyOneForm.zero(action.n))
+    return [dorfman_bracket(xi, s) for s in sections]
+
+
+def sampled_verdicts(spec, action, points, tol: float) -> tuple:
+    """(integrability ok, invariance ok) by sampled membership: the Courant
+    bracket of every pair of generating sections, and the Lie derivative of
+    each along the circle, in D(m) at each point."""
+    sections = generating_sections(spec)
+    brackets = [courant_bracket(a, b) for i, a in enumerate(sections) for b in sections[i + 1 :]]
+    return (
+        sampled_membership(spec, brackets, points, tol),
+        sampled_membership(spec, _lie_derivatives(sections, action), points, tol),
+    )
+
+
+def _pairing(a: PolySection, b: PolySection):
+    return sum(
+        (p * q for p, q in zip(section_polys(a), b.covector.components + b.tangent.components)),
+        Poly.zero(a.base_dim),
+    )
+
+
+def generic_verdicts(sections, action) -> tuple:
+    """(integrability ok, invariance ok) by the identities on ``sections``
+    spanning D on a dense set: every <s_i, s_j> and every <[s_i, s_j], s_k>,
+    with the Dorfman bracket and all i, j, k, vanish; and every
+    <L_xi s_i, s_k> vanishes."""
+    pairings = [_pairing(a, b) for a in sections for b in sections]
+    tensor = [_pairing(dorfman_bracket(a, b), c) for a in sections for b in sections for c in sections]
+    moved = [_pairing(d, s) for d in _lie_derivatives(sections, action) for s in sections]
+    return (
+        all(p.is_zero() for p in pairings + tensor),
+        all(p.is_zero() for p in moved),
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -180,6 +181,19 @@ def test_vertical_space():
     near_axis = np.array([1e-12, 0.0, 1.0])
     assert isotropy(product_action_r3(), near_axis).continuous_circle
     assert vertical_space(product_action_r3(), near_axis).dim == 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 3), (2, 1, 3), (3, 1), (2,), ()])
+def test_isotropy_takes_one_point_or_a_stack_of_points_only(shape):
+    """isotropy takes (n,) or (N, n) and vertical_space (n,); any other
+    shape raises, naming it, instead of being flattened into one point."""
+    act = product_action_r3()
+    with pytest.raises(ValueError, match=re.escape(f"points of shape {shape}, expected (N, 3)")):
+        isotropy(act, np.ones(shape))
+    with pytest.raises(ValueError, match=re.escape(f"points of shape {shape}, expected (3,)")):
+        vertical_space(act, np.ones(shape))
+    with pytest.raises(ValueError, match=re.escape("points of shape (1, 3), expected (3,)")):
+        vertical_space(act, np.ones((1, 3)))
 
 
 # -- isotropy ----------------------------------------------------------------

@@ -1,8 +1,11 @@
-"""Exact integrability and circle-invariance checks of graph specs.
+"""Exact integrability and circle-invariance checks, decided from the spec.
 
-The exact verdicts are compared with the sampled reference: membership of
-the Courant brackets and Lie derivatives of the generating sections in the
-fiber at random points, through ``_sampled_check``.
+A graph spec's exact verdicts (dW = 0 or Jacobi, L_xi W = 0) are compared
+with three references: the generic identities on its generating sections,
+written here with the Dorfman bracket (``helpers.generic_verdicts``), the
+sections check on ``SectionsSpec(generating_sections(spec), basepoint)``, and
+sampled membership of the brackets and Lie derivatives of the generating
+sections in the fiber at random points (``helpers.sampled_verdicts``).
 """
 
 import json
@@ -19,20 +22,18 @@ from dirac_reduce.cli import main
 from dirac_reduce.poly import Poly, parse_poly
 from dirac_reduce.polyfield import (
     BivectorSpec,
+    DistributionSpec,
     PolyOneForm,
     PolySection,
     PolyTwoForm,
     PolyVectorField,
+    SectionsSpec,
     TwoFormSpec,
-    _sampled_check,
-    courant_bracket,
     d_function,
     d_oneform,
     generating_sections,
     infinitesimal_invariance,
     integrability_check,
-    lie_bracket,
-    lie_derivative_oneform,
 )
 from dirac_reduce.scenario import (
     emit_report,
@@ -41,8 +42,9 @@ from dirac_reduce.scenario import (
     run_scenario,
     summarize,
 )
+from dirac_reduce.subspace import span
 
-from helpers import circle_action, random_poly
+from helpers import circle_action, generic_verdicts, random_poly, sampled_verdicts
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 TOL = 1e-9
@@ -51,31 +53,24 @@ R3_CIRCLE = circle_action((1,), fixed_dim=1)
 R4_CIRCLE = circle_action((1, 2))
 
 
-def sampled_verdicts(spec, action, seed: int) -> tuple:
-    """(integrability ok, invariance ok) from the sampled reference."""
-    points = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(6, spec.base_dim))
-    sections = generating_sections(spec)
-    brackets = [
-        ((i, j), courant_bracket(sections[i], sections[j]))
-        for i in range(len(sections))
-        for j in range(i + 1, len(sections))
-    ]
-    xi = PolyVectorField.from_linear(action.circle.generator())
-    derivatives = [
-        ((k,), PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector)))
-        for k, s in enumerate(sections)
-    ]
-    return (
-        _sampled_check("integrability", spec, brackets, points, TOL).ok,
-        _sampled_check("invariance", spec, derivatives, points, TOL).ok,
-    )
-
-
-def exact_verdicts(spec, action) -> tuple:
-    integrability = integrability_check(spec, None, TOL)
-    invariance = infinitesimal_invariance(spec, action, None, TOL)
+def verdicts(spec, action) -> tuple:
+    """(integrability ok, invariance ok), both decided exactly."""
+    integrability = integrability_check(spec)
+    invariance = infinitesimal_invariance(spec, action, TOL)
     assert integrability.method == invariance.method == "exact"
     return integrability.ok, invariance.ok
+
+
+def all_verdicts(spec, action, seed: int) -> list:
+    """The graph check's verdicts, then those of its three references."""
+    points = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(6, spec.base_dim))
+    sections = generating_sections(spec)
+    return [
+        verdicts(spec, action),
+        generic_verdicts(sections, action),
+        verdicts(SectionsSpec(sections, (0.0,) * spec.base_dim), action),
+        sampled_verdicts(spec, action, points, TOL),
+    ]
 
 
 def antisymmetric(entries: dict, n: int) -> PolyTwoForm:
@@ -149,11 +144,11 @@ def test_closed_graphs_pass_exactly_as_sampled(seed, invariant, kind, action):
     rng = np.random.default_rng(seed)
     spec_type, draw = GRAPHS[kind]
     spec = spec_type(draw(rng, action, invariant))
-    exact = exact_verdicts(spec, action)
-    assert exact[0]
+    out = all_verdicts(spec, action, seed)
+    assert out[0][0]
     if invariant:
-        assert exact[1]
-    assert exact == sampled_verdicts(spec, action, seed)
+        assert out[0][1]
+    assert out == [out[0]] * 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,31 +157,32 @@ def test_perturbed_graphs_get_the_sampled_verdict(seed, invariant, kind, action)
     rng = np.random.default_rng(seed)
     spec_type, draw = GRAPHS[kind]
     spec = spec_type(add(draw(rng, action, invariant), perturbation(rng, action.n)))
-    assert exact_verdicts(spec, action) == sampled_verdicts(spec, action, seed)
+    out = all_verdicts(spec, action, seed)
+    assert out == [out[0]] * 4
 
 
 def test_exact_failures_name_each_nonzero_component():
     # omega = z dx^dy: d omega = dx^dy^dz, one component, coefficient 1;
     # 3z dx^dy + x^2 dy^dz: d omega = (3 + 2x) dx^dy^dz
     om = antisymmetric({(0, 1): parse_poly("3*z", 3), (1, 2): parse_poly("x^2", 3)}, 3)
-    report = integrability_check(TwoFormSpec(om), None)
-    assert (report.method, report.ok, report.tol, report.skipped) == ("exact", False, 0.0, ())
-    assert [(f.index, f.point_index, f.residual) for f in report.failures] == [((0, 1, 2), None, 3.0)]
+    report = integrability_check(TwoFormSpec(om))
+    assert (report.method, report.ok, report.tol) == ("exact", False, 0.0)
+    assert [(f.index, f.residual) for f in report.failures] == [((0, 1, 2), 3.0)]
     assert report.max_residual == 3.0
     # L_xi (x dx^dy) = -y dx^dy under the unit circle: one failing component
     report = infinitesimal_invariance(
-        TwoFormSpec(antisymmetric({(0, 1): parse_poly("x", 2)}, 2)), circle_action((1,)), None
+        TwoFormSpec(antisymmetric({(0, 1): parse_poly("x", 2)}, 2)), circle_action((1,))
     )
-    assert [(f.index, f.point_index, f.residual) for f in report.failures] == [((0, 1), None, 1.0)]
+    assert [(f.index, f.residual) for f in report.failures] == [((0, 1), 1.0)]
 
 
 def test_jacobiator_of_a_non_poisson_bivector():
     # y d_x ^ d_y + d_y ^ d_z, i.e. V = (1, 0, y) with V . curl V = 1: the
     # Jacobiator's one component is pi^{21} d_y pi^{01} = -1
     pi = antisymmetric({(0, 1): parse_poly("y", 3), (1, 2): Poly.one(3)}, 3)
-    report = integrability_check(BivectorSpec(pi), None)
+    report = integrability_check(BivectorSpec(pi))
     assert not report.ok and [f.index for f in report.failures] == [(0, 1, 2)]
-    assert exact_verdicts(BivectorSpec(pi), R3_CIRCLE)[0] == sampled_verdicts(BivectorSpec(pi), R3_CIRCLE, 0)[0]
+    assert {out[0] for out in all_verdicts(BivectorSpec(pi), R3_CIRCLE, 0)} == {False}
 
 
 def test_nonclosed_form_fails_the_run():
@@ -208,9 +204,9 @@ def test_nonclosed_form_fails_the_run():
 )
 def test_graph_runs_build_no_brackets_or_averages(monkeypatch, name):
     def refuse(*args, **kwargs):
-        raise AssertionError("sampled-check machinery called on a graph spec")
+        raise AssertionError("bracket machinery called on a graph spec")
 
-    for attr in ("courant_bracket", "lie_derivative_oneform", "_sampled_check"):
+    for attr in ("courant_bracket", "lie_derivative_oneform"):
         monkeypatch.setattr(polyfield, attr, refuse)
     monkeypatch.setattr("dirac_reduce.action.haar_average_section", refuse)
     report = run_scenario(load_scenario(str(SCENARIO_DIR / name)))
@@ -220,10 +216,97 @@ def test_graph_runs_build_no_brackets_or_averages(monkeypatch, name):
         assert (check["method"], check["ok"], check["max_residual"]) == ("exact", True, 0.0)
 
 
-def test_distribution_and_sections_are_sampled():
+def test_distribution_and_sections_are_exact():
     for name in ("dihedral_distribution.json", "sections_constant_poisson.json"):
         report = run_scenario(load_scenario(str(SCENARIO_DIR / name)))
-        assert report.integrability.method == report.invariance.method == "sampled"
+        for check in (report.integrability, report.invariance):
+            assert (check.method, check.ok, check.tol, check.max_residual) == ("exact", True, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.json")))
+def test_checks_evaluate_no_polynomial_at_a_point(monkeypatch, name):
+    """Both checks are decided from the spec: neither evaluates a polynomial."""
+    s = load_scenario(str(SCENARIO_DIR / name))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a hypothesis check evaluated a polynomial")
+
+    monkeypatch.setattr(polyfield, "evaluate_polys", refuse)
+    monkeypatch.setattr(Poly, "evaluate", refuse)
+    integrability_check(s.dirac)
+    infinitesimal_invariance(s.dirac, s.action, s.rank_tol)
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        p.name for p in SCENARIO_DIR.glob("*.json")
+        if isinstance(load_scenario(str(p)).dirac, (BivectorSpec, TwoFormSpec))
+    ),
+)
+def test_bundled_graphs_as_sections_fail_at_the_same_components(name):
+    """A bundled graph written as its generating sections fails each check
+    at the graph check's components: the tensor (i, j, k) where dW or the
+    Jacobiator is nonzero, and the pairings (i, k) and (k, i) where
+    (L_xi W)_ik is (nonclosed_circle_two_form at (0, 1, 2),
+    rotation_noninvariant_form at (0, 1))."""
+    s = load_scenario(str(SCENARIO_DIR / name))
+    sections = SectionsSpec(generating_sections(s.dirac), (0.0,) * s.n)
+    graph, generic = integrability_check(s.dirac), integrability_check(sections)
+    assert [f.index for f in generic.failures] == [f.index for f in graph.failures]
+    graph = infinitesimal_invariance(s.dirac, s.action, s.rank_tol)
+    generic = infinitesimal_invariance(sections, s.action, s.rank_tol)
+    assert {tuple(sorted(f.index)) for f in generic.failures} == {f.index for f in graph.failures}
+    assert len(generic.failures) == 2 * len(graph.failures)
+
+
+def _distribution(*rows) -> DistributionSpec:
+    return DistributionSpec(span(np.array(rows, dtype=float), ambient_dim=len(rows[0])))
+
+
+@pytest.mark.parametrize(
+    "rows, invariant",
+    [
+        # span{e1, e2, e3 + e4}: the rotated plane plus a fixed line, with a
+        # basis from an SVD whose pairings leave float residues of about 1e-16
+        (((1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 1)), True),
+        (((1, 0, 0, 0),), False),  # the circle moves e1 to e2
+    ],
+)
+def test_distribution_invariance_is_linear(rows, invariant):
+    spec, action = _distribution(*rows), circle_action((1,), fixed_dim=2)
+    report = infinitesimal_invariance(spec, action, TOL)
+    assert (report.method, report.ok, report.tol) == ("linear", invariant, TOL)
+    assert (report.max_residual <= 1e-15) == invariant
+    points = np.random.default_rng(5).uniform(-1.5, 1.5, size=(6, 4))
+    assert sampled_verdicts(spec, action, points, TOL) == (True, invariant)
+    integrability = integrability_check(spec)
+    assert (integrability.method, integrability.ok) == ("exact", True)
+
+
+def test_non_dirac_sections_fail_integrability_at_the_pairing(tmp_path, capsys):
+    """(e1, x dx) and (e2, 0) pair to <s0, s0> = 2x: no Dirac structure,
+    although the basepoint (0, 1) has rank 2.  The run exits 1 with the
+    integrability failure at index [0, 0]."""
+    data = {
+        "version": "dirac-reduce/1",
+        "n": 2,
+        "dirac": {
+            "sections": [
+                {"tangent": ["1", "0"], "covector": ["x", "0"]},
+                {"tangent": ["0", "1"], "covector": ["0", "0"]},
+            ],
+            "basepoint": [0.0, 1.0],
+        },
+        "action": {"finite": [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]},
+        "samples": {"random": {"count": 8, "seed": 1, "box": [[0.4, 2.0], [0.4, 2.0]]}},
+    }
+    path = tmp_path / "non_dirac_sections.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--format", "json"]) == 1
+    check = json.loads(capsys.readouterr().out)["checks"]["integrability"]
+    assert (check["method"], check["ok"]) == ("exact", False)
+    assert check["failures"] == [{"index": [0, 0], "point": None, "residual": 2.0}]
 
 
 def test_quad_nodes_flag_exits_2(capsys):

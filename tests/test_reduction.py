@@ -468,13 +468,11 @@ def test_reduce_point_skips_boundary_without_comparisons():
 def test_reduce_point_decides_isotropy_before_using_a_degenerate_fiber():
     spec = vanishing_sections()
     m = np.array([0.0, 1e-8])  # sections vanish, reflection fixes m only in the guard band
-    fibers = evaluate_fibers(spec, [m])
-    assert isinstance(fibers[0], DegeneratePointError)
-    out = reduce_point(spec, z2_reflection_action(), [m], fibers=fibers)[0]
+    assert isinstance(evaluate_fibers(spec, [m])[0], DegeneratePointError)
+    out = reduce_point(spec, z2_reflection_action(), [m])[0]
     assert out.status == STATUS_BOUNDARY
     moved = np.array([0.0, 1.0])
-    fibers = evaluate_fibers(spec, [moved])
-    out = reduce_point(spec, z2_reflection_action(), [moved], fibers=fibers)[0]
+    out = reduce_point(spec, z2_reflection_action(), [moved])[0]
     assert out.status == STATUS_DEGENERATE and "rank" in out.reason
 
 
@@ -530,11 +528,10 @@ BUNDLED = {
 def test_reduce_point_equals_the_public_views_bit_for_bit(data):
     """At a sample point of a bundled scenario moved by a random group
     element and scale (so every sampled stratum is visited), the runner's
-    reduce_point, fed the pre-evaluated fibers, takes its status, reason and
-    descriptor from the per-pair isotropy reference and the fiber's
-    DegeneratePointError, and its D_Q is lindirac.backward_image of the fiber
-    along the inclusion of Fix(G_m), bit for bit.  (Route A is checked
-    against lindirac.forward_image below.)"""
+    reduce_point takes its status, reason and descriptor from the per-pair
+    isotropy reference and the fiber's DegeneratePointError, and its D_Q is
+    lindirac.backward_image of the fiber along the inclusion of Fix(G_m), bit
+    for bit.  (Route A is checked against lindirac.forward_image below.)"""
     s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
     points = sample_points(s)
     base = points[data.draw(st.integers(0, len(points) - 1))]
@@ -543,9 +540,9 @@ def test_reduce_point_equals_the_public_views_bit_for_bit(data):
         g = g @ s.action.circle.rotation(data.draw(st.floats(0.0, 2 * np.pi)))
     m = g @ (data.draw(st.floats(0.5, 2.0)) * base)
     tol = s.rank_tol
-    fibers = evaluate_fibers(s.dirac, [m], tol)
-    out = reduce_point(s.dirac, s.action, [m], tol, s.agree_tol, fibers)[0]
-    h, fiber = reference_isotropies(s.action, np.array([m]), tol)[0], fibers[0]
+    out = reduce_point(s.dirac, s.action, [m], tol, s.agree_tol)[0]
+    h = reference_isotropies(s.action, np.array([m]), tol)[0]
+    fiber = evaluate_fibers(s.dirac, [m], tol)[0]
     if isinstance(h, AmbiguousIsotropyError):
         assert (out.status, out.reason, out.descriptor) == (STATUS_BOUNDARY, str(h), None)
     elif isinstance(fiber, DegeneratePointError):

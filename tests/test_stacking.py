@@ -48,7 +48,13 @@ from dirac_reduce.polyfield import (
 from dirac_reduce.scenario import _parse_dirac, load_scenario, run_scenario, sample_points
 from dirac_reduce.subspace import Subspace, span
 
-from helpers import circle_action, reference_isotropies, vanishing_sections
+from helpers import (
+    circle_action,
+    poly_values,
+    reference_isotropies,
+    section_polys,
+    vanishing_sections,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -237,7 +243,8 @@ def test_stacked_sections_fibers_equal_the_span_at_each_point(name):
     points = points + np.random.default_rng(40).uniform(-2, 2, (40, spec.base_dim)).tolist()
     fibers = evaluate_fibers(spec, points)
     for point, basis, error in zip(points, fibers.bases, fibers.errors, strict=True):
-        alone = span([x.evaluate(point) for x in spec.sections], ambient_dim=2 * spec.base_dim)
+        values = [poly_values(section_polys(x), point) for x in spec.sections]
+        alone = span(values, ambient_dim=2 * spec.base_dim)
         if is_lagrangian(alone):
             assert error is None and np.array_equal(_bits(basis), _bits(alone.basis)), point
         else:
