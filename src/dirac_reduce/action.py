@@ -532,37 +532,20 @@ def fixed_subspace(h: IsotropyDescriptor, spec: ActionSpec, tol: float = DEFAULT
 # -- Haar averaging of polynomial objects -----------------------------------
 
 
-def quadrature_nodes_required(circle: CircleFactor, degree: int, kind: str = "field") -> int:
-    """Smallest N for which N-node quadrature is exact.
-
-    Pushing a degree-d object through the circle makes its coefficients
-    trigonometric polynomials of degree max|w| * d (functions) or
-    max|w| * (d+1) (fields/forms, one extra factor from the frame); uniform
-    N-node quadrature is exact up to trigonometric degree N - 1.
+def quadrature_nodes_required(circle: CircleFactor, degree: int) -> int:
+    """Smallest N for which N-node quadrature of a degree-d field or form is
+    exact: pushed through the circle, its coefficients are trigonometric
+    polynomials of degree max|w| * (d+1), one factor coming from the frame,
+    and uniform N-node quadrature is exact up to trigonometric degree N - 1.
     """
     w = max(abs(x) for x in circle.weights)
-    if kind == "function":
-        return w * degree + 1
     return w * (degree + 1) + 1
 
 
-def default_quadrature_nodes(circle: CircleFactor, degree: int, kind: str = "field") -> int:
+def default_quadrature_nodes(circle: CircleFactor, degree: int) -> int:
     w = max(abs(x) for x in circle.weights)
-    base = max(2 * (w * degree + 1), quadrature_nodes_required(circle, degree, kind))
+    base = max(2 * (w * degree + 1), quadrature_nodes_required(circle, degree))
     return base if base % 2 == 0 else base + 1
-
-
-def _times_i_power(g, k: int):
-    """The Gaussian integer ``g`` (a ``(re, im)`` pair) times i**k."""
-    re, im = g
-    k %= 4
-    if k == 0:
-        return g
-    if k == 1:
-        return (-im, re)
-    if k == 2:
-        return (-re, -im)
-    return (im, -re)
 
 
 def _circle_node_count(circle: CircleFactor, degree: int, nodes: int | None) -> int:
@@ -580,6 +563,44 @@ def _circle_node_count(circle: CircleFactor, degree: int, nodes: int | None) -> 
     return n_nodes
 
 
+def _gmul(g, h):
+    """The product of two Gaussian rationals, each a ``(re, im)`` pair."""
+    return (g[0] * h[0] - g[1] * h[1], g[0] * h[1] + g[1] * h[0])
+
+
+def _gadd(g, h):
+    return (g[0] + h[0], g[1] + h[1])
+
+
+def _substitute_pair(terms: dict, ix: int, iy: int, x_image, y_image) -> dict:
+    """``terms``, a ``{exponents: (re, im)}`` polynomial, with x -> a u + b v
+    and y -> c u + d v, where x and y are the variables ``ix`` and ``iy``, u
+    and v take their slots, and ``x_image`` = (a, b) and ``y_image`` = (c, d)
+    are Gaussian rationals."""
+    out: dict = {}
+    for exps, coeff in terms.items():
+        expanded = {0: coeff}  # u exponent -> coefficient, one linear factor at a time
+        for (a, b), power in ((x_image, exps[ix]), (y_image, exps[iy])):
+            for _ in range(power):
+                step: dict = {}
+                for k, g in expanded.items():
+                    for key, h in ((k + 1, a), (k, b)):
+                        step[key] = _gadd(step.get(key, (0, 0)), _gmul(g, h))
+                expanded = step
+        for k, g in expanded.items():
+            e = list(exps)
+            e[ix], e[iy] = k, exps[ix] + exps[iy] - k
+            out[tuple(e)] = _gadd(out.get(tuple(e), (0, 0)), g)
+    return out
+
+
+_HALF = Fraction(1, 2)
+# x, y -> (z + zbar)/2, (z - zbar)/2i, with z in the x slot and zbar in the
+# y slot; and back, z, zbar -> x + iy, x - iy
+_TO_COMPLEX = (((_HALF, 0), (_HALF, 0)), ((0, -_HALF), (0, _HALF)))
+_FROM_COMPLEX = (((1, 0), (0, 1)), ((1, 0), (0, -1)))
+
+
 def _circle_quadrature_poly(f: Poly, pairs, n_nodes: int) -> Poly:
     """Uniform N-node circle quadrature of ``f``, evaluated exactly.
 
@@ -588,42 +609,10 @@ def _circle_quadrature_poly(f: Poly, pairs, n_nodes: int) -> Poly:
     harmonic factors e^{i k theta_r}, and the uniform node average of e^{i k
     theta} is 1 when N divides k and 0 otherwise, so the quadrature sum can
     be carried out without floating-point nodes.
-
-    The change to z, zbar divides a term of degree d in the rotated
-    coordinates by 2^d; every other step multiplies by integers and powers
-    of i.  So the work is done on Gaussian-integer numerators over the one
-    denominator lcm(denominators) * 2^top, top the largest such d, and the
-    division happens once at the end.
     """
-    if not f.terms:
-        return f
-    rotated = [i for ix, iy, _w in pairs for i in (ix, iy)]
-    top = max(sum(m[i] for i in rotated) for m, _ in f.terms)
-    lcm = math.lcm(*(c.denominator for _, c in f.terms))
-    terms = {
-        m: ((c.numerator * (lcm // c.denominator)) << (top - sum(m[i] for i in rotated)), 0)
-        for m, c in f.terms
-    }
-    # Change of basis x^p y^q -> z^a zbar^b; the z exponent is stored in the
-    # x slot and the zbar exponent in the y slot.
+    terms = {exps: (c, 0) for exps, c in f.terms}
     for ix, iy, _w in pairs:
-        expanded: dict = {}
-        for exps, coeff in terms.items():
-            p, q = exps[ix], exps[iy]
-            base = _times_i_power(coeff, -q)
-            for a in range(p + 1):
-                for b in range(q + 1):
-                    scale = math.comb(p, a) * math.comb(q, b) * (-1 if (q - b) & 1 else 1)
-                    e = list(exps)
-                    e[ix] = a + b
-                    e[iy] = (p - a) + (q - b)
-                    key = tuple(e)
-                    acc = expanded.get(key)
-                    if acc:
-                        expanded[key] = (acc[0] + base[0] * scale, acc[1] + base[1] * scale)
-                    else:
-                        expanded[key] = (base[0] * scale, base[1] * scale)
-        terms = expanded
+        terms = _substitute_pair(terms, ix, iy, *_TO_COMPLEX)
     # z^a zbar^b picks up e^{i w (a - b) theta} at each node; only exponents
     # aliased to zero survive the average.
     terms = {
@@ -632,35 +621,10 @@ def _circle_quadrature_poly(f: Poly, pairs, n_nodes: int) -> Poly:
         if sum(w * (exps[ix] - exps[iy]) for ix, iy, w in pairs) % n_nodes == 0
     }
     for ix, iy, _w in pairs:
-        collapsed: dict = {}
-        for exps, coeff in terms.items():
-            a, b = exps[ix], exps[iy]
-            for aa in range(a + 1):
-                for bb in range(b + 1):
-                    scale = math.comb(a, aa) * math.comb(b, bb)
-                    g = _times_i_power(coeff, (a - aa) - (b - bb))
-                    e = list(exps)
-                    e[ix] = aa + bb
-                    e[iy] = (a - aa) + (b - bb)
-                    key = tuple(e)
-                    acc = collapsed.get(key)
-                    if acc:
-                        collapsed[key] = (acc[0] + g[0] * scale, acc[1] + g[1] * scale)
-                    else:
-                        collapsed[key] = (g[0] * scale, g[1] * scale)
-        terms = collapsed
-    denominator = lcm << top
-    real = {}
-    for exps, (re, im) in terms.items():
-        if im:
-            raise RuntimeError("circle average of a real polynomial has an imaginary part")
-        if re:
-            real[exps] = Fraction(re, denominator)
-    return _from_dict(f.n_vars, real)
-
-
-def _base_pairs(circle: CircleFactor):
-    return tuple((2 * j, 2 * j + 1, w) for j, w in enumerate(circle.weights))
+        terms = _substitute_pair(terms, ix, iy, *_FROM_COMPLEX)
+    if any(im for _, im in terms.values()):
+        raise RuntimeError("circle average of a real polynomial has an imaginary part")
+    return _from_dict(f.n_vars, {exps: re for exps, (re, _) in terms.items()})
 
 
 def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int):
@@ -676,8 +640,7 @@ def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int
         frame = tuple(1 if t == i else 0 for t in range(n))
         for exps, c in p.terms:
             bundled[exps + frame] = c
-    pairs = list(_base_pairs(circle))
-    pairs += [(n + ix, n + iy, w) for ix, iy, w in _base_pairs(circle)]
+    pairs = [(s + 2 * j, s + 2 * j + 1, w) for s in (0, n) for j, w in enumerate(circle.weights)]
     avg = _circle_quadrature_poly(_from_dict(2 * n, bundled), pairs, n_nodes)
     out: list = [{} for _ in range(n)]
     for exps, c in avg.terms:

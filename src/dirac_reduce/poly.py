@@ -208,7 +208,7 @@ class Poly:
 
     @cached_property
     def _float_terms(self) -> tuple:
-        """``(powers, terms)`` for float evaluation: the distinct
+        """``(powers, terms)`` for ``polyfield.evaluate_polys``: the distinct
         ``(variable, exponent)`` pairs in use, and per term ``float(c)``
         with the indices into ``powers`` of its factors, in variable order."""
         powers: dict = {}
@@ -221,45 +221,36 @@ class Poly:
         return tuple(powers), tuple(terms)
 
     def evaluate(self, point):
-        """Evaluate at a point; exact for rational coordinates.
-
-        At float coordinates the result is the float arithmetic the exact
-        loop would perform: ``float(c) * v**e`` left to right within a
-        term, the terms summed in canonical order.  A result (or a power on
-        the way) beyond the float range raises OverflowError.
-        """
-        values = list(point)
+        """Evaluate at a point: each term ``c * v**e`` left to right, the
+        terms summed in canonical order; exact at rational coordinates.  Once
+        a coordinate is a float (``np.float64`` is taken as ``float``) the
+        value is a float, and one beyond the float range (or a power on the
+        way) raises OverflowError."""
+        values = [float(v) if isinstance(v, float) else v for v in point]
         if len(values) != self.n_vars:
             raise ValueError(
                 f"point of length {len(values)}, expected {self.n_vars}"
             )
         if not self.terms:
             return 0
-        if all(isinstance(v, float) for v in values):
-            powers, terms = self._float_terms
-            try:
-                table = [float(values[i]) ** e for i, e in powers]
-                total = 0
-                for term, factors in terms:
-                    for k in factors:
-                        term = term * table[k]
-                    total = total + term
-            except OverflowError:
-                total = math.inf
-            if not math.isfinite(total):
-                raise OverflowError(
-                    f"polynomial value at point {tuple(float(v) for v in values)} "
-                    "is out of the float range"
-                )
-            return total
         total = 0
-        for m, c in self.terms:
-            term = c
-            for v, e in zip(values, m):
-                if e:
-                    term = term * v**e
-            total = total + term
-        return total
+        try:
+            for m, c in self.terms:
+                term = c
+                for v, e in zip(values, m):
+                    if e:
+                        term = term * v**e
+                total = total + term
+        except OverflowError:
+            total = math.inf
+        if not any(isinstance(v, float) for v in values):
+            return total
+        if not math.isfinite(total):
+            raise OverflowError(
+                f"polynomial value at point {tuple(float(v) for v in values)} "
+                "is out of the float range"
+            )
+        return float(total)
 
     def subs_linear(self, matrix) -> "Poly":
         """Compose with a linear substitution: p(M x).

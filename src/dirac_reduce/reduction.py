@@ -263,7 +263,7 @@ def _reduce_one(spec: DiracFieldSpec, action: ActionSpec, m, tol: float) -> Poin
     """The row of the point m, reduced as a stack of one (its ``agree`` at
     :func:`reduce_point`'s default).  A boundary or degenerate point raises
     its AmbiguousIsotropyError or DegeneratePointError."""
-    row = _reductions(spec, action, np.asarray([m], dtype=float), tol, 1e-8)[0]
+    row = _reductions(spec, action, np.asarray([m], dtype=float), tol, DEFAULT_AGREE_TOL)[0]
     if isinstance(row, Exception):
         raise row
     return row
@@ -301,6 +301,9 @@ def reduce_orbit_route(spec: DiracFieldSpec, action: ActionSpec, m, tol: float =
     return _quotient(action, row, tol), row.route_b
 
 
+DEFAULT_AGREE_TOL = 1e-8  # the largest projector distance at which the routes agree
+
+
 @dataclass(frozen=True)
 class RouteComparison:
     agree: bool
@@ -308,7 +311,7 @@ class RouteComparison:
 
 
 def compare_routes(
-    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = 1e-8
+    spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_AGREE_TOL
 ) -> RouteComparison:
     """Run both routes at m and compare the projectors of their images
     (route A must be Lagrangian; route B need not be)."""
@@ -437,7 +440,7 @@ def reduce_point(
     action: ActionSpec,
     points,
     rank_tol: float = DEFAULT_TOL,
-    agree_tol: float = 1e-8,
+    agree_tol: float = DEFAULT_AGREE_TOL,
 ) -> tuple:
     """The rows of the stack ``points`` (N, n), all reduced in one pass: one
     stack per isotropy class (see :func:`_reductions`).  Boundary and

@@ -38,8 +38,8 @@ from .polyfield import (
     infinitesimal_invariance,
     integrability_check,
 )
-from .reduction import STATUS_OK, PointReduction, rank_classes, reduce_point
-from .subspace import span
+from .reduction import DEFAULT_AGREE_TOL, STATUS_OK, PointReduction, rank_classes, reduce_point
+from .subspace import DEFAULT_TOL, span
 
 __all__ = [
     "VERSION",
@@ -61,8 +61,6 @@ __all__ = [
 ]
 
 VERSION = "dirac-reduce/1"
-DEFAULT_RANK_TOL = 1e-9
-DEFAULT_AGREE_TOL = 1e-8
 
 _DIRAC_KINDS = {
     BivectorSpec: "bivector",
@@ -97,11 +95,21 @@ class Scenario:
     dirac: DiracFieldSpec
     action: ActionSpec
     samples: SampleSpec
-    rank_tol: float = DEFAULT_RANK_TOL
+    rank_tol: float = DEFAULT_TOL
     agree_tol: float = DEFAULT_AGREE_TOL
 
 
 # -- parsing ------------------------------------------------------------------
+
+
+def _object(value, context: str, fields) -> dict:
+    """``value`` if it is a JSON object with no field outside ``fields``."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{context}: expected an object")
+    extra = set(value) - set(fields)
+    if extra:
+        raise ScenarioError(f"{context}: unknown fields {sorted(extra)}")
+    return value
 
 
 def _need(mapping: dict, key: str, context: str):
@@ -188,25 +196,25 @@ def _poly_components(value, n: int, context: str) -> tuple:
 
 
 def _as_section(value, n: int, context: str) -> PolySection:
-    if not isinstance(value, dict):
-        raise ScenarioError(f"{context}: expected an object")
+    _object(value, context, ("tangent", "covector"))
     tangent = _poly_components(_need(value, "tangent", context), n, f"{context}.tangent")
     covector = _poly_components(_need(value, "covector", context), n, f"{context}.covector")
     return PolySection(PolyVectorField(tangent), PolyOneForm(covector))
 
 
+_VARIANTS = ("bivector", "two_form", "distribution", "sections")
+
+
 def _parse_dirac(value, n: int) -> DiracFieldSpec:
-    if not isinstance(value, dict):
-        raise ScenarioError("dirac: expected an object")
-    variants = [k for k in ("bivector", "two_form", "distribution", "sections") if k in value]
+    _object(value, "dirac", (*_VARIANTS, "basepoint"))
+    variants = [k for k in _VARIANTS if k in value]
     if len(variants) != 1:
         raise ScenarioError(
             "dirac: exactly one of bivector / two_form / distribution / sections required"
         )
-    extra = set(value) - {variants[0], "basepoint"}
-    if extra:
-        raise ScenarioError(f"dirac: unknown fields {sorted(extra)}")
     kind = variants[0]
+    if kind != "sections":
+        _object(value, "dirac", (kind,))  # a basepoint belongs to generating sections only
     if kind == "bivector":
         return BivectorSpec(_as_poly_matrix(value[kind], n, "dirac.bivector"))
     if kind == "two_form":
@@ -233,13 +241,7 @@ def _parse_dirac(value, n: int) -> DiracFieldSpec:
 
 
 def _parse_action(value, n: int) -> ActionSpec:
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        raise ScenarioError("action: expected an object")
-    extra = set(value) - {"finite", "circle"}
-    if extra:
-        raise ScenarioError(f"action: unknown fields {sorted(extra)}")
+    value = _object({} if value is None else value, "action", ("finite", "circle"))
     if "finite" in value and value["finite"] is not None:
         mats = value["finite"]
         if not isinstance(mats, list) or not mats:
@@ -255,12 +257,7 @@ def _parse_action(value, n: int) -> ActionSpec:
         finite = FiniteGroupRep.trivial(n)
     circle = None
     if value.get("circle") is not None:
-        c = value["circle"]
-        if not isinstance(c, dict):
-            raise ScenarioError("action.circle: expected an object")
-        extra = set(c) - {"weights", "fixed_dim"}
-        if extra:
-            raise ScenarioError(f"action.circle: unknown fields {sorted(extra)}")
+        c = _object(value["circle"], "action.circle", ("weights", "fixed_dim"))
         weights = _need(c, "weights", "action.circle")
         if (
             not isinstance(weights, list)
@@ -292,13 +289,7 @@ def _norm_overflows(point) -> bool:
 
 
 def _parse_samples(value, n: int) -> SampleSpec:
-    if value is None:
-        value = {}
-    if not isinstance(value, dict):
-        raise ScenarioError("samples: expected an object")
-    extra = set(value) - {"explicit", "random"}
-    if extra:
-        raise ScenarioError(f"samples: unknown fields {sorted(extra)}")
+    value = _object({} if value is None else value, "samples", ("explicit", "random"))
     explicit = []
     if value.get("explicit") is not None:
         if not isinstance(value["explicit"], list):
@@ -315,12 +306,7 @@ def _parse_samples(value, n: int) -> SampleSpec:
                 raise ScenarioError(f"samples.explicit[{i}]: the point's norm overflows float64")
     count = seed = box = None
     if value.get("random") is not None:
-        r = value["random"]
-        if not isinstance(r, dict):
-            raise ScenarioError("samples.random: expected an object")
-        extra = set(r) - {"count", "seed", "box"}
-        if extra:
-            raise ScenarioError(f"samples.random: unknown fields {sorted(extra)}")
+        r = _object(value["random"], "samples.random", ("count", "seed", "box"))
         count = _need(r, "count", "samples.random")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ScenarioError("samples.random.count: expected a nonnegative integer")
@@ -353,17 +339,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     version = _need(data, "version", "scenario")
     if version != VERSION:
         raise ScenarioError(f"scenario: unsupported version {version!r}, expected {VERSION!r}")
-    known = {"version", "n", "dirac", "action", "samples", "tolerances"}
-    extra = set(data) - known
-    if extra:
-        raise ScenarioError(f"scenario: unknown fields {sorted(extra)}")
+    _object(data, "scenario", ("version", "n", "dirac", "action", "samples", "tolerances"))
     n = _need(data, "n", "scenario")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError("scenario: n must be a positive integer")
     dirac = _parse_dirac(_need(data, "dirac", "scenario"), n)
     action = _parse_action(data.get("action"), n)
     samples = _parse_samples(data.get("samples"), n)
-    tolerances = {"rank_tol": DEFAULT_RANK_TOL, "agree_tol": DEFAULT_AGREE_TOL}
+    tolerances = {"rank_tol": DEFAULT_TOL, "agree_tol": DEFAULT_AGREE_TOL}
     if data.get("tolerances") is not None:
         t = data["tolerances"]
         if not isinstance(t, dict) or set(t) - set(tolerances):
@@ -695,6 +678,7 @@ def load_bracket_payload(path: str):
         version = data.get("version", VERSION)
         if version != VERSION:
             raise ScenarioError(f"unsupported version {version!r}")
+        _object(data, "payload", ("version", "n", "s1", "s2"))
         n = _need(data, "n", "payload")
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ScenarioError("payload: n must be a positive integer")

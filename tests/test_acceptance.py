@@ -226,7 +226,7 @@ def test_criterion_5_averaging():
         assert image.distance(fixed_subspace(h, act)) < 1e-9
         if act.circle is not None:
             s = random_section(rng, act.n, 2)
-            nodes = default_quadrature_nodes(act.circle, 2, "field")
+            nodes = default_quadrature_nodes(act.circle, 2)
             once = haar_average_section(s, act, nodes=nodes)
             twice = haar_average_section(s, act, nodes=2 * nodes)
             drift = max(

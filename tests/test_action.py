@@ -476,18 +476,17 @@ def test_haar_average_is_idempotent():
 def test_haar_node_doubling_is_exact():
     act = circle_action((3,))
     f = parse_poly("x^3 - x*y^2 + y", 2)
-    n = default_quadrature_nodes(act.circle, d_function(f).degree(), "field")
+    n = default_quadrature_nodes(act.circle, d_function(f).degree())
     assert average_of_d(f, act, nodes=n) == average_of_d(f, act, nodes=2 * n)
 
 
 def test_quadrature_node_counts():
     c = CircleFactor((1,))
-    assert quadrature_nodes_required(c, 2, "function") == 3
-    assert quadrature_nodes_required(c, 2, "field") == 4
-    assert default_quadrature_nodes(c, 2, "function") % 2 == 0
-    assert default_quadrature_nodes(c, 2, "function") >= 6
+    assert quadrature_nodes_required(c, 2) == 4
+    assert default_quadrature_nodes(c, 2) % 2 == 0
+    assert default_quadrature_nodes(c, 2) >= 6
     c3 = CircleFactor((3,))
-    assert quadrature_nodes_required(c3, 1, "field") == 7
+    assert quadrature_nodes_required(c3, 1) == 7
 
 
 def test_too_few_nodes_warns():

@@ -1,6 +1,7 @@
 """Each fast path of the exact layer against an independent reference:
-signed-permutation substitution, float-coefficient evaluation, integer
-circle quadrature, the one-pass parser, and trusted arithmetic results."""
+signed-permutation substitution, the one-pass parser, and trusted arithmetic
+results; and Poly.evaluate at float coordinates and the pair-substitution
+circle quadrature against plain loops."""
 
 import itertools
 import math
@@ -90,7 +91,7 @@ def test_general_subs_matches_generic_expansion(p, entries):
     assert p.subs_linear(rows) == generic_subs(p, rows)
 
 
-# -- float-coefficient evaluation ---------------------------------------------
+# -- evaluation at float coordinates ------------------------------------------
 
 
 def reference_float_evaluate(p: Poly, values):
@@ -137,7 +138,7 @@ def test_float_evaluate_keeps_exact_path_for_rationals():
     assert p.evaluate([Fraction(1, 2), 1.0]) == float(Fraction(1, 12)) - 1.0
 
 
-# -- integer circle quadrature ------------------------------------------------
+# -- circle quadrature --------------------------------------------------------
 
 _I_POW = (
     (Fraction(1), Fraction(0)),
@@ -205,7 +206,7 @@ def fraction_circle_quadrature(f: Poly, pairs, n_nodes: int) -> Poly:
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_integer_quadrature_matches_fraction_quadrature(data):
+def test_quadrature_matches_loop_reference(data):
     n_pairs = data.draw(st.integers(1, 2))
     fixed = data.draw(st.integers(0, 1))
     n = 2 * n_pairs + fixed

@@ -265,6 +265,23 @@ def test_stacked_evaluation_overflow_names_the_first_point(points, first):
     assert f"point {first}" in str(stacked.value)
 
 
+@pytest.mark.parametrize("point", [(3.0, 3.0), (1e10, 1.0)])
+@pytest.mark.parametrize("exact_x", [False, True], ids=["float64", "fraction-x"])
+def test_evaluate_overflow_at_numpy_floats(point, exact_x):
+    """Poly.evaluate at np.float64 coordinates (both, or y next to an exact
+    x) raises the OverflowError evaluate_polys gives, and numpy warns about
+    nothing on the way."""
+    p = _poly(_OVERFLOWING)
+    point = np.array(point)
+    with pytest.raises(OverflowError) as stacked:
+        evaluate_polys([p], point[None])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError) as single:
+            p.evaluate([Fraction(point[0]), point[1]] if exact_x else point)
+    assert str(single.value) == str(stacked.value)
+
+
 def test_sections_spec_rank_certified_at_basepoint():
     # x * d/dx degenerates on the y-axis but not at the basepoint
     s1 = PolySection(_field("x", "0"), _oneform("0", "0"))

@@ -673,9 +673,21 @@ GOOD_SECTION = {"tangent": ["1", "0"], "covector": ["0", "0"]}
             _bracket_payload(s1={"tangent": ["y"], "covector": ["0", "0"]}),
             "payload.s1.tangent: expected 2 components",
         ),
+        (
+            "run",
+            _sections_scenario([GOOD_SECTION, {**GOOD_SECTION, "tangnet": ["x", "y"]}]),
+            "dirac.sections[1]: unknown fields ['tangnet']",
+        ),
+        ("bracket", _bracket_payload(s3=GOOD_SECTION), "payload: unknown fields ['s3']"),
+        (
+            "run",
+            {**base_scenario(), "dirac": {"two_form": [[0, 1], [-1, 0]], "basepoint": [1.0, 0.0]}},
+            "dirac: unknown fields ['basepoint']",
+        ),
     ],
     ids=["scenario-missing-covector", "scenario-non-object", "payload-non-object",
-         "payload-short-tangent"],
+         "payload-short-tangent", "scenario-section-typo", "payload-extra-section",
+         "graph-basepoint"],
 )
 def test_malformed_sections_exit_2_naming_the_field(tmp_path, capsys, command, data, message):
     path = tmp_path / "input.json"
