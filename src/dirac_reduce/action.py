@@ -22,14 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Poly, _from_dict
-from .polyfield import (
-    PolyOneForm,
-    PolySection,
-    PolyVectorField,
-    _fraction_matrix,
-    _pushforward_components,
-)
+from .poly import Poly, _from_dict, _unit
+from .polyfield import PolyOneForm, PolySection, PolyVectorField, pushforward_section
 from .subspace import DEFAULT_TOL, Subspace, span
 
 __all__ = [
@@ -558,7 +552,7 @@ def _circle_node_count(circle: CircleFactor, degree: int, nodes: int | None) -> 
             f"{n_nodes} quadrature nodes cannot integrate trigonometric degree "
             f"{needed - 1} exactly; use at least {needed}",
             ExactnessWarning,
-            stacklevel=4,
+            stacklevel=3,
         )
     return n_nodes
 
@@ -637,7 +631,7 @@ def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int
     n = len(components)
     bundled: dict = {}
     for i, p in enumerate(components):
-        frame = tuple(1 if t == i else 0 for t in range(n))
+        frame = _unit(i, n)
         for exps, c in p.terms:
             bundled[exps + frame] = c
     pairs = [(s + 2 * j, s + 2 * j + 1, w) for s in (0, n) for j, w in enumerate(circle.weights)]
@@ -651,33 +645,23 @@ def _circle_quadrature_components(components, circle: CircleFactor, n_nodes: int
     return tuple(_from_dict(n, d) for d in out)
 
 
-def _haar_average(groups, spec: ActionSpec, nodes: int | None) -> tuple:
-    """The G-invariant average of each tuple of component polynomials, taken
-    as the components of a vector field or one-form, g^T C(g x).  The node
-    count follows the highest degree over all groups.
-    """
-    weight = Fraction(1, spec.finite.order)
-    totals = [[Poly.zero(spec.n)] * len(comps) for comps in groups]
-    for g in spec.finite.elements:
-        rows = _fraction_matrix(g)
-        for total, comps in zip(totals, groups):
-            moved = _pushforward_components(rows, comps)
-            total[:] = [a + b for a, b in zip(total, moved)]
-    averaged = [tuple(c * weight for c in total) for total in totals]
-    if spec.circle is None:
-        return tuple(averaged)
-    degree = max(c.degree() for comps in groups for c in comps)
-    n_nodes = _circle_node_count(spec.circle, degree, nodes)
-    return tuple(
-        _circle_quadrature_components(comps, spec.circle, n_nodes) for comps in averaged
-    )
-
-
 def haar_average_section(
     s: PolySection, spec: ActionSpec, nodes: int | None = None
 ) -> PolySection:
-    """The G-invariant average of a section of TM + T*M."""
-    tangent, covector = _haar_average(
-        (s.tangent.components, s.covector.components), spec, nodes
+    """The G-invariant average of a section of TM + T*M: the mean of its
+    push-forwards g^T s(g x) over the finite elements, then the exact circle
+    quadrature of both parts, with the node count of the highest degree of ``s``.
+    """
+    total = PolySection(PolyVectorField.zero(spec.n), PolyOneForm.zero(spec.n))
+    for g in spec.finite.elements:
+        total = total + pushforward_section(g, s)
+    mean = total * Fraction(1, spec.finite.order)
+    if spec.circle is None:
+        return mean
+    degree = max(s.tangent.degree(), s.covector.degree())
+    n_nodes = _circle_node_count(spec.circle, degree, nodes)
+    tangent, covector = (
+        _circle_quadrature_components(part.components, spec.circle, n_nodes)
+        for part in (mean.tangent, mean.covector)
     )
     return PolySection(PolyVectorField(tangent), PolyOneForm(covector))

@@ -10,7 +10,9 @@ from dataclasses import replace
 from .polyfield import courant_bracket, dorfman_bracket
 from .reduction import InternalConsistencyError
 from .scenario import (
+    MAX_SAMPLES,
     ScenarioError,
+    _section_to_dict,
     check_tolerance,
     dirac_kind,
     emit_report,
@@ -87,6 +89,8 @@ def _apply_overrides(scenario, args):
         if args.samples is not None:
             if args.samples < 0:
                 raise ScenarioError("--samples must be nonnegative")
+            if args.samples > MAX_SAMPLES:
+                raise ScenarioError(f"--samples: more than {MAX_SAMPLES} points")
             samples = replace(samples, count=args.samples)
         if args.seed is not None:
             if args.seed < 0:
@@ -109,25 +113,16 @@ def _cmd_run(args) -> int:
 
 def _cmd_bracket(args) -> int:
     s1, s2 = load_bracket_payload(args.file)
-    results = {
-        "courant": courant_bracket(s1, s2),
-        "dorfman": dorfman_bracket(s1, s2),
+    payload = {
+        "courant": _section_to_dict(courant_bracket(s1, s2)),
+        "dorfman": _section_to_dict(dorfman_bracket(s1, s2)),
     }
     if args.format == "json":
-        payload = {
-            name: {
-                "tangent": [p.to_str() for p in sec.tangent.components],
-                "covector": [p.to_str() for p in sec.covector.components],
-            }
-            for name, sec in results.items()
-        }
         print(json.dumps(payload, indent=2))
     else:
-        for name, sec in results.items():
-            tangent = ", ".join(p.to_str() for p in sec.tangent.components)
-            covector = ", ".join(p.to_str() for p in sec.covector.components)
-            print(f"{name} tangent:  [{tangent}]")
-            print(f"{name} covector: [{covector}]")
+        for name, parts in payload.items():
+            print(f"{name} tangent:  [{', '.join(parts['tangent'])}]")
+            print(f"{name} covector: [{', '.join(parts['covector'])}]")
     return EXIT_OK
 
 

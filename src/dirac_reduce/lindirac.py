@@ -256,16 +256,11 @@ def forward_image(phi: np.ndarray, dirac: LinearDirac) -> ForwardImage:
     constraint = (np.eye(2 * m) - dirac.space.projector()) @ block_diagonal(np.eye(m), phi.T)
     rows = nullspace(constraint, tol) @ block_diagonal(phi.T, np.eye(n))
     space = Subspace(2 * n, orthonormal_rows(rows, tol), tol)
-    if phi.size:
-        s = np.linalg.svd(phi, compute_uv=False)
-        rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    else:
-        rank = 0
     return ForwardImage(
         base_dim=n,
         space=space,
         lagrangian=is_lagrangian(space),
-        surjective=rank == n,
+        surjective=len(orthonormal_rows(phi, tol)) == n,
     )
 
 
@@ -278,8 +273,7 @@ def transform(g: np.ndarray, dirac: LinearDirac) -> LinearDirac:
         raise DimensionMismatchError(f"expected a {n} x {n} matrix, got {g.shape}")
     if n == 0:
         return dirac
-    s = np.linalg.svd(g, compute_uv=False)
-    if s[-1] <= dirac.tol * s[0]:
+    if len(nullspace(g, dirac.tol)):
         raise ValueError("transform matrix is singular at tolerance")
     rows = dirac.space.basis @ block_diagonal(g, np.linalg.inv(g).T).T
     tol = dirac.tol

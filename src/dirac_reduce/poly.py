@@ -107,8 +107,7 @@ class Poly:
     def variable(cls, index: int, n_vars: int) -> "Poly":
         if not 0 <= index < n_vars:
             raise ValueError(f"variable index {index} out of range for {n_vars}")
-        exps = tuple(1 if i == index else 0 for i in range(n_vars))
-        return _trusted(n_vars, ((exps, 1),))
+        return _trusted(n_vars, ((_unit(index, n_vars), 1),))
 
     # -- queries --------------------------------------------------------
 
@@ -155,7 +154,7 @@ class Poly:
         return _trusted(self.n_vars, tuple((m, -c) for m, c in self.terms))
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.constant(-_coerce(other), self.n_vars))
+        return self + (-other if isinstance(other, Poly) else -_coerce(other))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -264,19 +263,7 @@ class Poly:
         perm = _signed_permutation(rows)
         if perm is not None:
             return self._subs_signed_permutation(perm)
-        images = [
-            Poly(
-                self.n_vars,
-                tuple(
-                    (
-                        tuple(1 if k == j else 0 for k in range(self.n_vars)),
-                        rows[i][j],
-                    )
-                    for j in range(self.n_vars)
-                ),
-            )
-            for i in range(self.n_vars)
-        ]
+        images = [_linear(row) for row in rows]
         result = Poly.zero(self.n_vars)
         for m, c in self.terms:
             term = Poly.constant(c, self.n_vars)
@@ -360,6 +347,17 @@ def _from_dict(n_vars: int, merged: dict) -> Poly:
     )
 
 
+def _unit(index: int, n: int) -> Monomial:
+    """The exponents of the variable ``index`` among ``n``."""
+    return tuple(1 if j == index else 0 for j in range(n))
+
+
+def _linear(row) -> Poly:
+    """The linear form sum_j row[j] x_j, for exact coefficients ``row``."""
+    n = len(row)
+    return _from_dict(n, {_unit(j, n): c for j, c in enumerate(row)})
+
+
 def _signed_permutation(rows) -> list | None:
     """``[(col_i, sign_i)]`` when every row and column of the square matrix
     holds exactly one nonzero entry, and that entry is +1 or -1."""
@@ -408,23 +406,19 @@ def _check_power(coefficients, degree: int, power: int) -> int:
 
 _TOKEN = re.compile(
     r"\s*(?:(?P<number>\d+/\d+|\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\^*+\-()]))"
+    r"|(?P<op>[\^*+\-()])|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """The ``(kind, value)`` tokens of ``text``, with the whitespace around
+    them dropped; a character no token starts with raises."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if not match:
-            raise PolyParseError(f"unexpected character at {text[pos:]!r}")
-        pos = match.end()
-        for kind in ("number", "name", "op"):
-            value = match.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise PolyParseError(f"unexpected character at {text[match.start():]!r}")
+        tokens.append((kind, match[kind]))
     return tokens
 
 

@@ -26,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .lindirac import LinearDirac, from_distribution, graph_bases, lagrangian_flags
-from .poly import Poly, _coerce, _from_dict
+from .poly import Poly, _coerce, _from_dict, _linear, _unit
 from .subspace import DEFAULT_TOL, Subspace, block_diagonal
 
 __all__ = [
@@ -62,10 +62,6 @@ __all__ = [
 
 class DegeneratePointError(ValueError):
     """Section values fail to span a Dirac fiber at a sample point."""
-
-
-def _unit(index: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if j == index else 0 for j in range(n))
 
 
 @dataclass(frozen=True)
@@ -128,17 +124,9 @@ class _Components:
     def from_linear(cls, matrix):
         """The linear object x -> M x (componentwise M[i] . x)."""
         rows = [[_coerce(entry) for entry in row] for row in matrix]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("linear coefficient matrix must be square")
-        comps = []
-        for i in range(n):
-            terms = tuple(
-                (tuple(1 if k == j else 0 for k in range(n)), rows[i][j])
-                for j in range(n)
-            )
-            comps.append(Poly(n, terms))
-        return cls(tuple(comps))
+        return cls(tuple(_linear(row) for row in rows))
 
 
 class PolyVectorField(_Components):
@@ -714,7 +702,8 @@ def _linear_invariance(spec: DistributionSpec, generator, tol: float) -> CheckRe
     defect = np.linalg.norm(derived - derived @ basis.T @ basis, axis=-1)
     residuals = (defect / np.maximum(1.0, np.linalg.norm(derived, axis=-1))).tolist()
     failures = tuple(BracketResidual((k,), r) for k, r in enumerate(residuals) if r > tol)
-    return CheckReport("invariance", "linear", not failures, tol, max(residuals, default=0.0), failures)
+    worst = max(residuals, default=0.0)
+    return CheckReport("invariance", "linear", not failures, tol, worst, failures)
 
 
 def integrability_check(spec: DiracFieldSpec) -> CheckReport:
@@ -737,9 +726,10 @@ def infinitesimal_invariance(spec: DiracFieldSpec, action, tol: float = DEFAULT_
     ``action`` only needs a ``circle`` attribute (or None); finite factors
     contribute nothing infinitesimal, so an action without a circle passes
     vacuously.  For a graph it is L_xi W = 0 (:func:`_lie_derivative_components`)
-    and for sections <L_xi s_i, s_k> = 0 for all i, k, index (i, k), both
-    decided exactly; ``tol`` is used only for a distribution, whose
-    invariance A Delta in Delta is :func:`_linear_invariance`.
+    and for sections <L_xi s_i, s_k> = 0 for all i, k, index (i, k), with
+    L_xi s the Dorfman bracket of (xi, 0) and s, both decided exactly; ``tol``
+    is used only for a distribution, whose invariance A Delta in Delta is
+    :func:`_linear_invariance`.
     """
     circle = getattr(action, "circle", None)
     if circle is None:
@@ -750,10 +740,7 @@ def infinitesimal_invariance(spec: DiracFieldSpec, action, tol: float = DEFAULT_
         return _linear_invariance(spec, circle.generator(), tol)
     sections = generating_sections(spec)
     xi = PolyVectorField.from_linear(circle.generator())
-    derived = [
-        PolySection(lie_bracket(xi, s.tangent), lie_derivative_oneform(xi, s.covector))
-        for s in sections
-    ]
+    derived = [dorfman_bracket(PolySection(xi, PolyOneForm.zero(xi.base_dim)), s) for s in sections]
     return _exact_check(
         "invariance",
         (((i, k), _pairing(d, s)) for i, d in enumerate(derived) for k, s in enumerate(sections)),

@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 VERSION = "dirac-reduce/1"
+# largest random sample count: the draw and each point's reduction are held in memory
+MAX_SAMPLES = 1_000_000
 
 _DIRAC_KINDS = {
     BivectorSpec: "bivector",
@@ -310,6 +312,8 @@ def _parse_samples(value, n: int) -> SampleSpec:
         count = _need(r, "count", "samples.random")
         if not isinstance(count, int) or isinstance(count, bool) or count < 0:
             raise ScenarioError("samples.random.count: expected a nonnegative integer")
+        if count > MAX_SAMPLES:
+            raise ScenarioError(f"samples.random.count: more than {MAX_SAMPLES} points")
         seed = _need(r, "seed", "samples.random")
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ScenarioError("samples.random.seed: expected a nonnegative integer")
@@ -348,10 +352,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     samples = _parse_samples(data.get("samples"), n)
     tolerances = {"rank_tol": DEFAULT_TOL, "agree_tol": DEFAULT_AGREE_TOL}
     if data.get("tolerances") is not None:
-        t = data["tolerances"]
-        if not isinstance(t, dict) or set(t) - set(tolerances):
-            raise ScenarioError("tolerances: expected {rank_tol, agree_tol}")
-        for name, value in t.items():
+        for name, value in _object(data["tolerances"], "tolerances", tolerances).items():
             context = f"tolerances.{name}"
             tolerances[name] = check_tolerance(_as_number(value, context), context)
     return Scenario(n=n, dirac=dirac, action=action, samples=samples, **tolerances)
@@ -379,31 +380,27 @@ def load_scenario(path: str) -> Scenario:
 # -- canonical serialization -----------------------------------------------------
 
 
-def _dirac_to_dict(spec: DiracFieldSpec) -> dict:
-    if isinstance(spec, BivectorSpec):
-        return {
-            "bivector": [[p.to_str() for p in row] for row in spec.matrix.entries]
-        }
-    if isinstance(spec, TwoFormSpec):
-        return {
-            "two_form": [[p.to_str() for p in row] for row in spec.matrix.entries]
-        }
-    if isinstance(spec, DistributionSpec):
-        return {"distribution": [list(map(float, row)) for row in spec.subspace.basis]}
+def _section_to_dict(section: PolySection) -> dict:
+    """A section as its scenario-file object: each component's string."""
     return {
-        "sections": [
-            {
-                "tangent": [p.to_str() for p in s.tangent.components],
-                "covector": [p.to_str() for p in s.covector.components],
-            }
-            for s in spec.sections
-        ],
-        "basepoint": list(spec.basepoint),
+        "tangent": [p.to_str() for p in section.tangent.components],
+        "covector": [p.to_str() for p in section.covector.components],
     }
 
 
+def _dirac_to_dict(spec: DiracFieldSpec) -> dict:
+    kind = dirac_kind(spec)
+    if kind == "distribution":
+        return {kind: [list(map(float, row)) for row in spec.subspace.basis]}
+    if kind == "sections":
+        sections = [_section_to_dict(s) for s in spec.sections]
+        return {kind: sections, "basepoint": list(spec.basepoint)}
+    return {kind: [[p.to_str() for p in row] for row in spec.matrix.entries]}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
-    action: dict = {"finite": [[list(map(float, row)) for row in e] for e in s.action.finite.elements]}
+    finite = [[list(map(float, row)) for row in e] for e in s.action.finite.elements]
+    action: dict = {"finite": finite}
     action["circle"] = (
         None
         if s.action.circle is None
@@ -627,8 +624,9 @@ def _format_text(report: RunReport) -> str:
     ]
     lines.extend(_check_lines(report.integrability, "integrability"))
     lines.extend(_check_lines(report.invariance, "invariance"))
-    header = f"{'idx':>4} {'status':<18} {'isotropy':<26} {'dims(T_G,V)':<12} {'distance':<12} agree"
-    lines.append(header)
+    lines.append(
+        f"{'idx':>4} {'status':<18} {'isotropy':<26} {'dims(T_G,V)':<12} {'distance':<12} agree"
+    )
     applicable = report.invariance.ok
     for i, r in enumerate(report.points):
         if r.status != STATUS_OK:

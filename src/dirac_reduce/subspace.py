@@ -256,12 +256,12 @@ class Subspace:
             )
         if self.ambient_dim == 0:
             return Subspace.zero(0, self.tol)
-        scale = np.linalg.norm(form, 2)
+        singular = np.linalg.svd(form, compute_uv=False)
+        scale, smallest = singular[0], singular[-1]  # scale is the 2-norm of the form
         if scale == 0.0:
             raise FormDegenerateError("form is zero")
         if np.linalg.norm(form - form.T, 2) > self.tol * scale:
             raise ValueError("form is not symmetric")
-        smallest = np.linalg.svd(form, compute_uv=False)[-1]
         if smallest <= self.tol * scale:
             raise FormDegenerateError(
                 f"form is singular at tolerance {self.tol} "

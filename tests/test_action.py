@@ -26,7 +26,13 @@ from dirac_reduce.action import (
     vertical_space,
 )
 from dirac_reduce.poly import Poly, parse_poly
-from dirac_reduce.polyfield import PolyOneForm, PolySection, PolyVectorField, d_function
+from dirac_reduce.polyfield import (
+    PolyOneForm,
+    PolySection,
+    PolyVectorField,
+    d_function,
+    pushforward_section,
+)
 from dirac_reduce.subspace import DEFAULT_TOL, span
 
 import helpers
@@ -494,6 +500,24 @@ def test_too_few_nodes_warns():
     f = parse_poly("x^2", 2)
     with pytest.warns(ExactnessWarning):
         average_of_d(f, act, nodes=2)
+    with pytest.warns(ExactnessWarning) as record:  # the warning names its caller's line
+        haar_average_section(exact_section(f), act, nodes=2)
+    assert record[0].filename == __file__
+
+
+def test_haar_average_of_a_section_is_d4_invariant():
+    """The mean over the eight elements of D4 of a section with both parts
+    nonzero is fixed by every push-forward, and averaging it again changes
+    nothing."""
+    act = d4_action()
+    s = PolySection(
+        PolyVectorField((parse_poly("x^3 + x*y^2 + y", 2), parse_poly("2*x^2*y - x", 2))),
+        PolyOneForm((parse_poly("x*y^2 - 1/3*x^3", 2), parse_poly("y^3 + x^2*y + 1", 2))),
+    )
+    avg = haar_average_section(s, act)
+    assert not all(p.is_zero() for p in avg.tangent.components + avg.covector.components)
+    assert all(pushforward_section(g, avg) == avg for g in act.finite.elements)
+    assert haar_average_section(avg, act) == avg
 
 
 def test_haar_average_section_kills_constant_poisson_frame():

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -95,12 +96,18 @@ def test_parse_examples():
     assert parse_poly("(x + y)^2", 2) == X**2 + 2 * X * Y + Y**2
     assert parse_poly("0", 3).is_zero()
     assert parse_poly("2.25", 1) == Poly.constant(Fraction(9, 4), 1)
+    for padded in ["x ", "x\n", " x\t", " ( x ) ^ 1 "]:  # whitespace around any token
+        assert parse_poly(padded, 2) == X
 
 
 def test_parse_errors():
     for bad in ["x +", "q", "x^-1", "x^y", "1 2", "(x", ""]:
         with pytest.raises(PolyParseError):
             parse_poly(bad, 2)
+    with pytest.raises(PolyParseError, match=re.escape("unexpected character at ' $'")):
+        parse_poly("x $", 2)
+    with pytest.raises(PolyParseError, match="unexpected end of input"):
+        parse_poly(" \n", 2)
 
 
 def test_parse_limits_charge_only_expansions():

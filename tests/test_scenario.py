@@ -4,6 +4,7 @@ import copy
 import hashlib
 import importlib
 import json
+import re
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from dirac_reduce.cli import main
 from dirac_reduce.scenario import (
+    MAX_SAMPLES,
     ScenarioError,
     VERSION,
     emit_report,
@@ -69,6 +71,13 @@ def test_unknown_fields_are_rejected():
     data = base_scenario()
     data["extra"] = 1
     with pytest.raises(ScenarioError, match="extra"):
+        scenario_from_dict(data)
+    del data["extra"]
+    data["tolerances"] = {"rank_tl": 1e-9}
+    with pytest.raises(ScenarioError, match=re.escape("tolerances: unknown fields ['rank_tl']")):
+        scenario_from_dict(data)
+    data["tolerances"] = [1e-9]
+    with pytest.raises(ScenarioError, match="tolerances: expected an object"):
         scenario_from_dict(data)
 
 
@@ -172,6 +181,13 @@ def test_zero_denominator_in_polynomial_exits_2(tmp_path, capsys):
     assert "dirac.two_form[0][1]: zero denominator in '1/0'" in capsys.readouterr().err
 
 
+def test_polynomial_entry_with_surrounding_whitespace_runs(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, "1 "], ["\n-1", 0]]}
+    assert _run_cli_on(tmp_path, data) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_nan_polynomial_entry_exits_2(tmp_path, capsys):
     data = base_scenario()
     data["dirac"] = {"two_form": [[0, float("nan")], [float("nan"), 0]]}
@@ -221,6 +237,25 @@ def test_random_box_whose_corner_norm_overflows_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
     data["samples"]["random"]["box"][0] = [-1e150, 1e150]  # |corner|^2 ~ 1e300 is finite
     assert len(sample_points(scenario_from_dict(data))) == 5
+
+
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_oversized_sample_count_exits_2_naming_the_field(tmp_path, where):
+    """A random draw of 10^12 points would need terabytes: the count is
+    bounded by MAX_SAMPLES, in the file and on the command line alike."""
+    data = json.loads((SCENARIO_DIR / "so3_lie_poisson.json").read_text())
+    args = []
+    if where == "file":
+        data["samples"]["random"]["count"] = 10**12
+    else:
+        args = ["--samples", str(10**12)]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), *args]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    context = f"{path}: samples.random.count" if where == "file" else "--samples"
+    assert proc.stderr == f"error: {context}: more than {MAX_SAMPLES} points\n"
 
 
 @pytest.mark.parametrize("weight", [1001, -1001, 10**30])
