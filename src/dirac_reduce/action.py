@@ -9,8 +9,8 @@ points at once: the residuals, fixed-coordinate differences and block norms
 of every (point, element) pair are arrays, and the circle angles of all
 pairs whose fixed coordinates match are solved together, as flat arrays of
 candidate angles (:func:`_circle_isotropies`).  The subspaces the reduction
-routes build from these are computed for a whole isotropy class at once in
-:mod:`.reduction`.
+routes build from these are computed for a whole stack of isotropy classes
+of one shape at once in :mod:`.reduction`.
 """
 
 from __future__ import annotations
@@ -269,10 +269,6 @@ class IsotropyDescriptor:
             if i != j or _angle_distance(t, u) > ANGLE_TOL:
                 return False
         return True
-
-    def label(self) -> str:
-        circ = "S1" if self.continuous_circle else "-"
-        return f"circle:{circ} components:{len(self.pairs)}"
 
     def to_dict(self) -> dict:
         return {

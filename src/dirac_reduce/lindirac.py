@@ -192,10 +192,11 @@ def _check_map(phi: np.ndarray) -> np.ndarray:
 
 
 def pull_back(phi: np.ndarray, fibers: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal rows of {(v, phi^T b) : (phi v, b) in D} for phi: R^m -> R^n,
-    for each D spanned by the orthonormal rows of a stack ``fibers``
-    (N, n, 2n); every slice must decide one rank (else MixedRanksError)."""
-    n, m = phi.shape
+    """Orthonormal rows of {(v, phi^T b) : (phi v, b) in D} for each map
+    phi: R^m -> R^n of a stack ``phi`` (N, n, m) and the D spanned by the
+    orthonormal rows of the matching slice of ``fibers`` (N, n, 2n); every
+    slice must decide one rank (else MixedRanksError)."""
+    n, m = phi.shape[-2:]
     projectors = np.swapaxes(fibers, -1, -2) @ fibers
     # Kernel variables (v, b) in R^(m+n) subject to (phi v, b) in D.
     kernel = nullspace((np.eye(2 * n) - projectors) @ block_diagonal(phi, np.eye(n)), tol)
@@ -215,7 +216,7 @@ def backward_image(phi: np.ndarray, dirac: LinearDirac) -> LinearDirac:
         raise DimensionMismatchError(
             f"map targets R^{n}, Dirac structure lives on R^{dirac.base_dim}"
         )
-    rows = pull_back(phi, dirac.space.basis[None], dirac.tol)[0]
+    rows = pull_back(phi[None], dirac.space.basis[None], dirac.tol)[0]
     return LinearDirac(m, Subspace(2 * m, rows, dirac.tol))
 
 

@@ -24,10 +24,11 @@ quotient lies in Fix: so phi is surjective, b = phi phiᵀ b, and
 {(phi v, b) : (v, phiᵀ b) in D_Q} = (phi ⊕ phi)(D_Q ∩ (R^s ⊕ im phiᵀ)), where
 im phiᵀ is V° in Fix coordinates.  Route B maps D ∩ (Fix ⊕ V°) by the quotient.
 
-The points of one isotropy class share P, Fix(G_m) and, under the
-constant-rank hypothesis, every rank, so the linear algebra runs on stacks:
-the points with one exact isotropy descriptor (and so V(m) = 0 at all of them
-or at none) form an (N, r, c) stack, and each stage is one stacked numpy call.
+Every stage's shape depends only on whether V(m) = 0 and on dim Fix(G_m), so
+the linear algebra runs on stacks: the points of one shape, which conjugate
+isotropy subgroups share, form an (N, r, c) stack, and each stage is one
+stacked numpy call.  Fix(h) is built once per exact isotropy descriptor h and
+gathered to the points by index; where V = 0 so is the whole action side.
 Every slice decides its own rank with the per-point thresholds; a stack whose
 slices disagree at a stage is cut by rank, and each part is reduced as a stack
 of its own.  Per slice the stacked calls are the LAPACK/BLAS calls the
@@ -133,49 +134,51 @@ class PointReduction:
     agree: bool | None
 
 
-def _action_rows(action: ActionSpec, h: IsotropyDescriptor, points, tol: float):
-    """Fix(G_m), and the action side at each point of the stack ``points``
-    (N, n) of the exact isotropy class h, as checked, read-only stacked rows:
-    V(m) inside Fix; the quotient Fix ⊖ V, whose rows are the quotient
-    projection and which is V_G° = P V° (P projects onto Fix ⊇ V); phi, from
-    Fix coordinates to quotient coordinates; V° = (Fix ⊖ V) ⊕ ann(Fix); the
-    window T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T descends;
-    K^⊥ = R^n ⊕ V°; and K_Q^⊥ = R^s ⊕ V° on Fix coordinates, the row space of phi."""
-    n, count = action.n, len(points)
-    fix = fixed_subspace(h, action, tol)
-    fb, s = fix.basis, fix.dim
-    if h.continuous_circle:  # the circle fixes m (action._circle_fixes): V(m) = 0
-        vertical = np.zeros((count, 0, n))
-        quotient = np.broadcast_to(fb, (count, s, n))
+def _action_rows(action: ActionSpec, classes: dict, at, points, tol: float) -> dict:
+    """The action side at each point m of the stack ``points`` (N, n), as
+    checked, read-only stacked rows: Fix(G_m), the Fix of the ``at[m]``-th
+    descriptor of ``classes``; V(m) inside Fix; the quotient Fix ⊖ V, whose
+    rows are the quotient projection and which is V_G° = P V° (P projects onto
+    Fix ⊇ V); phi, from Fix coordinates to quotient coordinates; V° = (Fix ⊖ V)
+    ⊕ ann(Fix); the window T + (V_G° + ann T) = Fix ⊕ V°, where alpha|T
+    descends; K^⊥ = R^n ⊕ V°; and K_Q^⊥ = R^s ⊕ V° on Fix coordinates, the
+    row space of phi.  Where V = 0 (at all points or at none), each row is
+    the class's, built once per class and gathered by ``at``."""
+    n, fixes = action.n, classes.values()
+    fb = np.stack([f.basis for f in fixes])
+    ann_fix = np.stack([f.annihilator().basis for f in fixes])
+    if next(iter(classes)).continuous_circle:  # the circle fixes m (action._circle_fixes): V = 0
+        vertical, quotient = np.zeros((len(fb), 0, n)), fb
     else:
+        fb, ann_fix, at = fb[at], ann_fix[at], slice(None)
         moved = action.circle.generator() @ points[..., None]
         vertical = orthonormal_rows(_t(moved), tol)
-        residual = np.linalg.norm(vertical - vertical @ fix.projector(), axis=(-2, -1)).max()
+        residual = np.linalg.norm(vertical - vertical @ _projector(fb), axis=(-2, -1)).max()
         if residual > 1e4 * tol:
             raise InternalConsistencyError(
                 f"vertical space leaves the fixed space of the isotropy subgroup "
                 f"(residual {residual:.3e}); the circle must commute with the finite group"
             )
-        quotient = nullspace(vertical @ fb.T, tol) @ fb
-    phi = quotient @ fb.T
-    ann_fix = fix.annihilator().basis
-    v_ann = np.concatenate([quotient, np.broadcast_to(ann_fix, (count, *ann_fix.shape))], -2)
-    rows = dict(vertical=vertical, quotient=quotient, phi=phi, v_ann=v_ann)
+        quotient = nullspace(vertical @ _t(fb), tol) @ fb
+    phi = quotient @ _t(fb)
+    v_ann = np.concatenate([quotient, ann_fix], -2)
+    rows = dict(fix=fb, vertical=vertical, quotient=quotient, phi=phi, v_ann=v_ann)
     rows.update(window=block_diagonal(fb, v_ann), k_perp=block_diagonal(np.eye(n), v_ann))
-    rows.update(kq_perp=block_diagonal(np.eye(s), phi))
-    for basis in rows.values():
+    rows.update(kq_perp=block_diagonal(np.eye(fb.shape[-2]), phi))
+    for key, basis in rows.items():
         check_orthonormal(basis)
-        basis.setflags(write=False)
-    return fix, rows
+        rows[key] = basis[at]
+        rows[key].setflags(write=False)
+    return rows
 
 
-def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol, agree_tol):
+def _stack_geometry(action: ActionSpec, classes: dict, at, points, fibers, tol, agree_tol):
     """The row of each point of ``_reduce_stack``, whose fibers D(m) are the
     stack ``fibers`` (N, n, 2n): one stacked call per stage."""
-    fix, rows = _action_rows(action, h, points, tol)
-    n, s = action.n, fix.dim
-    vertical, quotient = rows["vertical"], rows["quotient"]
-    d_q = pull_back(fix.basis.T, fibers, tol)  # D_Q: D(m) pulled back along the inclusion of Fix
+    rows = _action_rows(action, classes, at, points, tol)
+    fix, vertical, quotient = rows["fix"], rows["vertical"], rows["quotient"]
+    n, s = action.n, fix.shape[-2]
+    d_q = pull_back(_t(fix), fibers, tol)  # D_Q: D(m) pulled back along the inclusion of Fix
     dq_k_perp = intersect_rows(d_q, _projector(rows["kq_perp"]), tol)
     descending = intersect_rows(fibers, _projector(rows["window"]), tol)
     d_k_perp = intersect_rows(fibers, _projector(rows["k_perp"]), tol)
@@ -201,33 +204,33 @@ def _stack_geometry(action: ActionSpec, h: IsotropyDescriptor, points, fibers, t
     d_qs = LinearDirac.from_stack(s, d_q, tol)
     spaces_a, spaces_b = Subspace.from_stack(2 * q, a, tol), Subspace.from_stack(2 * q, b, tol)
     flags_a, flags_b = lagrangian_flags(a, tol).tolist(), lagrangian_flags(b, tol).tolist()
-    iq_identity, out = dims.dq_cap_kq_perp == dims.d_cap_t_vg, []
-    for i, point in enumerate(points.tolist()):
+    iq_identity, descriptors, out = dims.dq_cap_kq_perp == dims.d_cap_t_vg, list(classes), []
+    for i, (point, k) in enumerate(zip(points.tolist(), at.tolist())):
         route_a = ForwardImage(q, spaces_a[i], flags_a[i], True)
         route_b = ForwardImage(q, spaces_b[i], flags_b[i], True)
         lagrangian_ok = flags_a[i] and flags_b[i]
         distance = distances[i] if lagrangian_ok else None
         agree = None if distance is None else distance <= agree_tol
         out.append(PointReduction(
-            tuple(point), STATUS_OK, None, h, dims, iq_identity,
+            tuple(point), STATUS_OK, None, descriptors[k], dims, iq_identity,
             d_qs[i], route_a, route_b, lagrangian_ok, distance, agree,
         ))
     return out
 
 
-def _reduce_stack(action: ActionSpec, h: IsotropyDescriptor, points, fibers, tol, agree_tol):
-    """The row of each point of one exact isotropy class h, whose points
-    share P, Fix and the shapes of every stage (V = 0 throughout or
-    nowhere).  A stack whose slices decide different ranks at a stage is cut
-    by that rank, and each part is reduced as a stack of its own."""
+def _reduce_stack(action: ActionSpec, classes: dict, at, points, fibers, tol, agree_tol):
+    """The row of each point of one stack, of the exact isotropy ``classes``
+    (point i of the ``at[i]``-th), which share V = 0 or V != 0, dim Fix and so
+    the shapes of every stage.  A stack whose slices decide different ranks
+    at a stage is cut by that rank, and each part is reduced as a stack of its own."""
     try:
-        return _stack_geometry(action, h, points, fibers, tol, agree_tol)
+        return _stack_geometry(action, classes, at, points, fibers, tol, agree_tol)
     except MixedRanksError as mixed:
         out = [None] * len(points)
         for rank in np.unique(mixed.args[0]):
             members = np.flatnonzero(mixed.args[0] == rank)
-            part = points[members], fibers[members]
-            for i, row in zip(members, _reduce_stack(action, h, *part, tol, agree_tol)):
+            part = at[members], points[members], fibers[members]
+            for i, row in zip(members, _reduce_stack(action, classes, *part, tol, agree_tol)):
                 out[i] = row
         return out
 
@@ -239,22 +242,29 @@ def _reductions(spec, action, points, rank_tol: float, agree_tol: float) -> list
     The fibers are evaluated at every point, in one :func:`evaluate_fibers`
     call.  Isotropy is decided for all points in one stacked call, and first
     in the verdict, so a guard-band point is reported as such even where
-    the fiber degenerates.  The other points are reduced as one stack per
-    exact isotropy class.
+    the fiber degenerates.  Fix(h) is built once per exact isotropy
+    descriptor h, and the other points are reduced as one stack per shape
+    (V(m) = 0 or not, dim Fix): conjugate subgroups share a stack.
     """
     fibers = evaluate_fibers(spec, points, rank_tol)
     out = isotropy(action, points, rank_tol)
-    stacks: dict = {}
+    groups: dict = {}
     for i, h in enumerate(out):
         if not isinstance(h, IsotropyDescriptor):
             continue
         if fibers.errors[i] is not None:
             out[i] = fibers.errors[i]
             continue
-        stacks.setdefault((h.continuous_circle, h.pairs), (h, []))[1].append(i)
-    for h, members in stacks.values():
-        part = points[members], fibers.bases[members]
-        for i, row in zip(members, _reduce_stack(action, h, *part, rank_tol, agree_tol)):
+        groups.setdefault(h, []).append(i)
+    stacks: dict = {}
+    for h in groups:
+        fix = fixed_subspace(h, action, rank_tol)
+        stacks.setdefault((h.continuous_circle, fix.dim), {})[h] = fix
+    for classes in stacks.values():
+        members = [i for h in classes for i in groups[h]]
+        at = np.repeat(np.arange(len(classes)), [len(groups[h]) for h in classes])
+        part = at, points[members], fibers.bases[members]
+        for i, row in zip(members, _reduce_stack(action, classes, *part, rank_tol, agree_tol)):
             out[i] = row
     return out
 
@@ -282,7 +292,8 @@ def restrict_to_stratum(
 def _quotient(action: ActionSpec, row: PointReduction, tol: float) -> Subspace:
     """The quotient Fix ⊖ V(m) at the point of ``row``, from the action side
     of its stack of one."""
-    rows = _action_rows(action, row.descriptor, np.array([row.point]), tol)[1]
+    h, points = row.descriptor, np.array([row.point])
+    rows = _action_rows(action, {h: fixed_subspace(h, action, tol)}, [0], points, tol)
     return Subspace(action.n, rows["quotient"][0], tol)
 
 
@@ -443,7 +454,7 @@ def reduce_point(
     agree_tol: float = DEFAULT_AGREE_TOL,
 ) -> tuple:
     """The rows of the stack ``points`` (N, n), all reduced in one pass: one
-    stack per isotropy class (see :func:`_reductions`).  Boundary and
+    stack per shape of isotropy class (see :func:`_reductions`).  Boundary and
     degenerate points are classified as skips; internal-consistency
     violations propagate."""
     points = np.asarray(points, dtype=float)

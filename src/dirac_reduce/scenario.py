@@ -453,7 +453,7 @@ def run_scenario(s: Scenario) -> RunReport:
     """Reduce every sample point along both routes, in input order, and run
     the whole-scenario checks.  The checks are decided from the spec alone;
     the reduction evaluates each fiber D(m) once and runs once over all the
-    points, as one stack per isotropy class (see :mod:`.reduction`)."""
+    points, as one stack per shape of isotropy class (see :mod:`.reduction`)."""
     points = sample_points(s)
     try:  # every polynomial evaluation at the samples happens here
         rows = reduce_point(s.dirac, s.action, points, s.rank_tol, s.agree_tol)
@@ -639,9 +639,10 @@ def _format_text(report: RunReport) -> str:
             verdict, dist = "no", "n/a"  # a route failed to be Lagrangian
         else:
             verdict, dist = ("yes" if r.agree else "NO"), f"{r.distance:.3e}"
-        lines.append(
-            f"{i:>4} {r.status:<18} {r.descriptor.label():<26} {dims:<12} {dist:<12} {verdict}"
-        )
+        h = r.descriptor  # continuous_circle is vacuously true where there is no circle
+        fixes = "none" if s.action.circle is None else "S1" if h.continuous_circle else "-"
+        label = f"circle:{fixes} components:{h.component_count}"
+        lines.append(f"{i:>4} {r.status:<18} {label:<26} {dims:<12} {dist:<12} {verdict}")
     constant = "yes" if summary["rank_constant"] else "NO"
     iq = "yes" if summary["iq_identity_all"] else "no"
     lines.append(f"classes: {len(report.classes)}, ranks constant within each: {constant}")

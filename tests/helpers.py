@@ -15,6 +15,7 @@ from dirac_reduce import (
     FiniteGroupRep,
     LinearDirac,
     Subspace,
+    fixed_subspace,
     from_bivector,
     from_distribution,
     from_two_form,
@@ -226,7 +227,8 @@ def action_geometry(act: ActionSpec, m, tol: float = DEFAULT_TOL) -> SimpleNames
     as the Subspace it spans at m (``v_g_ann`` is the quotient)."""
     m = np.asarray(m, dtype=float)
     h = isotropy(act, m, tol)
-    fix, rows = _action_rows(act, h, m[None], tol)
+    fix = fixed_subspace(h, act, tol)
+    rows = _action_rows(act, {h: fix}, [0], m[None], tol)
     spaces = {k: Subspace(v.shape[-1], v[0], tol) for k, v in rows.items()}
     spaces.update(descriptor=h, fix=fix, phi=rows["phi"][0], v_g_ann=spaces["quotient"])
     return SimpleNamespace(**spaces)

@@ -2,6 +2,7 @@
 rank bookkeeping that the runner reports."""
 
 import itertools
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -609,12 +610,22 @@ def _twisted_circle_symplectic():
     )
 
 
-BUILT = {"cube_lie_poisson": _cube_lie_poisson, "twisted_circle": _twisted_circle_symplectic}
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+from workloads import GENERATORS  # noqa: E402
+
+# the perfbench workloads at seed 7: orbit-types runs its 15 exact isotropy
+# classes, 13 of them rotation axes, as 3 stacks of one shape each
+BUILT = {
+    "cube_lie_poisson": _cube_lie_poisson,
+    "twisted_circle": _twisted_circle_symplectic,
+    **{n: lambda n=n: scenario_from_dict(GENERATORS[n](7, 1.0)[0]) for n in GENERATORS},
+}
 
 
 @pytest.mark.parametrize("name", [*sorted(BUNDLED), *BUILT])
 def test_run_rows_equal_standalone_reduce_point_bit_for_bit(name):
-    """The action side a run shares within an isotropy class gives every ok
+    """The action side a run shares within a stack gives every ok
     row exactly what reduce_point computes at that point on its own."""
     s = BUILT[name]() if name in BUILT else BUNDLED[name]
     report = run_scenario(s)
@@ -704,7 +715,7 @@ def test_d_q_is_the_backward_image_bit_for_bit(name):
 def test_svd_calls_per_point_stay_bounded(monkeypatch, name):
     """A timing-free guard on the per-point cost, which numpy's per-call
     overhead dominates: every np.linalg.svd a run makes is counted.  The
-    points of one isotropy class are reduced as one stack, one SVD per stage,
+    points of one shape are reduced as one stack, one SVD per stage,
     so doubling the sample count (same classes) adds at most one SVD per
     added point: the graph of its fiber D(m)."""
     calls = []
@@ -761,9 +772,9 @@ def test_stack_with_mixed_ranks_is_split_and_matches_each_point_alone(monkeypatc
     stacks = []
     reduce_stack = reduction._reduce_stack
 
-    def recording(action, h, points, *args):
+    def recording(action, classes, at, points, *args):
         stacks.append(len(points))
-        return reduce_stack(action, h, points, *args)
+        return reduce_stack(action, classes, at, points, *args)
 
     monkeypatch.setattr(reduction, "_reduce_stack", recording)
     report = run_scenario(s)

@@ -435,6 +435,25 @@ def test_text_report_shape():
     assert text.endswith("\n")
 
 
+@pytest.mark.parametrize(
+    "name, labels, flags",
+    [
+        ("dihedral_distribution.json", {"circle:none"}, {True}),
+        ("z2_circle_r3_two_form.json", {"circle:S1", "circle:-"}, {True, False}),
+    ],
+)
+def test_text_labels_say_circle_none_where_the_action_has_no_circle(name, labels, flags):
+    """continuous_circle is vacuously true without a circle factor: the text
+    rows say ``circle:none`` there, as the header does, and the JSON keeps
+    the flag.  With a circle, the rows say ``S1`` or ``-``."""
+    report = run_scenario(load_scenario(str(SCENARIO_DIR / name)))
+    text = emit_report(report, "text")
+    assert ("circle none" in text.splitlines()[0]) == (flags == {True})
+    assert set(re.findall(r" (circle:\S+) components:\d+ ", text)) == labels
+    points = json.loads(emit_report(report, "json"))["points"]
+    assert {p["isotropy"]["continuous_circle"] for p in points} == flags
+
+
 def test_unknown_format_is_rejected():
     s = load_scenario(str(SCENARIO_DIR / "z2_reflection_area_form.json"))
     with pytest.raises(ScenarioError, match="format"):
@@ -483,9 +502,21 @@ def test_run_builds_each_point_once(monkeypatch, name):
     assert {k: len(v) for k, v in calls.items()} == {
         "isotropy": 1, "evaluate_fibers": 1, "evaluate_at": 0
     }
-    # the reduction runs once per stack: the points of one exact isotropy class
+    # Fix is built once per exact isotropy class; the reduction runs once per
+    # stack, the points of one shape (V(m) = 0 or not, dim Fix), and once
+    # more for each part of a stack that is cut by rank
     keys = {(r.descriptor.continuous_circle, r.descriptor.pairs) for r in report.points}
-    assert len(stacks) == len(keys) < n_points
+    assert len(per_class["fixed_subspace"]) == len(keys) < n_points
+    shapes: dict = {}
+    for r in report.points:
+        shape = (r.descriptor.continuous_circle, r.dims.tangent_isotropy)
+        shapes.setdefault(shape, set()).add(r.dims)
+    cut = sum(len(dims) for dims in shapes.values() if len(dims) > 1)
+    assert len(stacks) == len(shapes) + cut < n_points
+    if name == "dihedral_distribution.json":
+        # 6 exact classes make 3 shapes; the reflection stack is cut by rank
+        # in 2, as D = span{e1} meets the axes of the reflections differently
+        assert (len(keys), len(shapes), len(stacks)) == (6, 3, 3 + 2)
     if s.action.circle is None:
         # V = 0 at every point: P and Fix are built once per isotropy class
         n_classes = len(report.classes)

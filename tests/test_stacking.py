@@ -13,7 +13,9 @@ a sections spec's fibers, spanned by one stacked SVD, must equal the span of
 each point's own section values.
 The reduction checks each stage once per stack and places each exact
 isotropy descriptor into its rank class once, so its check and comparison
-counts grow with the stacks and classes, not with the points.  Integer
+counts grow with the stacks and classes, not with the points; its stacks
+are one per shape (V(m) = 0 or not, dim Fix), shared by conjugate classes,
+and a row must not depend on which classes share its stack.  Integer
 polynomial input is parsed and checked on ints, with no Fraction built.
 """
 
@@ -297,12 +299,18 @@ def test_circle_isotropy_builds_rotations_per_stack_not_per_angle(weights, monke
     assert len(calls) - few == few
 
 
+# stacks per workload (seed 7): one per shape (V(m) = 0 or not, dim Fix), so
+# orbit-types' 15 exact classes, 13 of them rotation axes, share 3 stacks
+SHAPE_STACKS = {"orbit-types": 3, "strata-dense": 4, "exact-symbolic": 3}
+
+
 @pytest.mark.parametrize("name", ["strata-dense", "orbit-types"])
 def test_checks_and_comparisons_scale_with_stacks_not_points(name, workload_dir, monkeypatch):
     """Every Subspace the reduction returns is a view of a stack checked
-    once, and each exact descriptor meets at most one representative per
-    class; per point, orbit-types made 840 Subspace constructions and 3,748
-    same_as calls."""
+    once, so the only ones constructed are Fix and its annihilator, once per
+    exact descriptor; and each exact descriptor meets at most one
+    representative per class.  Per point, orbit-types made 840 Subspace
+    constructions and 3,748 same_as calls."""
     s = _scenario(name, workload_dir)
     constructions = _counted(monkeypatch, Subspace, "__post_init__")
     comparisons = _counted(monkeypatch, IsotropyDescriptor, "same_as")
@@ -310,9 +318,16 @@ def test_checks_and_comparisons_scale_with_stacks_not_points(name, workload_dir,
     report = run_scenario(s)
     ok = [r for r in report.points if r.status == "ok"]
     groups = {r.descriptor for r in ok}
+    assert len(stacks) == SHAPE_STACKS[name]
     assert len(stacks) < len(ok) / 10 and len(groups) < len(ok) / 10
-    assert len(constructions) <= 4 * len(stacks)
+    assert len(constructions) <= 2 * len(groups)
     assert len(comparisons) <= len(groups) * len(report.classes)
+
+
+def test_exact_symbolic_runs_one_stack_per_shape(workload_dir, monkeypatch):
+    stacks = _counted(monkeypatch, reduction, "_stack_geometry")
+    run_scenario(_scenario("exact-symbolic", workload_dir))
+    assert len(stacks) == SHAPE_STACKS["exact-symbolic"]
 
 
 @pytest.mark.parametrize("name", WORKLOADS)
