@@ -13,9 +13,10 @@ the side that runs first alternates from pair to pair.  Each run measures for
 BENCHMARK.json's ``run_seconds``.
 
 The JSON written to ``--out`` holds, per workload and end-to-end metric, the
-median and quartiles of each side and the number of pairs the change wins
-(is better in, in the metric's direction), plus the failed repetitions of
-each side, perfbench's machine note and ``PYTHONDONTWRITEBYTECODE``.  The
+median and quartiles of each side, the number of pairs the change wins
+(is better in, in the metric's direction) and the :func:`verdict` under the
+metric's bound in BENCHMARK.json, plus the failed repetitions of each side,
+perfbench's machine note and ``PYTHONDONTWRITEBYTECODE``.  The
 base side is named by its commit, the change by the git tree hash of the
 exported files and that of their ``src`` directory, the code measured: once
 committed unchanged, ``git rev-parse <commit>:src`` gives the same hash.
@@ -82,6 +83,40 @@ def summary(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def change_wins(parent: list, change: list, higher: bool) -> int:
+    """The pairs (run i of each side) in which the change is better; a tie
+    counts for neither side."""
+    return sum((c > p) if higher else (c < p) for p, c in zip(parent, change, strict=True))
+
+
+def verdict(parent: list, change: list, higher: bool, bound: float) -> str:
+    """What the paired runs ``parent`` and ``change`` (run i of each is pair i)
+    show, for a metric that is better ``higher`` or lower, whose median may
+    worsen by the relative ``bound``:
+
+    - ``gain``: the change is better in at least nine tenths of the pairs,
+      ties counting for neither, and its median is better by more than the
+      parent's q3 - q1;
+    - ``regression``: the change's median is worse by more than ``bound``;
+    - ``unresolved``: the parent's q3 - q1 is wider than ``bound`` of its
+      median, and not every run of the change is better than every run of
+      the parent;
+    - ``no regression``: otherwise.
+    """
+    sign = 1 if higher else -1
+    before, after = summary(parent), summary(change)
+    better = sign * (after["median"] - before["median"])  # < 0 where the change is worse
+    spread = before["q3"] - before["q1"]
+    if change_wins(parent, change, higher) >= 0.9 * len(parent) and better > spread:
+        return "gain"
+    if better < -bound * before["median"]:
+        return "regression"
+    separated = min(change) > max(parent) if higher else max(change) < min(parent)
+    if spread > bound * before["median"] and not separated:
+        return "unresolved"
+    return "no regression"
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -104,15 +139,14 @@ def main(argv=None) -> int:
         for metric in spec["end_to_end"]:
             name, higher = metric["name"], metric["better"] == "higher"
             values = {k: [r["metrics"][name]["value"] for r in v] for k, v in by_side.items()}
-            wins = sum(
-                (c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"])
-            )
             metrics[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
+                "bound": metric["bound"],
                 "parent": summary(values["parent"]),
                 "change": summary(values["change"]),
-                "change_wins": wins,
+                "change_wins": change_wins(values["parent"], values["change"], higher),
+                "verdict": verdict(values["parent"], values["change"], higher, metric["bound"]),
             }
         failed = {k: sum(r["failed"] for r in v) for k, v in by_side.items()}
         results[workload] = {"pairs": PAIRS, "failed_repetitions": failed, "metrics": metrics}

@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Poly, _from_dict, _unit
-from .polyfield import PolyOneForm, PolySection, PolyVectorField, pushforward_section
+from .polyfield import _PASS_FLOATS, PolyOneForm, PolySection, PolyVectorField, pushforward_section
 from .subspace import DEFAULT_TOL, Subspace, span
 
 __all__ = [
@@ -315,7 +315,6 @@ _AMBIGUITIES = (
     "element {idx} with angle {theta:.6f} fixes the point only inside the guard band",
 )
 _FIXED, _MAGNITUDE, _MATCH, _MERGE, _UNCONSTRAINED, _RESIDUAL = range(1, 7)
-_PASS_FLOATS = 1 << 21  # the most floats of a stacked array in one pass of the circle solve
 
 
 def _block_angles(vectors: np.ndarray) -> np.ndarray:

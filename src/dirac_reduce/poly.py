@@ -20,7 +20,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from numbers import Rational
 from operator import add
 
@@ -204,20 +203,6 @@ class Poly:
             if e:
                 out.append((m[:index] + (e - 1,) + m[index + 1 :], _normal(c * e)))
         return _trusted(self.n_vars, tuple(out))
-
-    @cached_property
-    def _float_terms(self) -> tuple:
-        """``(powers, terms)`` for ``polyfield.evaluate_polys``: the distinct
-        ``(variable, exponent)`` pairs in use, and per term ``float(c)``
-        with the indices into ``powers`` of its factors, in variable order."""
-        powers: dict = {}
-        terms = []
-        for m, c in self.terms:
-            factors = tuple(
-                powers.setdefault((i, e), len(powers)) for i, e in enumerate(m) if e
-            )
-            terms.append((float(c), factors))
-        return tuple(powers), tuple(terms)
 
     def evaluate(self, point):
         """Evaluate at a point: each term ``c * v**e`` left to right, the

@@ -198,11 +198,13 @@ class PolyTwoForm:
         )
 
     def evaluate_stack(self, points: np.ndarray) -> np.ndarray:
-        """The matrix at each point of a stack (N, n), as (N, n, n); see
-        :func:`evaluate_polys`."""
-        n = self.base_dim
-        values = evaluate_polys([p for row in self.entries for p in row], points)
-        return values.T.reshape(len(points), n, n)
+        """The matrix at each point of a stack (N, n), as (N, n, n): the strict upper
+        triangle by :func:`evaluate_polys`, the lower as ``0.0 - upper`` (the bits of -W_ij)."""
+        upper, lower = np.triu_indices(self.base_dim, 1)
+        values = evaluate_polys([self.entries[i][j] for i, j in zip(upper, lower)], points).T
+        out = np.zeros((len(values), self.base_dim, self.base_dim))
+        out[:, upper, lower], out[:, lower, upper] = values, 0.0 - values
+        return out
 
 
 @dataclass(frozen=True)
@@ -235,6 +237,9 @@ class PolySection:
     __rmul__ = __mul__
 
 
+_PASS_FLOATS = 1 << 21  # the most floats of a stacked array in one pass over the points
+
+
 def _float_power(v: float, e: int) -> float:
     try:
         return v**e
@@ -249,31 +254,41 @@ def evaluate_polys(polys, points: np.ndarray) -> np.ndarray:
     bit: the powers are Python's ``float ** int`` (numpy's vectorised pow
     rounds differently), each term is multiplied left to right, and the terms
     are accumulated in canonical order (np.cumsum; np.sum would sum pairwise).
-    A value beyond the float range raises OverflowError naming the first such
-    point in input order, without a numpy warning.
+    All terms of all polynomials are one product over one table of powers, in
+    passes of at most ``_PASS_FLOATS`` floats per array.  A value beyond the
+    float range raises OverflowError naming the first such point in input
+    order, without a numpy warning.
     """
     points = np.asarray(points, dtype=float)
-    columns = points.T.tolist()
-    ones = np.ones(len(points))
-    powers: dict = {}  # (variable, exponent) -> its values at the points
+    terms = [term for poly in polys for term in poly.terms]
+    # One more term, 0.0, ends each polynomial's row of terms.  Poly.evaluate
+    # sums from 0, so its total is never -0.0; cumsum starts from the first
+    # term, and adding that 0.0 turns a -0.0 into 0.0 and keeps any other x.
+    exponents = np.array([m for m, _ in terms] + [(0,) * points.shape[1]])
+    coefficients = np.array([float(c) for _, c in terms] + [0.0])[:, None]
+    sizes = np.array([len(poly.terms) for poly in polys])
+    slots = np.full((len(polys), max(sizes, default=0) + 1), len(terms))
+    slots[np.arange(slots.shape[1]) < sizes[:, None]] = np.arange(len(terms))
+    # Row r of the power table holds the r-th (variable, exponent) pair in
+    # use; row 0 is 1.0, the factor of a zero exponent, which is exact.
+    variables = np.arange(points.shape[1])
+    used = np.zeros((len(variables), exponents.max() + 1), dtype=bool)
+    used[variables, exponents] = True
+    used[:, 0] = False
+    index = (np.cumsum(used).reshape(used.shape) * used)[variables, exponents]
+    pairs = np.argwhere(used).tolist()
     out = np.zeros((len(polys), len(points)))
+    step = max(1, _PASS_FLOATS // max(slots.size, len(pairs) + 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        for row, poly in zip(out, polys):
-            keys, terms = poly._float_terms
-            if not terms:
-                continue
-            for i, e in keys:
-                if (i, e) not in powers:
-                    powers[i, e] = np.array([_float_power(v, e) for v in columns[i]])
-            table = np.stack([powers[key] for key in keys] + [ones])
-            width = max(1, max(len(factors) for _, factors in terms))
-            index = np.array([f + (len(keys),) * (width - len(f)) for _, f in terms])
-            values = np.array([c for c, _ in terms])[:, None] * table[index[:, 0]]
-            for k in range(1, width):
+        for start in range(0, len(points), step):
+            columns = points[start : start + step].T.tolist()
+            table = np.ones((len(pairs) + 1, len(columns[0])))
+            for row, (i, e) in zip(table[1:], pairs):
+                row[:] = [_float_power(v, e) for v in columns[i]]
+            values = coefficients * table[index[:, 0]]
+            for k in variables[1:]:
                 values *= table[index[:, k]]
-            # Poly.evaluate sums from 0, so its total is never -0.0; cumsum starts
-            # from the first term, and adding 0.0 turns its -0.0 into that 0.0
-            row[:] = np.cumsum(values, axis=0)[-1] + 0.0
+            out[:, start : start + step] = np.cumsum(values[slots], axis=1)[:, -1]
     finite = np.isfinite(out).all(axis=0)
     if not finite.all():
         point = tuple(points[int(np.argmin(finite))].tolist())

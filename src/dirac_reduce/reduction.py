@@ -227,7 +227,7 @@ def _reduce_stack(action: ActionSpec, classes: dict, at, points, fibers, tol, ag
         return _stack_geometry(action, classes, at, points, fibers, tol, agree_tol)
     except MixedRanksError as mixed:
         out = [None] * len(points)
-        for rank in np.unique(mixed.args[0]):
+        for rank in sorted(set(mixed.args[0].tolist())):
             members = np.flatnonzero(mixed.args[0] == rank)
             part = at[members], points[members], fibers[members]
             for i, row in zip(members, _reduce_stack(action, classes, *part, tol, agree_tol)):

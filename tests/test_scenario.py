@@ -2,8 +2,9 @@
 
 import copy
 import hashlib
-import importlib
+import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -526,6 +527,27 @@ def test_run_builds_each_point_once(monkeypatch, name):
         )
 
 
+def test_runs_do_not_import_numpy_ma():
+    """No bundled scenario's load, run or emission imports numpy.ma: plain
+    np.unique imports it on first use, which costs more than a whole small
+    run.  A fresh interpreter runs the scenarios one after another and names
+    the first after which numpy.ma is loaded."""
+    code = (
+        "import sys\n"
+        "from dirac_reduce.scenario import emit_report, load_scenario, run_scenario\n"
+        "for path in sys.argv[1:]:\n"
+        "    emit_report(run_scenario(load_scenario(path)), 'json')\n"
+        "    if 'numpy.ma' in sys.modules:\n"
+        "        sys.exit('numpy.ma imported by ' + path)\n"
+    )
+    src = str(SCENARIO_DIR.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-c", code, *map(str, SCENARIO_FILES)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _fresh_json(path) -> bytes:
     cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
     return subprocess.run(cmd, capture_output=True, check=True).stdout
@@ -787,6 +809,47 @@ def test_report_digests_names_a_non_scenario_file_and_goes_on(tmp_path):
     report = emit_report(run_scenario(load_scenario(str(scenario))), "json")
     assert proc.stdout == f"{hashlib.sha256(report.encode('utf-8')).hexdigest()}  area.json\n"
     assert proc.stderr.startswith(f"error: {other}: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _bench_pairs():
+    path = SCENARIO_DIR.parent / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+STEADY = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # q3 - q1 = 1.75
+WIDE = [10, 10, 10, 50, 50, 50, 90, 90, 90, 90]  # median 50, q3 - q1 = 70
+
+
+@pytest.mark.parametrize(
+    "parent, change, higher, expected",
+    [
+        # 9 of 10 pairs won, medians 10 apart
+        (STEADY, [c + 10 for c in STEADY[:9]] + [90], True, "gain"),
+        ([1 / c for c in STEADY], [1 / (c + 10) for c in STEADY[:9]] + [1], False, "gain"),
+        # 8 of 10 pairs won
+        (STEADY, [c + 10 for c in STEADY[:8]] + [90, 90], True, "no regression"),
+        # every pair won, by less than the parent's q3 - q1
+        (STEADY, [c + 1 for c in STEADY], True, "no regression"),
+        # the median 30% worse, against a bound of 24%
+        (STEADY, [c * 0.7 for c in STEADY], True, "regression"),
+        ([c / 100 for c in STEADY], [c * 0.013 for c in STEADY], False, "regression"),
+        # 20% worse: within the bound
+        (STEADY, [c * 0.8 for c in STEADY], True, "no regression"),
+        # the parent's q3 - q1 is 140% of its median
+        (WIDE, WIDE[::-1], True, "unresolved"),
+        (WIDE, WIDE[::-1], False, "unresolved"),
+        # ... unless every run of the change is better than every parent run
+        (WIDE, [91] * 10, True, "no regression"),
+        (WIDE, [9] * 10, False, "no regression"),
+    ],
+)
+def test_bench_pairs_verdict(parent, change, higher, expected):
+    """scripts/bench_pairs.py's verdict on paired runs (run i of each side
+    is pair i) under a bound of 24%."""
+    assert _bench_pairs().verdict(parent, change, higher, 0.24) == expected
 
 
 def test_module_entry_point_is_byte_deterministic():

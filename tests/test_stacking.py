@@ -8,7 +8,8 @@ and 31) and on planted stacks around every guard band; the circle's
 rotations are built once per stack, not once per candidate angle.  On the
 bundled scenarios and the workloads (seed 7) a point's fiber basis must not
 depend on the rest of the stack, bit for bit,
-and the stacked polynomial evaluation must be Poly.evaluate's arithmetic;
+and the stacked polynomial evaluation must be Poly.evaluate's arithmetic
+(lower triangle and signed zeros included, in one pass or in many);
 a sections spec's fibers, spanned by one stacked SVD, must equal the span of
 each point's own section values.
 The reduction checks each stage once per stack and places each exact
@@ -20,6 +21,7 @@ polynomial input is parsed and checked on ints, with no Fraction built.
 """
 
 import functools
+import json
 import re
 import sys
 import warnings
@@ -29,7 +31,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_reduce import reduction
+from dirac_reduce import polyfield, reduction
 from dirac_reduce.action import (
     ActionSpec,
     AmbiguousIsotropyError,
@@ -66,6 +68,11 @@ from workloads import write_workload  # noqa: E402
 WORKLOADS = ("strata-dense", "exact-symbolic", "orbit-types")
 SEEDS = (7, 31)
 BUNDLED = sorted(p.name for p in (ROOT / "scenarios").glob("*.json"))
+GRAPHS = [  # the bundled bivector and two-form scenarios
+    path.name
+    for path in sorted((ROOT / "scenarios").glob("*.json"))
+    if json.loads(path.read_text())["dirac"].keys() & {"bivector", "two_form"}
+]
 
 
 @pytest.fixture(scope="module")
@@ -254,22 +261,63 @@ def test_stacked_sections_fibers_equal_the_span_at_each_point(name):
             assert str(error) == message and not basis.any(), point
 
 
-def test_stacked_evaluation_is_poly_evaluate_bit_for_bit(workload_dir):
-    """exact-symbolic's omega has degree 8, so powers up to the 8th: numpy's
-    vectorised pow rounds some of them differently from float ** int, and a
-    pairwise sum adds the terms in another order; either shows here."""
-    s = _scenario("exact-symbolic", workload_dir)
+def _evaluation_points(s) -> np.ndarray:
+    """The sample points, 40 seeded random ones, the same with about half of
+    their coordinates set to 0.0 and about half of all coordinates negated
+    (so many are -0.0), and the all-0.0 and all--0.0 points."""
     rng = np.random.default_rng(5)
-    points = np.concatenate([sample_points(s), rng.uniform(-3.0, 3.0, (40, s.n))])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        stacked = s.dirac.matrix.evaluate_stack(points)
+    random = rng.uniform(-3.0, 3.0, (40, s.n))
+    zeros = np.where(rng.random(random.shape) < 0.5, 0.0, random)
+    zeros = np.where(rng.random(random.shape) < 0.5, -zeros, zeros)
+    extremes = np.array([[0.0] * s.n, [-0.0] * s.n])
+    points = np.concatenate([sample_points(s), random, zeros, extremes])
+    assert (np.signbit(points) & (points == 0.0)).any()
+    return points
+
+
+def _evaluated_entries(s, points) -> list:
+    """Poly.evaluate of every stored entry, the lower triangle and the
+    diagonal included, at each point."""
     entries = s.dirac.matrix.entries
-    reference = [
+    return [
         [[float(entries[i][j].evaluate(list(m))) for j in range(s.n)] for i in range(s.n)]
         for m in points.tolist()
     ]
-    assert np.array_equal(_bits(stacked), _bits(reference))
+
+
+@pytest.mark.parametrize("name", [*GRAPHS, "exact-symbolic"])
+def test_stacked_evaluation_is_poly_evaluate_bit_for_bit(name, workload_dir):
+    """The matrix evaluates its upper triangle and negates it as 0.0 - upper
+    for the lower: every entry, signed zeros included, has the bits of
+    Poly.evaluate of the stored entry, on every bundled bivector and two-form
+    scenario and on exact-symbolic.  exact-symbolic's omega has degree 8, so
+    powers up to the 8th: numpy's vectorised pow rounds some of them
+    differently from float ** int, and a pairwise sum adds the terms in
+    another order; either shows there."""
+    s = _scenario(name, workload_dir)
+    points = _evaluation_points(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stacked = s.dirac.matrix.evaluate_stack(points)
+    assert np.array_equal(_bits(stacked), _bits(_evaluated_entries(s, points)))
+
+
+@pytest.mark.parametrize("bound", [1, 1 << 12])
+def test_stacked_evaluation_in_passes_equals_one_pass(bound, workload_dir, monkeypatch):
+    """With the pass bound cut to 1 float (one point per pass) or to 4096
+    floats (exact-symbolic's 458 upper terms in 6 rows of at most 84 slots
+    take 504 floats per point: passes of 8 points, the last one shorter), the
+    101 points evaluate to the bits of one pass and of Poly.evaluate."""
+    s = _scenario("exact-symbolic", workload_dir)
+    points = _evaluation_points(s)
+    whole = s.dirac.matrix.evaluate_stack(points)
+    monkeypatch.setattr(polyfield, "_PASS_FLOATS", bound)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        passes = s.dirac.matrix.evaluate_stack(points)
+    assert len(points) % 8  # at 4096 floats, the last pass is shorter
+    assert np.array_equal(_bits(passes), _bits(whole))
+    assert np.array_equal(_bits(passes), _bits(_evaluated_entries(s, points)))
 
 
 def _counted(monkeypatch, owner, name: str) -> list:
