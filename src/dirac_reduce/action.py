@@ -134,11 +134,14 @@ class CircleFactor:
             a[2 * j + 1, 2 * j] = w
         return a
 
-    def rotation(self, theta: float) -> np.ndarray:
-        r = np.eye(self.n)
+    def rotation(self, theta) -> np.ndarray:
+        """R(theta) (n, n), or one R per angle of an array of angles (..., n, n)."""
+        theta = np.asarray(theta, dtype=float)
+        r = np.tile(np.eye(self.n), (*theta.shape, 1, 1))
         for j, w in enumerate(self.weights):
-            c, s = math.cos(w * theta), math.sin(w * theta)
-            r[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = [[c, -s], [s, c]]
+            c, s = np.cos(w * theta), np.sin(w * theta)
+            r[..., 2 * j, 2 * j], r[..., 2 * j, 2 * j + 1] = c, -s
+            r[..., 2 * j + 1, 2 * j], r[..., 2 * j + 1, 2 * j + 1] = s, c
         return r
 
 
@@ -251,14 +254,7 @@ class IsotropyDescriptor:
         return len(self.pairs)
 
     def matrices(self, spec: ActionSpec) -> list:
-        out = []
-        for idx, theta in self.pairs:
-            f = spec.finite.elements[idx]
-            if spec.circle is None:
-                out.append(f)
-            else:
-                out.append(f @ spec.circle.rotation(theta))
-        return out
+        return list(_group_matrices(spec, [i for i, _ in self.pairs], [t for _, t in self.pairs]))
 
     def same_as(self, other: "IsotropyDescriptor") -> bool:
         if self.continuous_circle != other.continuous_circle:
@@ -292,13 +288,21 @@ def _as_points(spec: ActionSpec, m, ndims: tuple) -> np.ndarray:
     return points
 
 
+def _group_matrices(spec: ActionSpec, idx, theta) -> np.ndarray:
+    """f R(theta) for each finite element index of ``idx`` and angle of
+    ``theta``, as (len(idx), n, n): the matrices of isotropy pairs."""
+    f = np.stack(spec.finite.elements)[idx]
+    return f if spec.circle is None else f @ spec.circle.rotation(theta)
+
+
 def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """g m for each matrix g of ``matrices`` (G, n, n) and point m of
-    ``points`` (N, n), as (N, G, n).  The products are summed over the columns
-    in order, so a point's values do not depend on the rest of the stack."""
-    out = np.zeros((len(points), len(matrices), matrices.shape[-2]))
+    """g m for each matrix g of ``matrices`` (..., n, n) and point m of
+    ``points`` (..., n), over their broadcast stack: isotropy's one rule for
+    g m.  The products are summed over the columns in order, so a point's
+    values do not depend on the rest of the stack."""
+    out = np.zeros(np.broadcast_shapes(matrices.shape[:-1], points.shape))
     for j in range(matrices.shape[-1]):
-        out += points[:, None, j, None] * matrices[:, :, j]
+        out += points[..., j, None] * matrices[..., j]
     return out
 
 
@@ -351,13 +355,14 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     and each later block keeps those nearest one of its own angles.  Each
     surviving candidate is checked by its residual |f R(theta) m - m|.  A
     pair's error is the first case it meets in that order, and a point's the
-    first in element order; the arithmetic of each pair (f^T m and (f R) m
-    one matrix product each, atan2 from math) is that of the pair alone."""
-    circle, elements, n = spec.circle, np.stack(spec.finite.elements), spec.n
+    first in element order; the arithmetic of each pair (f^T m, computed once
+    for every pair, and (f R) m by :func:`_act`, atan2 from math) is that of
+    the pair alone."""
+    circle, elements = spec.circle, np.stack(spec.finite.elements)
     k2 = 2 * len(circle.weights)
     angle_atol = max(tol, 1e-12)
     angle_guard = 1000.0 * angle_atol
-    targets = _act(np.swapaxes(elements, -1, -2), points)  # f^T m
+    targets = _act(np.swapaxes(elements, -1, -2), points[:, None])  # f^T m
     fixed_diff = np.abs(targets[..., k2:] - points[:, None, k2:]).max(axis=-1, initial=0.0)
     at, idx = np.nonzero(fixed_diff <= guard[:, None])  # the pairs, point-major
     pa, pg = atol[at, None], guard[at, None]
@@ -374,9 +379,8 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     angled = ~free & ~empty & (block_code == 0)
     psi = np.zeros(ns.shape)
     need = np.flatnonzero(angled.any(axis=1))
-    if need.size:  # a stacked matmul makes, per pair, the BLAS call of f.T @ m alone
-        exact = (np.swapaxes(elements[idx[need]], -1, -2) @ points[at[need], :, None])[..., 0]
-        psi[need] = _block_angles(exact[:, :k2]) - _block_angles(points[at[need], :k2])
+    pair_targets = targets[at[need], idx[need], :k2]
+    psi[need] = _block_angles(pair_targets) - _block_angles(points[at[need], :k2])
 
     theta, owner = np.empty(0), np.empty(0, dtype=np.int64)
     alive, started = code == 0, np.zeros(len(at), dtype=bool)
@@ -408,13 +412,8 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     order = np.argsort(owner, kind="stable")
     on = order[alive[owner[order]]]
     theta, owner = theta[on], owner[on]  # grouped by pair, in each pair's candidate order
-    rotation = np.tile(np.eye(n), (len(theta), 1, 1))
-    for j, w in enumerate(circle.weights):
-        c, s = np.cos(w * theta), np.sin(w * theta)
-        rotation[:, 2 * j, 2 * j], rotation[:, 2 * j, 2 * j + 1] = c, -s
-        rotation[:, 2 * j + 1, 2 * j], rotation[:, 2 * j + 1, 2 * j + 1] = s, c
-    m = points[at[owner]]  # (f R) m, with f R first, as a single angle's product
-    residual = np.abs(((elements[idx[owner]] @ rotation) @ m[..., None])[..., 0] - m).max(axis=-1)
+    m = points[at[owner]]  # (f R) m, with f R the matrix the descriptor averages
+    residual = np.abs(_act(_group_matrices(spec, idx[owner], theta), m) - m).max(axis=-1)
     fixes = residual <= atol[at[owner]]
     inside = ~fixes & (residual <= guard[at[owner]])
     bad, first_bad = np.unique(owner[inside], return_index=True)
@@ -448,7 +447,7 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
     outcomes: list = [None] * len(points)  # (continuous, pairs), or an error message
 
     rows = np.flatnonzero(continuous)
-    residual = np.abs(_act(elements, points[rows]) - points[rows, None]).max(axis=-1)
+    residual = np.abs(_act(elements, points[rows, None]) - points[rows, None]).max(axis=-1)
     belongs = residual <= atol[rows, None]
     inside = ~belongs & (residual <= guard[rows, None])
     first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)

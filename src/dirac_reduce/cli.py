@@ -5,16 +5,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .polyfield import courant_bracket, dorfman_bracket
 from .reduction import InternalConsistencyError
 from .scenario import (
     MAX_SAMPLES,
     ScenarioError,
+    _describe,
+    _read_json,
+    _scenario_from_file,
     _section_to_dict,
     check_tolerance,
-    dirac_kind,
     emit_report,
     exit_code,
     load_bracket_payload,
@@ -60,48 +61,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     scenario = load_scenario(args.file)
-    kind = dirac_kind(scenario.dirac)
-    circle = (
-        "none"
-        if scenario.action.circle is None
-        else f"weights {list(scenario.action.circle.weights)}"
-    )
-    n_points = len(sample_points(scenario))
-    print(
-        f"ok: n={scenario.n}, dirac={kind}, finite order {scenario.action.finite.order}, "
-        f"circle {circle}, {n_points} sample points"
-    )
+    print(f"ok: {_describe(scenario)}, {len(sample_points(scenario))} sample points")
     return EXIT_OK
 
 
-def _apply_overrides(scenario, args):
-    if args.rank_tol is not None:
-        scenario = replace(scenario, rank_tol=check_tolerance(args.rank_tol, "--rank-tol"))
-    if args.agree_tol is not None:
-        scenario = replace(scenario, agree_tol=check_tolerance(args.agree_tol, "--agree-tol"))
-    if args.samples is not None or args.seed is not None:
-        if scenario.samples.count is None:
-            raise ScenarioError(
-                "--samples/--seed override a random sample block, "
-                "but the scenario has none"
-            )
-        samples = scenario.samples
-        if args.samples is not None:
-            if args.samples < 0:
-                raise ScenarioError("--samples must be nonnegative")
-            if args.samples > MAX_SAMPLES:
-                raise ScenarioError(f"--samples: more than {MAX_SAMPLES} points")
-            samples = replace(samples, count=args.samples)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ScenarioError("--seed must be nonnegative")
-            samples = replace(samples, seed=args.seed)
-        scenario = replace(scenario, samples=samples)
-    return scenario
+def _apply_overrides(data, args) -> None:
+    """Write the flags into the scenario document ``data``, each checked
+    under its own name first, so that the scenario is built once, with its
+    distribution's rank decided at the run's rank tolerance."""
+    tolerances, random = {}, {}
+    for field, flag in (("rank_tol", "--rank-tol"), ("agree_tol", "--agree-tol")):
+        if getattr(args, field) is not None:
+            tolerances[field] = check_tolerance(getattr(args, field), flag)
+    if args.samples is not None:
+        if args.samples < 0:
+            raise ScenarioError("--samples must be nonnegative")
+        if args.samples > MAX_SAMPLES:
+            raise ScenarioError(f"--samples: more than {MAX_SAMPLES} points")
+        random["count"] = args.samples
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ScenarioError("--seed must be nonnegative")
+        random["seed"] = args.seed
+    if not isinstance(data, dict):
+        return  # not a scenario document, which scenario_from_dict reports
+    current, samples = data.get("tolerances"), data.get("samples")
+    if tolerances and (current is None or isinstance(current, dict)):
+        data["tolerances"] = {**(current or {}), **tolerances}
+    if random:
+        if not (isinstance(samples, dict) and isinstance(samples.get("random"), dict)):
+            raise ScenarioError("--samples/--seed: the scenario has no random sample block")
+        samples["random"] = {**samples["random"], **random}
 
 
 def _cmd_run(args) -> int:
-    scenario = _apply_overrides(load_scenario(args.file), args)
+    data = _read_json(args.file)
+    _apply_overrides(data, args)
+    scenario = _scenario_from_file(args.file, data)
     report = run_scenario(scenario)
     sys.stdout.write(emit_report(report, args.format))
     code = exit_code(report)

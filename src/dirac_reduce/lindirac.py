@@ -24,6 +24,7 @@ from .subspace import (
     DimensionMismatchError,
     Subspace,
     _assembled,
+    _projector,
     block_diagonal,
     direct_sum,
     nullspace,
@@ -197,9 +198,8 @@ def pull_back(phi: np.ndarray, fibers: np.ndarray, tol: float) -> np.ndarray:
     orthonormal rows of the matching slice of ``fibers`` (N, n, 2n); every
     slice must decide one rank (else MixedRanksError)."""
     n, m = phi.shape[-2:]
-    projectors = np.swapaxes(fibers, -1, -2) @ fibers
     # Kernel variables (v, b) in R^(m+n) subject to (phi v, b) in D.
-    kernel = nullspace((np.eye(2 * n) - projectors) @ block_diagonal(phi, np.eye(n)), tol)
+    kernel = nullspace((np.eye(2 * n) - _projector(fibers)) @ block_diagonal(phi, np.eye(n)), tol)
     # rows transform contravariantly: b @ phi = (phi^T b)^T
     return orthonormal_rows(kernel @ block_diagonal(np.eye(m), phi), tol)
 

@@ -79,13 +79,8 @@ class Poly:
                 )
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
-            coeff = _coerce(coeff)
-            if coeff:
-                collected[exponents] = collected.get(exponents, 0) + coeff
-        canonical = tuple(
-            (m, _normal(c)) for m, c in sorted(collected.items()) if c != 0
-        )
-        object.__setattr__(self, "terms", canonical)
+            collected[exponents] = collected.get(exponents, 0) + _coerce(coeff)
+        object.__setattr__(self, "terms", _from_dict(self.n_vars, collected).terms)
 
     # -- constructors --------------------------------------------------
 
@@ -242,8 +237,8 @@ class Poly:
         ``matrix`` is a sequence of rows; entries are coerced to exact
         coefficients, so the composition is exact.
         """
-        rows = [[_coerce(entry) for entry in row] for row in matrix]
-        if len(rows) != self.n_vars or any(len(r) != self.n_vars for r in rows):
+        rows = _exact_rows(matrix)
+        if len(rows) != self.n_vars:
             raise ValueError("substitution matrix has the wrong shape")
         perm = _signed_permutation(rows)
         if perm is not None:
@@ -313,6 +308,15 @@ class Poly:
         for sign, body in pieces[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _exact_rows(matrix) -> list[list[int | Fraction]]:
+    """The rows of the square ``matrix`` as exact coefficients in normal form
+    (see :func:`_coerce`)."""
+    rows = [[_coerce(entry) for entry in row] for row in matrix]
+    if any(len(r) != len(rows) for r in rows):
+        raise ValueError("matrix must be square")
+    return rows
 
 
 def _trusted(n_vars: int, terms: tuple) -> Poly:

@@ -26,8 +26,8 @@ from typing import Union
 import numpy as np
 
 from .lindirac import LinearDirac, from_distribution, graph_bases, lagrangian_flags
-from .poly import Poly, _coerce, _from_dict, _linear, _unit
-from .subspace import DEFAULT_TOL, Subspace, block_diagonal
+from .poly import Poly, _exact_rows, _from_dict, _linear, _unit
+from .subspace import DEFAULT_TOL, Subspace, _projector, block_diagonal
 
 __all__ = [
     "DegeneratePointError",
@@ -115,18 +115,12 @@ class _Components:
     @classmethod
     def from_constant(cls, values):
         values = list(values)
-        n = len(values)
-        return cls(
-            tuple(Poly.constant(_coerce(v), n) for v in values)
-        )
+        return cls(tuple(Poly.constant(v, len(values)) for v in values))
 
     @classmethod
     def from_linear(cls, matrix):
         """The linear object x -> M x (componentwise M[i] . x)."""
-        rows = [[_coerce(entry) for entry in row] for row in matrix]
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("linear coefficient matrix must be square")
-        return cls(tuple(_linear(row) for row in rows))
+        return cls(tuple(_linear(row) for row in _exact_rows(matrix)))
 
 
 class PolyVectorField(_Components):
@@ -188,14 +182,8 @@ class PolyTwoForm:
 
     @classmethod
     def from_constant(cls, matrix) -> "PolyTwoForm":
-        rows = [list(row) for row in matrix]
-        n = len(rows)
-        return cls(
-            tuple(
-                tuple(Poly.constant(_coerce(entry), n) for entry in row)
-                for row in rows
-            )
-        )
+        n = len(matrix)
+        return cls(tuple(tuple(Poly.constant(entry, n) for entry in row) for row in matrix))
 
     def evaluate_stack(self, points: np.ndarray) -> np.ndarray:
         """The matrix at each point of a stack (N, n), as (N, n, n): the strict upper
@@ -351,17 +339,11 @@ def lie_derivative_oneform(x: PolyVectorField, alpha: PolyOneForm) -> PolyOneFor
 
 
 def courant_bracket(s1: PolySection, s2: PolySection) -> PolySection:
-    """([X,Y], L_X beta - L_Y alpha + 1/2 d(alpha(Y) - beta(X)))."""
-    x, alpha = s1.tangent, s1.covector
-    y, beta = s2.tangent, s2.covector
-    vec = lie_bracket(x, y)
-    correction = alpha.pair(y) - beta.pair(x)
-    form = (
-        lie_derivative_oneform(x, beta)
-        - lie_derivative_oneform(y, alpha)
-        + Fraction(1, 2) * d_function(correction)
-    )
-    return PolySection(vec, form)
+    """([X,Y], L_X beta - L_Y alpha + 1/2 d(alpha(Y) - beta(X))): since L_Y
+    alpha = i_Y d(alpha) + d(alpha(Y)), the Dorfman bracket minus 1/2 d<s1, s2>."""
+    dorfman = dorfman_bracket(s1, s2)
+    correction = Fraction(1, 2) * d_function(_pairing(s1, s2))
+    return PolySection(dorfman.tangent, dorfman.covector - correction)
 
 
 def dorfman_bracket(s1: PolySection, s2: PolySection) -> PolySection:
@@ -374,19 +356,6 @@ def dorfman_bracket(s1: PolySection, s2: PolySection) -> PolySection:
 
 
 # -- push-forwards along orthogonal matrices --------------------------------
-
-
-def _fraction_matrix(matrix) -> list[list[int | Fraction]]:
-    """The rows of the orthogonal ``matrix`` as exact coefficients in normal
-    form (see :func:`dirac_reduce.poly._coerce`)."""
-    rows = [[_coerce(entry) for entry in row] for row in matrix]
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    approx = np.array([[float(e) for e in row] for row in rows])
-    if n and np.max(np.abs(approx.T @ approx - np.eye(n))) > 1e-9:
-        raise ValueError("push-forward is only defined for orthogonal matrices")
-    return rows
 
 
 def _pushforward_components(rows, comps):
@@ -406,7 +375,10 @@ def _pushforward_components(rows, comps):
 def pushforward_section(matrix, section: PolySection) -> PolySection:
     """(Phi_g)_* s at m, i.e. g^T s(g m) in both parts, for orthogonal g: a
     one-form moves by the same formula as a field since g^{-T} = g."""
-    rows = _fraction_matrix(matrix)
+    rows = _exact_rows(matrix)
+    approx = np.array(rows, dtype=float).reshape(len(rows), len(rows))
+    if np.abs(approx.T @ approx - np.eye(len(rows))).max(initial=0.0) > 1e-9:
+        raise ValueError("push-forward is only defined for orthogonal matrices")
     if len(rows) != section.base_dim:
         raise ValueError("matrix and section dimensions differ")
     return PolySection(
@@ -536,15 +508,6 @@ class FiberStack:
         return LinearDirac(n, Subspace(2 * n, self.bases[i], self.tol))
 
 
-def _distribution_fiber(spec: DistributionSpec, tol: float):
-    """Delta at ``tol``, and the orthonormal rows of its constant fiber
-    Delta + ann(Delta)."""
-    delta = spec.subspace
-    if delta.tol != tol:
-        delta = Subspace(delta.ambient_dim, delta.basis, tol)
-    return delta, from_distribution(delta).space.basis
-
-
 def evaluate_fibers(spec: DiracFieldSpec, points, tol: float = DEFAULT_TOL) -> FiberStack:
     """D(m) at each point of the stack ``points`` (N, n), in order, (0, n)
     included; where the sections degenerate, the DegeneratePointError raised
@@ -564,7 +527,7 @@ def evaluate_fibers(spec: DiracFieldSpec, points, tol: float = DEFAULT_TOL) -> F
         bases = graph_bases(spec.matrix.evaluate_stack(points), tol, kind)
         return FiberStack(bases, (None,) * count, tol)
     if isinstance(spec, DistributionSpec):
-        basis = _distribution_fiber(spec, tol)[1]
+        basis = from_distribution(spec.subspace).space.basis
         return FiberStack(np.broadcast_to(basis, (count, *basis.shape)), (None,) * count, tol)
     if isinstance(spec, SectionsSpec):
         polys = [c for x in spec.sections for c in x.tangent.components + x.covector.components]
@@ -664,7 +627,7 @@ def _lie_derivative_components(spec, generator):
     into one dict per component."""
     n = spec.base_dim
     w = spec.matrix.entries
-    a = [[_coerce(e) for e in row] for row in generator]
+    a = _exact_rows(generator)
     flow = [(k, l, a[k][l]) for k in range(n) for l in range(n) if a[k][l]]
     for i, j in combinations(range(n), 2):
         out: dict = {}
@@ -711,10 +674,11 @@ def _linear_invariance(spec: DistributionSpec, generator, tol: float) -> CheckRe
     of each generating section, (v, 0) or (0, w), is the constant (-A v, 0)
     or (0, A^T w), and it must lie in the constant fiber, within ``tol``
     relative to max(1, its norm)."""
-    delta, basis = _distribution_fiber(spec, tol)
+    delta = spec.subspace
+    basis = from_distribution(delta).space.basis
     a = np.asarray(generator, dtype=float)
     derived = block_diagonal(-delta.basis @ a.T, delta.annihilator().basis @ a)
-    defect = np.linalg.norm(derived - derived @ basis.T @ basis, axis=-1)
+    defect = np.linalg.norm(derived - derived @ _projector(basis), axis=-1)
     residuals = (defect / np.maximum(1.0, np.linalg.norm(derived, axis=-1))).tolist()
     failures = tuple(BracketResidual((k,), r) for k, r in enumerate(residuals) if r > tol)
     worst = max(residuals, default=0.0)

@@ -64,6 +64,7 @@ from .subspace import (
     DEFAULT_TOL,
     MixedRanksError,
     Subspace,
+    _projector,
     block_diagonal,
     check_orthonormal,
     intersect_rows,
@@ -99,11 +100,6 @@ class InternalConsistencyError(RuntimeError):
 
 def _t(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x, -1, -2)
-
-
-def _projector(rows: np.ndarray) -> np.ndarray:
-    """The orthogonal projector onto the span of orthonormal ``rows``."""
-    return _t(rows) @ rows
 
 
 def _push(rows: np.ndarray, onto: np.ndarray, tol: float) -> np.ndarray:
@@ -324,9 +320,10 @@ class RouteComparison:
 def compare_routes(
     spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_AGREE_TOL
 ) -> RouteComparison:
-    """Run both routes at m and compare the projectors of their images
-    (route A must be Lagrangian; route B need not be)."""
-    row = _reduce_one(spec, action, m, min(DEFAULT_TOL, tol))
+    """Run both routes at m, deciding ranks at DEFAULT_TOL, and compare the
+    projectors of their images at the agreement tolerance ``tol`` (route A
+    must be Lagrangian; route B need not be)."""
+    row = _reduce_one(spec, action, m, DEFAULT_TOL)
     _ = row.route_a.dirac  # raises NotLagrangianError where it is not
     distance = row.route_a.space.distance(row.route_b.space)
     return RouteComparison(agree=bool(distance <= tol), distance=distance)

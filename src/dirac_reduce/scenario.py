@@ -39,7 +39,7 @@ from .polyfield import (
     integrability_check,
 )
 from .reduction import DEFAULT_AGREE_TOL, STATUS_OK, PointReduction, rank_classes, reduce_point
-from .subspace import DEFAULT_TOL, span
+from .subspace import DEFAULT_TOL, Subspace, span
 
 __all__ = [
     "VERSION",
@@ -159,7 +159,7 @@ def _as_poly(value, n: int, context: str) -> Poly:
         raise ScenarioError(f"{context}: expected a polynomial, got a boolean")
     if isinstance(value, (int, float)):
         _as_number(value, context)  # finite and within the float range
-        return Poly.constant(_coerce(value), n)
+        return Poly.constant(value, n)
     if isinstance(value, str):
         try:
             poly = parse_poly(value, n)
@@ -207,7 +207,8 @@ def _as_section(value, n: int, context: str) -> PolySection:
 _VARIANTS = ("bivector", "two_form", "distribution", "sections")
 
 
-def _parse_dirac(value, n: int) -> DiracFieldSpec:
+def _parse_dirac(value, n: int, rank_tol: float = DEFAULT_TOL) -> DiracFieldSpec:
+    """The Dirac field spec; a distribution's rank is decided at ``rank_tol``."""
     _object(value, "dirac", (*_VARIANTS, "basepoint"))
     variants = [k for k in _VARIANTS if k in value]
     if len(variants) != 1:
@@ -225,7 +226,10 @@ def _parse_dirac(value, n: int) -> DiracFieldSpec:
         rows = _as_matrix(value[kind], "dirac.distribution")
         if any(len(r) != n for r in rows):
             raise ScenarioError(f"dirac.distribution: rows must have {n} entries")
-        return DistributionSpec(span(np.array(rows), ambient_dim=n))
+        rows = np.array(rows)
+        if np.array_equal(rows @ rows.T, np.eye(len(rows))):  # already an orthonormal basis
+            return DistributionSpec(Subspace(n, rows, rank_tol))
+        return DistributionSpec(span(rows, ambient_dim=n, tol=rank_tol))
     pairs = value["sections"]
     if not isinstance(pairs, list):
         raise ScenarioError("dirac.sections: expected a list of sections")
@@ -347,14 +351,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     n = _need(data, "n", "scenario")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ScenarioError("scenario: n must be a positive integer")
-    dirac = _parse_dirac(_need(data, "dirac", "scenario"), n)
-    action = _parse_action(data.get("action"), n)
-    samples = _parse_samples(data.get("samples"), n)
     tolerances = {"rank_tol": DEFAULT_TOL, "agree_tol": DEFAULT_AGREE_TOL}
     if data.get("tolerances") is not None:
         for name, value in _object(data["tolerances"], "tolerances", tolerances).items():
             context = f"tolerances.{name}"
             tolerances[name] = check_tolerance(_as_number(value, context), context)
+    dirac = _parse_dirac(_need(data, "dirac", "scenario"), n, tolerances["rank_tol"])
+    action = _parse_action(data.get("action"), n)
+    samples = _parse_samples(data.get("samples"), n)
     return Scenario(n=n, dirac=dirac, action=action, samples=samples, **tolerances)
 
 
@@ -368,13 +372,18 @@ def _read_json(path: str):
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
-def load_scenario(path: str) -> Scenario:
-    """Load and fully validate a scenario file."""
-    data = _read_json(path)
+def _scenario_from_file(path: str, data) -> Scenario:
+    """:func:`scenario_from_dict` of the document ``data`` read from ``path``,
+    whose errors name the file."""
     try:
         return scenario_from_dict(data)
     except ScenarioError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    """Load and fully validate a scenario file."""
+    return _scenario_from_file(path, _read_json(path))
 
 
 # -- canonical serialization -----------------------------------------------------
@@ -474,14 +483,9 @@ def summarize(report: RunReport) -> dict:
     ok_rows = [r for r in rows if r.status == STATUS_OK]
     invariance_ok = report.invariance.ok
     lagrangian_failures = sum(1 for r in ok_rows if not r.lagrangian_ok)
-    if invariance_ok:
-        agreement_failures = sum(1 for r in ok_rows if r.agree is False)
-    else:
-        agreement_failures = 0  # comparisons are not applicable
-    if invariance_ok:
-        distances = [r.distance for r in ok_rows if r.distance is not None]
-    else:
-        distances = []
+    compared = ok_rows if invariance_ok else []  # comparisons apply to an invariant structure
+    agreement_failures = sum(1 for r in compared if r.agree is False)
+    distances = [r.distance for r in compared if r.distance is not None]
     failures = (
         lagrangian_failures
         + agreement_failures
@@ -609,17 +613,19 @@ def _check_lines(check: CheckReport, tag: str) -> list:
     return lines
 
 
+def _describe(s: Scenario) -> str:
+    """The one-line account of a scenario that opens a text report and the
+    output of ``validate``."""
+    circle, order = s.action.circle, s.action.finite.order
+    shown = "none" if circle is None else f"weights {list(circle.weights)} fixed {circle.fixed_dim}"
+    return f"n={s.n}, dirac={dirac_kind(s.dirac)}, finite order {order}, circle {shown}"
+
+
 def _format_text(report: RunReport) -> str:
     s = report.scenario
     summary = summarize(report)
-    kind = dirac_kind(s.dirac)
-    circle = (
-        "none"
-        if s.action.circle is None
-        else f"weights {list(s.action.circle.weights)} fixed {s.action.circle.fixed_dim}"
-    )
     lines = [
-        f"scenario: n={s.n}, dirac={kind}, finite order {s.action.finite.order}, circle {circle}",
+        f"scenario: {_describe(s)}",
         f"points: {summary['points']} ({summary['ok']} ok, {summary['skipped']} skipped)",
     ]
     lines.extend(_check_lines(report.integrability, "integrability"))

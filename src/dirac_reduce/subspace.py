@@ -77,6 +77,12 @@ def nullspace(matrix: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return vh[..., _rank(s, tol * s[..., :1]) :, :].copy()
 
 
+def _projector(rows: np.ndarray) -> np.ndarray:
+    """The orthogonal projector onto the span of the orthonormal ``rows``, per
+    matrix of a stack ``(..., k, n)``."""
+    return np.swapaxes(rows, -1, -2) @ rows
+
+
 def intersect_rows(basis: np.ndarray, projector: np.ndarray, tol: float) -> np.ndarray:
     """Rows spanning the intersection of the row space of ``basis``
     (orthonormal rows) with the image of the orthogonal ``projector``, per
@@ -190,14 +196,11 @@ class Subspace:
 
     def projector(self) -> np.ndarray:
         """Orthogonal projector onto the subspace (n x n), read-only."""
-        return self._projector
+        return self._projection
 
     @cached_property
-    def _projector(self) -> np.ndarray:
-        if self.dim == 0:
-            p = np.zeros((self.ambient_dim, self.ambient_dim))
-        else:
-            p = self.basis.T @ self.basis
+    def _projection(self) -> np.ndarray:
+        p = _projector(self.basis)
         p.setflags(write=False)
         return p
 

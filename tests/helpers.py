@@ -28,7 +28,6 @@ from dirac_reduce.action import (
     TWO_PI,
     AmbiguousIsotropyError,
     IsotropyDescriptor,
-    _act,
     _angle_distance,
     _circle_fixes,
 )
@@ -247,6 +246,12 @@ def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:
 # residual per surviving angle.
 
 
+def _product(g, m):
+    """g m for matrices g (..., n, n) and points m (..., n), by isotropy's
+    rule: the products summed over the columns in order, from 0."""
+    return sum((g[..., j] * m[..., j, None] for j in range(m.shape[-1])), np.zeros(1))
+
+
 def _candidate_angles(source, target, ns, nt, weight, atol, guard):
     """Angles theta with R(weight*theta) source = target on one 2-d block,
     the two vectors having norms ``ns`` and ``nt``.
@@ -292,11 +297,11 @@ def _merge_angles(candidates: np.ndarray, block: np.ndarray, atol: float, guard:
 def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> list:
     """The pairs (idx, theta) with f R(theta) m = m for the finite element f =
     ``idx``, whose fixed coordinates already match (``ns`` and ``nt`` the
-    block norms of m and f^T m); raises on ambiguity.  The angles are read off
-    f^T m taken as one matrix-vector product, as for a single point."""
+    block norms of m and f^T m); raises on ambiguity.  Every product g m is
+    :func:`_product` of the one matrix g and the point."""
     circle = spec.circle
     f = spec.finite.elements[idx]
-    target = f.T @ m
+    target = _product(f.T, m)
     angle_atol = max(tol, 1e-12)
     angle_guard = 1000.0 * angle_atol
     candidates = None  # None = every angle admissible so far
@@ -320,7 +325,7 @@ def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> li
         )
     pairs = []
     for theta in candidates.tolist():
-        residual = float(np.max(np.abs(f @ circle.rotation(theta) @ m - m)))
+        residual = float(np.max(np.abs(_product(f @ circle.rotation(theta), m) - m)))
         if residual <= atol:
             if _angle_distance(theta, 0.0) <= angle_atol:
                 theta = 0.0
@@ -347,7 +352,7 @@ def reference_isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> li
 
     # theta is unconstrained; f belongs iff it fixes m by itself
     rows = np.flatnonzero(continuous)
-    residual = np.abs(_act(elements, points[rows]) - points[rows, None]).max(axis=-1)
+    residual = np.abs(_product(elements, points[rows, None]) - points[rows, None]).max(axis=-1)
     belongs = residual <= atol[rows, None]
     inside = ~belongs & (residual <= guard[rows, None])
     first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
@@ -365,7 +370,7 @@ def reference_isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> li
         return out
     k2 = 2 * len(spec.circle.weights)
     moving = points[rows]
-    targets = _act(np.swapaxes(elements, -1, -2), moving)  # f^T m
+    targets = _product(np.swapaxes(elements, -1, -2), moving[:, None])  # f^T m
     fixed_diff = np.abs(targets[..., k2:] - moving[:, None, k2:]).max(axis=-1, initial=0.0)
     source_norms = np.hypot(moving[:, 0:k2:2], moving[:, 1:k2:2]).tolist()
     target_norms = np.hypot(targets[..., 0:k2:2], targets[..., 1:k2:2])

@@ -36,6 +36,7 @@ from dirac_reduce.polyfield import (
     integrability_check,
 )
 from dirac_reduce.scenario import (
+    dirac_kind,
     emit_report,
     exit_code,
     load_scenario,
@@ -324,3 +325,40 @@ def test_quadrature_nodes_field_exits_2(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["run", str(path)]) == 2
     assert "unknown fields ['quadrature_nodes']" in capsys.readouterr().err
+
+
+def test_every_check_runs_on_a_bundled_scenario(monkeypatch):
+    """Each identity the checks decide is computed for at least one bundled
+    scenario: graph closure for a two-form and for a bivector, L_xi W for
+    both, the pairings and the Courant tensor of explicit sections, their
+    invariance pairings, and a distribution's A Delta in Delta."""
+    ran, kind = set(), [None]
+    exact_check, linear_invariance = polyfield._exact_check, polyfield._linear_invariance
+
+    def exact(check, components):
+        components = list(components)
+        ran.update((kind[0], check, len(index)) for index, _ in components)
+        return exact_check(check, components)
+
+    def linear(*args):
+        ran.add((kind[0], "invariance", "linear"))
+        return linear_invariance(*args)
+
+    monkeypatch.setattr(polyfield, "_exact_check", exact)
+    monkeypatch.setattr(polyfield, "_linear_invariance", linear)
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        s = load_scenario(str(path))
+        kind[0] = dirac_kind(s.dirac)
+        integrability_check(s.dirac)
+        infinitesimal_invariance(s.dirac, s.action, s.rank_tol)
+    expected = {
+        ("two_form", "integrability", 3),
+        ("bivector", "integrability", 3),
+        ("two_form", "invariance", 2),
+        ("bivector", "invariance", 2),
+        ("sections", "integrability", 2),
+        ("sections", "integrability", 3),
+        ("sections", "invariance", 2),
+        ("distribution", "invariance", "linear"),
+    }
+    assert expected <= ran, expected - ran

@@ -55,7 +55,7 @@ def test_builtin_scenario_files_load(path):
 
 
 def test_builtin_corpus_is_present():
-    assert len(SCENARIO_FILES) == 9
+    assert len(SCENARIO_FILES) == 11
 
 
 def test_version_is_checked():
@@ -697,6 +697,24 @@ def test_cli_sample_overrides(capsys):
     assert payload["scenario"]["samples"]["random"]["seed"] == 11
 
 
+@pytest.mark.parametrize("where", ["file", "flag"])
+def test_rank_tol_decides_the_rank_of_a_distribution(tmp_path, capsys, where):
+    """[[1, 0], [1, 1e-7]] spans a line at rank tolerance 1e-6, set in the
+    file or by --rank-tol: the distribution is built at the run's rank
+    tolerance, not at the default."""
+    data = base_scenario()
+    data["dirac"] = {"distribution": [[1, 0], [1, 1e-7]]}
+    args = ["--rank-tol", "1e-6"]
+    if where == "file":
+        data["tolerances"], args = {"rank_tol": 1e-6}, []
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", str(path), "--format", "json", *args]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["scenario"]["tolerances"]["rank_tol"] == 1e-6
+    assert len(payload["scenario"]["dirac"]["distribution"]) == 1
+
+
 def test_cli_sample_override_requires_a_random_block(capsys):
     path = str(SCENARIO_DIR / "z2_reflection_area_form.json")
     assert main(["run", path, "--samples", "3"]) == 2
@@ -809,6 +827,22 @@ def test_report_digests_names_a_non_scenario_file_and_goes_on(tmp_path):
     report = emit_report(run_scenario(load_scenario(str(scenario))), "json")
     assert proc.stdout == f"{hashlib.sha256(report.encode('utf-8')).hexdigest()}  area.json\n"
     assert proc.stderr.startswith(f"error: {other}: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_untrafficked_lists_the_functions_no_command_enters():
+    """On one scenario and the built-in bracket payload, vertical_space (only
+    tests and the tracer call it) is listed; isotropy, which every run
+    enters, and courant_bracket, which the bracket enters, are not."""
+    script = SCENARIO_DIR.parent / "scripts" / "untrafficked.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), str(SCENARIO_DIR / "z2_circle_r3_two_form.json")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    names = {line.split()[-1] for line in lines[:-1]}
+    assert "vertical_space" in names and not names & {"isotropy", "courant_bracket"}
+    assert lines[-1] == f"{len(lines) - 1} functions entered by no run"
 
 
 def _bench_pairs():

@@ -5,11 +5,11 @@ the per-point functions are stacks of one.  A point's descriptor or error
 must be what the per-pair reference solver in helpers.py gives it, bit for
 bit: on every bundled scenario, on the three benchmark workloads (seeds 7
 and 31) and on planted stacks around every guard band; the circle's
-rotations are built once per stack, not once per candidate angle.  On the
-bundled scenarios and the workloads (seed 7) a point's fiber basis must not
-depend on the rest of the stack, bit for bit,
-and the stacked polynomial evaluation must be Poly.evaluate's arithmetic
-(lower triangle and signed zeros included, in one pass or in many);
+rotations are built once per pass over the points, not once per candidate
+angle.  On the bundled scenarios and the workloads (seed 7) a point's fiber
+basis must not depend on the rest of the stack, bit for bit, and the stacked
+polynomial evaluation must be Poly.evaluate's arithmetic (lower triangle and
+signed zeros included, in one pass or in many);
 a sections spec's fibers, spanned by one stacked SVD, must equal the span of
 each point's own section values.
 The reduction checks each stage once per stack and places each exact
@@ -335,16 +335,17 @@ def _counted(monkeypatch, owner, name: str) -> list:
 
 @pytest.mark.parametrize("weights", [(1,), (1, 2), (1000, 999)])
 def test_circle_isotropy_builds_rotations_per_stack_not_per_angle(weights, monkeypatch):
-    """The residual of every candidate angle is one stacked product, so
-    isotropy calls CircleFactor.rotation as often on 200 points as on 10;
-    solved per pair, it made one call per candidate angle."""
+    """The residual of every candidate angle of a pass over the points is one
+    stacked product, so isotropy calls CircleFactor.rotation once per pass of
+    at most _PASS_FLOATS floats, on 10 points as on 200, whatever the number
+    of candidates; solved per pair, it made one call per candidate angle."""
     act = circle_action(weights, fixed_dim=1)
     points = np.random.default_rng(8).uniform(-2.0, 2.0, (200, act.n))
-    calls = _counted(monkeypatch, CircleFactor, "rotation")
-    isotropy(act, points[:10])
-    few = len(calls)
-    isotropy(act, points)
-    assert len(calls) - few == few
+    per_pass = max(1, polyfield._PASS_FLOATS // (max(weights) * act.n**2))
+    for count in (10, 200):
+        calls = _counted(monkeypatch, CircleFactor, "rotation")
+        isotropy(act, points[:count])
+        assert len(calls) == -(-count // per_pass)
 
 
 # stacks per workload (seed 7): one per shape (V(m) = 0 or not, dim Fix), so
