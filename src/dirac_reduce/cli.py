@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .polyfield import courant_bracket, dorfman_bracket
@@ -12,6 +11,7 @@ from .scenario import (
     MAX_SAMPLES,
     ScenarioError,
     _describe,
+    _dumps,
     _read_json,
     _scenario_from_file,
     _section_to_dict,
@@ -114,7 +114,7 @@ def _cmd_bracket(args) -> int:
         "dorfman": _section_to_dict(dorfman_bracket(s1, s2)),
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         for name, parts in payload.items():
             print(f"{name} tangent:  [{', '.join(parts['tangent'])}]")

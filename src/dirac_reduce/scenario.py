@@ -9,6 +9,7 @@ same seed, same bytes.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -662,10 +663,79 @@ def _format_text(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
+def _encoder(separator: str):
+    """CPython's json C encoder, one per item separator: keys joined by ": ",
+    no circular check, NaN and ±inf rejected with ValueError.  With an indent,
+    json.dumps never reaches it before CPython 3.14."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", separator, False, False, False,
+    )
+
+
+_ascii = json.encoder.encode_basestring_ascii
+# the scalars written as json writes them, without a call of the C encoder; a
+# float is left to the C encoder, which rejects NaN and ±inf
+_SCALAR = {
+    str: _ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key(key) -> str:
+    """A key that is not a string, as json spells it: '{K: null}' → 'K'."""
+    return "".join(_encoder(",")({key: None}, 0))[1:-7]
+
+
+def _dumps(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2, allow_nan=False)``, byte for byte, for a
+    value whose first line is indented as ``nl`` (a newline and the indent).
+
+    Python walks the dicts and the lists of strings or containers.  A list of
+    numbers (or of booleans and nulls), or a list of non-empty lists of them,
+    is written by the C encoder in one call, with the separator of its
+    innermost level; a matrix's row breaks are then set with ``str.replace``.
+    No such literal holds a quote or a bracket, and floats are written by
+    ``float.__repr__``, as json writes them."""
+    if not isinstance(obj, (dict, list, tuple)):
+        write = _SCALAR.get(type(obj))
+        return write(obj) if write else "".join(_encoder(",")(obj, 0))
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = nl + "  "
+    if isinstance(obj, dict):
+        items = [
+            f"{_ascii(k) if isinstance(k, str) else _key(k)}: "
+            f"{write(v) if (write := _SCALAR.get(type(v))) else _dumps(v, inner)}"
+            for k, v in obj.items()
+        ]
+        return f"{{{inner}{(',' + inner).join(items)}{nl}}}"
+    first = obj[0]
+    if isinstance(first, (list, tuple)):
+        if all(isinstance(row, (list, tuple)) for row in obj):
+            cell = inner + "  "
+            flat = "".join(_encoder("," + cell)(obj, 0))
+            # no string (an empty dict is {} either way), no empty row, and
+            # one bracket per row: no list inside a row
+            if '"' not in flat and "[]" not in flat and flat.count("[") == len(obj) + 1:
+                rows = flat[2:-2].replace("]," + cell + "[", f"{inner}],{inner}[{cell}")
+                return f"[{inner}[{cell}{rows}{inner}]{nl}]"
+    elif not isinstance(first, (dict, str)):
+        flat = "".join(_encoder("," + inner)(obj, 0))
+        if '"' not in flat and flat.count("[") == 1:  # no string, no list inside
+            return f"[{inner}{flat[1:-1]}{nl}]"
+    items = [_dumps(v, inner) for v in obj]
+    return f"[{inner}{(',' + inner).join(items)}{nl}]"
+
+
 def emit_report(report: RunReport, format: str = "text") -> str:
-    """Render a run report; json output is stable byte-for-byte."""
+    """Render a run report; json output is stable byte-for-byte: the bytes of
+    ``json.dumps(report_to_dict(report), indent=2, allow_nan=False)``."""
     if format == "json":
-        return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+        return _dumps(report_to_dict(report)) + "\n"
     if format == "text":
         return _format_text(report)
     raise ScenarioError(f"unknown report format {format!r}")

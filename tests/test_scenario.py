@@ -13,12 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_reduce.cli import main
+from dirac_reduce.polyfield import courant_bracket, dorfman_bracket
 from dirac_reduce.scenario import (
     MAX_SAMPLES,
     ScenarioError,
     VERSION,
+    _dumps,
+    _section_to_dict,
     emit_report,
     exit_code,
     load_bracket_payload,
@@ -461,6 +466,137 @@ def test_unknown_format_is_rejected():
         emit_report(run_scenario(s), "yaml")
 
 
+# -- the JSON writer: json.dumps(indent=2, allow_nan=False), byte for byte ----------
+
+EDGE_FLOATS = [-0.0, 0.0, 1e16, 1e-5, 5e-324, 1.7976931348623157e308, -1.5e-300, 0.1]
+BIG_INTS = [2**63, -(2**63) - 1, 2**64 + 1, 10**40]
+ODD_TEXT = [",", ":", '"', "]", "[", "\n", "{", "}", ",\"", "\\", "é", "∂x∧dy", "😀", "\x00", ""]
+
+WRITER_CASES = {
+    "edge floats": EDGE_FLOATS,
+    "big ints": BIG_INTS,
+    "bools in a number list": [1, True, 2.5, False, None, 0],
+    "bools in a matrix": [[True, 1], [0.5, False], [None, 2**70]],
+    "bool first": [True, 1.0],
+    "numpy floats": [np.float64(0.1), np.float64(-0.0), 3],
+    "numpy float matrix": [[np.float64(1e-5), 1.0], [np.float64(2.0), -7]],
+    "numpy float leaf": {"d": np.float64(1e16)},
+    "empties": {"l": [], "d": {}, "ll": [[]], "ld": [{}], "nested": [[], []]},
+    "empty row among rows": [[1, 2], [], [3]],
+    "empty dict in rows": [[{}], [{}, 1]],
+    "ragged rows": [[1], [2, 3, 4], [5.5]],
+    "rows and scalars": [[1], 2, [[3]]],
+    "number then rows": [1, [2, 3]],
+    "deep matrix": [[[1, 2], [3, 4]], [[5, 6]]],
+    "tuples": ((1, 2), (3.5,), ()),
+    "strings in rows": [["a,b", "c]"], ["d"]],
+    "number then string": [1.5, ",", "]"],
+    "odd keys and strings": {k: k for k in ODD_TEXT},
+    "non-string keys": {1: "a", 2.5: [1], True: None, None: 0, -0.0: {}},
+    "scalar top": 1e16,
+    "string top": 'a\n"b',
+}
+
+
+@pytest.mark.parametrize("obj", list(WRITER_CASES.values()), ids=list(WRITER_CASES))
+def test_json_writer_equals_json_dumps_on_edge_cases(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+_numbers = st.one_of(
+    st.integers(),
+    st.sampled_from(BIG_INTS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.sampled_from(EDGE_FLOATS),
+    st.booleans(),
+    st.none(),
+)
+_text = st.one_of(st.text(max_size=6), st.sampled_from(ODD_TEXT))
+_json_trees = st.recursive(
+    st.one_of(_numbers, _text),
+    lambda tree: st.one_of(
+        st.lists(tree, max_size=5),
+        st.dictionaries(_text, tree, max_size=5),
+        st.lists(_numbers, max_size=6),  # the writer's flat fast path
+        st.lists(st.lists(_numbers, max_size=4), max_size=4),  # and its matrices
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_json_trees)
+def test_json_writer_equals_json_dumps(obj):
+    assert _dumps(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "where",
+    [
+        lambda x: x,
+        lambda x: [1.0, x],
+        lambda x: [[1.0], [2.0, x]],
+        lambda x: {"a": {"b": x}},
+        lambda x: {x: 1},
+        lambda x: [np.float64(x)],
+    ],
+    ids=["leaf", "number list", "matrix", "dict value", "key", "numpy float"],
+)
+def test_json_writer_rejects_nan_and_infinity(bad, where):
+    obj = where(bad)
+    with pytest.raises(ValueError):
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(ValueError):
+        _dumps(obj)
+
+
+@pytest.mark.parametrize("obj", [object(), [1, object()], {"a": {1, 2}}, {(1, 2): 0}])
+def test_json_writer_raises_the_type_error_json_raises(obj):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(obj, indent=2, allow_nan=False)
+    with pytest.raises(TypeError) as raised:
+        _dumps(obj)
+    assert str(raised.value) == str(expected.value)
+
+
+def _refuse_pure_python_encoder(*args, **kwargs):
+    raise AssertionError("the pure-Python json encoder was used")
+
+
+def test_json_emission_uses_no_pure_python_encoder():
+    """Every bundled scenario is emitted with ``json.encoder._make_iterencode``,
+    the pure-Python encoder an indent selects before CPython 3.14, made to
+    raise, and its report equals that encoder's bytes.  A fresh interpreter
+    also checks that emission imports no module that was not already loaded."""
+    code = (
+        "import json, sys\n"
+        "from dirac_reduce.scenario import emit_report, load_scenario, report_to_dict, "
+        "run_scenario\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise AssertionError('the pure-Python json encoder was used')\n"
+        "for path in sys.argv[1:]:\n"
+        "    report = run_scenario(load_scenario(path))\n"
+        "    loaded = set(sys.modules)\n"
+        "    original, json.encoder._make_iterencode = json.encoder._make_iterencode, refuse\n"
+        "    try:\n"
+        "        out = emit_report(report, 'json')\n"
+        "    finally:\n"
+        "        json.encoder._make_iterencode = original\n"
+        "    new = sorted(set(sys.modules) - loaded)\n"
+        "    assert not new, f'{path}: emission imported {new}'\n"
+        "    expected = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + '\\n'\n"
+        "    assert out == expected, f'{path}: the report differs from json.dumps'\n"
+    )
+    src = str(SCENARIO_DIR.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    cmd = [sys.executable, "-c", code, *map(str, SCENARIO_FILES)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def _count_calls(monkeypatch, module: str, name: str) -> list:
     """Count calls of ``dirac_reduce.<module>.<name>`` through every
     ``dirac_reduce`` module that bound it."""
@@ -721,7 +857,7 @@ def test_cli_sample_override_requires_a_random_block(capsys):
     assert "random sample block" in capsys.readouterr().err
 
 
-def test_cli_bracket_worked_example(tmp_path, capsys):
+def test_cli_bracket_worked_example(tmp_path, capsys, monkeypatch):
     payload = {
         "version": VERSION,
         "n": 2,
@@ -735,9 +871,18 @@ def test_cli_bracket_worked_example(tmp_path, capsys):
     assert "courant tangent:  [-x, y]" in text
     assert "courant covector: [1/2*y^2, 0]" in text
     assert "dorfman covector: [y^2, x*y]" in text
-    assert main(["bracket", str(path), "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["dorfman"]["tangent"] == ["-x", "y"]
+    with monkeypatch.context() as patch:  # not the pure-Python json encoder
+        patch.setattr(json.encoder, "_make_iterencode", _refuse_pure_python_encoder)
+        assert main(["bracket", str(path), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["dorfman"]["tangent"] == ["-x", "y"]
+    # byte for byte json.dumps(indent=2) of the two brackets
+    s1, s2 = load_bracket_payload(str(path))
+    brackets = {
+        "courant": _section_to_dict(courant_bracket(s1, s2)),
+        "dorfman": _section_to_dict(dorfman_bracket(s1, s2)),
+    }
+    assert out == json.dumps(brackets, indent=2) + "\n"
 
 
 def _sections_scenario(sections) -> dict:
