@@ -3,6 +3,10 @@
 
     python3 scripts/compare_reports.py A.json B.json
 
+A ``dirac-reduce/2`` report is first lifted to the ``dirac-reduce/1`` layout
+(:func:`lift_v1`), so a report of either version compares with one of the
+other.  The bases are compared only where both reports carry them: give a v2
+report made with ``run --format json --bases``.
 Every JSON path whose value differs is printed under its field (the path
 with list indices dropped, e.g. ``points[].route_b.basis``).  A basis of
 ``d_q``, ``route_a`` or ``route_b`` is compared as a subspace: the line gives
@@ -40,6 +44,29 @@ def projector_distance(a: list, b: list) -> float:
     return float(np.linalg.norm(pa.T @ pa - pb.T @ pb, 2))
 
 
+def lift_v1(report: dict) -> dict:
+    """A ``dirac-reduce/2`` report in the ``dirac-reduce/1`` layout: each
+    point's ``isotropy`` and ``dims`` read from ``strata``, in v1 key order,
+    with no ``strata`` and version ``dirac-reduce/1``.  Any other report is
+    returned as it is."""
+    if report.get("version") != "dirac-reduce/2":
+        return report
+    strata = report["strata"]
+    points = []
+    for point in report["points"]:
+        stratum, row = point["stratum"], {}
+        for key, value in point.items():
+            if key == "stratum":
+                row["isotropy"] = None if stratum is None else strata[stratum]["isotropy"]
+            elif key == "dims":
+                row["dims"] = None if value is None else strata[stratum]["dims"][value]
+            else:
+                row[key] = value
+        points.append(row)
+    lifted = {key: value for key, value in report.items() if key != "strata"}
+    return {**lifted, "version": "dirac-reduce/1", "points": points}
+
+
 def differences(a, b, path: str = "", field: str = ""):
     """(field, path, description, may_move) for every differing value."""
     if isinstance(a, dict) and isinstance(b, dict):
@@ -71,7 +98,9 @@ def main(argv: list[str]) -> int:
         print("usage: compare_reports.py A.json B.json", file=sys.stderr)
         return 2
     try:
-        first, second = (json.loads(pathlib.Path(p).read_text(encoding="utf-8")) for p in argv)
+        first, second = (
+            lift_v1(json.loads(pathlib.Path(p).read_text(encoding="utf-8"))) for p in argv
+        )
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

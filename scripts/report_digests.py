@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Print the SHA-256 of the JSON report of each scenario file.
+"""Print the SHA-256 of the JSON reports of each scenario file.
 
 Runs ``load_scenario -> run_scenario -> emit_report(json)`` on every given
-file (default: ``scenarios/*.json``) and prints ``sha256  name`` per file.
+file (default: ``scenarios/*.json``) and prints, per file, the digest of the
+default report, that of the report with the per-point bases
+(``run --format json --bases``) and the file's name: ``sha256  sha256  name``.
 A file that is not a valid scenario gets an ``error:`` line on stderr, the
 remaining files are still digested, and the exit status is 2.  Comparing the
 output of two checkouts shows whether a change left every report
@@ -29,9 +31,13 @@ from dirac_reduce.scenario import (  # noqa: E402
 )
 
 
-def digest(path: pathlib.Path) -> str:
+def digests(path: pathlib.Path) -> str:
+    """The digests of the default and of the ``--bases`` report, joined by two spaces."""
     report = run_scenario(load_scenario(str(path)))
-    return hashlib.sha256(emit_report(report, "json").encode("utf-8")).hexdigest()
+    return "  ".join(
+        hashlib.sha256(emit_report(report, "json", bases).encode("utf-8")).hexdigest()
+        for bases in (False, True)
+    )
 
 
 def main(argv: list[str]) -> int:
@@ -39,7 +45,7 @@ def main(argv: list[str]) -> int:
     status = 0
     for path in paths:
         try:
-            print(f"{digest(path)}  {path.name}")
+            print(f"{digests(path)}  {path.name}")
         except ScenarioError as exc:  # the message starts with the path
             print(f"error: {exc}", file=sys.stderr)
             status = 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .lindirac import NotLagrangianError
 from .polyfield import courant_bracket, dorfman_bracket
 from .reduction import InternalConsistencyError
 from .scenario import (
@@ -50,6 +51,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument("--seed", type=int, default=None, help="override the random seed")
     p_run.add_argument("--format", choices=("text", "json"), default="text")
+    p_run.add_argument(
+        "--bases", action="store_true",
+        help="add D_Q and both route images to each point of the json report",
+    )
 
     p_bracket = sub.add_parser(
         "bracket", help="Courant and Dorfman brackets of two polynomial sections"
@@ -95,11 +100,13 @@ def _apply_overrides(data, args) -> None:
 
 
 def _cmd_run(args) -> int:
+    if args.bases and args.format != "json":
+        raise ScenarioError("--bases needs --format json")
     data = _read_json(args.file)
     _apply_overrides(data, args)
     scenario = _scenario_from_file(args.file, data)
     report = run_scenario(scenario)
-    sys.stdout.write(emit_report(report, args.format))
+    sys.stdout.write(emit_report(report, args.format, args.bases))
     code = exit_code(report)
     if code != EXIT_OK and args.format == "text":
         summary = summarize(report)
@@ -132,6 +139,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_FAILED
+    except NotLagrangianError as exc:
+        print(f"numerical failure: a fiber failed the Lagrangian test: {exc}", file=sys.stderr)
         return EXIT_FAILED
 
 

@@ -295,8 +295,9 @@ def _quotient(action: ActionSpec, row: PointReduction, tol: float) -> Subspace:
 
 def reduce_isotropy_route(spec: DiracFieldSpec, action: ActionSpec, m, tol: float = DEFAULT_TOL):
     """Isotropy route: (quotient, ForwardImage of D_Q under phi).  The
-    ``lagrangian`` flag records whether it is a Dirac structure (it is
-    wherever the constant-rank hypothesis holds at m)."""
+    ``lagrangian`` flag records whether the computed image passed the
+    Lagrangian test.  At a point the image is Lagrangian, and equals route
+    B's, for any Lagrangian D(m), so a false flag is a numerical fault."""
     row = _reduce_one(spec, action, m, tol)
     return _quotient(action, row, tol), row.route_a
 

@@ -4,7 +4,9 @@ A scenario is a JSON document (version ``dirac-reduce/1``) bundling a Dirac
 field spec, a group action, a sample set (explicit points and/or a seeded
 random box) and tolerances.  Loading
 validates everything; running produces a deterministic report: same file,
-same seed, same bytes.
+same seed, same bytes.  The JSON report (version ``dirac-reduce/2``) has one
+entry per isotropy stratum and one short row per point; the per-point bases
+are written only on request.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .subspace import DEFAULT_TOL, Subspace, span
 
 __all__ = [
     "VERSION",
+    "REPORT_VERSION",
     "dirac_kind",
     "ScenarioError",
     "SampleSpec",
@@ -61,7 +64,8 @@ __all__ = [
     "check_tolerance",
 ]
 
-VERSION = "dirac-reduce/1"
+VERSION = "dirac-reduce/1"  # scenario files and bracket payloads
+REPORT_VERSION = "dirac-reduce/2"  # the JSON run report
 # largest random sample count: the draw and each point's reduction are held in memory
 MAX_SAMPLES = 1_000_000
 
@@ -228,7 +232,9 @@ def _parse_dirac(value, n: int, rank_tol: float = DEFAULT_TOL) -> DiracFieldSpec
         if any(len(r) != n for r in rows):
             raise ScenarioError(f"dirac.distribution: rows must have {n} entries")
         rows = np.array(rows)
-        if np.array_equal(rows @ rows.T, np.eye(len(rows))):  # already an orthonormal basis
+        # rows orthonormal to rounding (an echoed SVD basis is) are kept as
+        # given; any others, hand-typed decimals included, are re-spanned
+        if np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 4 * n * np.finfo(float).eps:
             return DistributionSpec(Subspace(n, rows, rank_tol))
         return DistributionSpec(span(rows, ambient_dim=n, tol=rank_tol))
     pairs = value["sections"]
@@ -554,37 +560,68 @@ def _image_dict(image) -> dict | None:
     }
 
 
-def _point_to_dict(index: int, row: PointReduction, applicable: bool) -> dict:
-    out: dict = {
-        "index": index,
-        "point": list(row.point),
-        "status": row.status,
-        "reason": row.reason,
-        "isotropy": row.descriptor.to_dict() if row.descriptor else None,
-        "dims": row.dims.to_dict() if row.dims else None,
-        "iq_identity": row.iq_identity,
-        "d_q": _dirac_value_dict(row.d_q),
-        "route_a": _image_dict(row.route_a),
-        "route_b": _image_dict(row.route_b),
-        "lagrangian_ok": row.lagrangian_ok,
-    }
+def _agreement(row: PointReduction, applicable: bool):
     if row.status != STATUS_OK:
-        out["agreement"] = None
-    elif not applicable:
-        out["agreement"] = "not-applicable"
-    else:
-        out["agreement"] = {"distance": row.distance, "agree": row.agree}
-    return out
+        return None
+    if not applicable:
+        return "not-applicable"
+    return {"distance": row.distance, "agree": row.agree}
 
 
-def report_to_dict(report: RunReport) -> dict:
-    applicable = report.invariance.ok
+def _strata_and_points(rows, applicable: bool, bases: bool) -> tuple:
+    """The ``strata`` table and the ``points`` rows of a report.
+
+    A stratum is one exact isotropy descriptor, in first-seen point order,
+    with the number of points carrying it and the distinct ``dims`` tables
+    seen there.  A point row names its stratum and its ``dims`` by index.
+    Descriptors are told apart by the repr of their dict, which keeps every
+    point's descriptor, signed zeros included, bit for bit."""
+    strata: list = []
+    index_of: dict = {}  # repr of a descriptor's dict -> its stratum
+    points = []
+    for index, row in enumerate(rows):
+        stratum = dims = None
+        if row.descriptor is not None:
+            isotropy = row.descriptor.to_dict()
+            stratum = index_of.setdefault(repr(isotropy), len(strata))
+            if stratum == len(strata):
+                strata.append({"isotropy": isotropy, "count": 0, "dims": []})
+            entry = strata[stratum]
+            entry["count"] += 1
+            if row.dims is not None:
+                table, tables = row.dims.to_dict(), entry["dims"]
+                if table not in tables:
+                    tables.append(table)
+                dims = tables.index(table)
+        out: dict = {
+            "index": index,
+            "point": list(row.point),
+            "status": row.status,
+            "reason": row.reason,
+            "stratum": stratum,
+            "dims": dims,
+            "iq_identity": row.iq_identity,
+        }
+        if bases:
+            out["d_q"] = _dirac_value_dict(row.d_q)
+            out["route_a"] = _image_dict(row.route_a)
+            out["route_b"] = _image_dict(row.route_b)
+        out["lagrangian_ok"] = row.lagrangian_ok
+        out["agreement"] = _agreement(row, applicable)
+        points.append(out)
+    return strata, points
+
+
+def report_to_dict(report: RunReport, bases: bool = False) -> dict:
+    """The JSON report (``dirac-reduce/2``): one entry per stratum and one
+    short row per point; with ``bases``, each point row also carries D_Q(m)
+    and both route images."""
+    strata, points = _strata_and_points(report.points, report.invariance.ok, bases)
     return {
-        "version": VERSION,
+        "version": REPORT_VERSION,
         "scenario": scenario_to_dict(report.scenario),
-        "points": [
-            _point_to_dict(i, r, applicable) for i, r in enumerate(report.points)
-        ],
+        "strata": strata,
+        "points": points,
         "classes": [
             {
                 "indices": list(c.indices),
@@ -731,11 +768,12 @@ def _dumps(obj, nl: str = "\n") -> str:
     return f"[{inner}{(',' + inner).join(items)}{nl}]"
 
 
-def emit_report(report: RunReport, format: str = "text") -> str:
+def emit_report(report: RunReport, format: str = "text", bases: bool = False) -> str:
     """Render a run report; json output is stable byte-for-byte: the bytes of
-    ``json.dumps(report_to_dict(report), indent=2, allow_nan=False)``."""
+    ``json.dumps(report_to_dict(report, bases), indent=2, allow_nan=False)``.
+    ``bases`` adds each point's bases to the json report."""
     if format == "json":
-        return _dumps(report_to_dict(report)) + "\n"
+        return _dumps(report_to_dict(report, bases)) + "\n"
     if format == "text":
         return _format_text(report)
     raise ScenarioError(f"unknown report format {format!r}")

@@ -2,6 +2,7 @@
 rank bookkeeping that the runner reports."""
 
 import itertools
+import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -799,3 +800,40 @@ def test_permuting_or_duplicating_samples_moves_rows_and_changes_no_bit(data):
     rows = run_scenario(replace(s, samples=SampleSpec(explicit=explicit))).points
     for i, row in zip(picks, rows, strict=True):
         _assert_same_row(row, base[i])
+
+
+# -- route agreement is a pointwise identity ------------------------------------
+
+_MONOMIALS = ("1", "x", "y", "z", "x^2", "y^2", "z^2", "x*y", "x*z", "y*z")
+_QUADRATIC = st.lists(st.integers(-3, 3), min_size=len(_MONOMIALS), max_size=len(_MONOMIALS)).map(
+    lambda cs: " + ".join(f"({c})*{m}" for c, m in zip(cs, _MONOMIALS))
+)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["two_form", "bivector"]),
+    entries=st.tuples(_QUADRATIC, _QUADRATIC, _QUADRATIC),
+    seed=st.integers(0, 2**16),
+)
+def test_routes_agree_at_every_point_for_any_spec(kind, entries, seed):
+    """At a point m the two route images coincide for any D(m), invariant,
+    integrable or neither, and both are Lagrangian: random quadratic two-forms
+    and bivectors on R^3 under z2_circle_r3's action (neither invariant nor
+    integrable in general), at random points of a box and at points of the
+    plane z = 0, the circle's axis and the origin.  A skip is allowed."""
+    a, b, c = entries
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    data = json.loads((scenarios / "z2_circle_r3_two_form.json").read_text())
+    data["dirac"] = {kind: [["0", a, b], [f"-({a})", "0", c], [f"-({b})", f"-({c})", "0"]]}
+    data["samples"] = {
+        "explicit": [[0.8, -0.5, 0.0], [-1.2, 0.3, 0.0], [0.0, 0.0, 1.3], [0.0, 0.0, -0.6],
+                     [0.0, 0.0, 0.0]],
+        "random": {"count": 6, "seed": seed, "box": [[-1.5, 1.5]] * 3},
+    }
+    report = run_scenario(scenario_from_dict(data))
+    ok_rows = [r for r in report.points if r.status == STATUS_OK]
+    assert ok_rows
+    for r in ok_rows:
+        assert r.lagrangian_ok, r.point
+        assert r.distance <= 1e-8, (r.point, r.distance)

@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dirac_reduce.cli import main
 from dirac_reduce.polyfield import courant_bracket, dorfman_bracket
 from dirac_reduce.scenario import (
     MAX_SAMPLES,
+    REPORT_VERSION,
     ScenarioError,
     VERSION,
     _dumps,
@@ -351,6 +352,52 @@ def test_echoed_scenario_is_a_fixed_point(path):
     assert scenario_to_dict(scenario_from_dict(copy.deepcopy(echoed))) == echoed
 
 
+@st.composite
+def _spanning_rows(draw):
+    """1 to n rows in R^n, n in {2, 3, 4}, of small rationals, not all zero."""
+    n = draw(st.integers(2, 4))
+    entry = st.builds(lambda a, b: a / b, st.integers(-5, 5), st.integers(1, 9))
+    rows = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=n)
+    return draw(rows.filter(lambda r: any(x for row in r for x in row)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_rows())
+@example([[1, 1, 0]])
+def test_echoed_distribution_is_a_fixed_point(rows):
+    """The echo of any distribution loads back to itself: its rows are an
+    orthonormal basis, kept as given, not rebuilt by another SVD."""
+    n = len(rows[0])
+    data = {
+        "version": VERSION,
+        "n": n,
+        "dirac": {"distribution": rows},
+        "samples": {"explicit": [[1.0] * n]},
+    }
+    echoed = scenario_to_dict(scenario_from_dict(data))
+    assert scenario_to_dict(scenario_from_dict(copy.deepcopy(echoed))) == echoed
+
+
+def test_hand_typed_orthonormal_distribution_is_respanned():
+    """Rows orthonormal to 5 digits only are re-spanned, not kept as given:
+    the xy-plane typed as two rotated unit vectors stays invariant under the
+    circle turning it, and its echo loads back to itself."""
+    data = {
+        "version": VERSION,
+        "n": 3,
+        "dirac": {"distribution": [[0.70711, 0.70711, 0], [-0.70711, 0.70711, 0]]},
+        "action": {"circle": {"weights": [1], "fixed_dim": 1}},
+        "samples": {"explicit": [[0.6, -0.7, 0.5], [0.0, 0.0, 0.8], [0.9, 0.0, 0.0]]},
+    }
+    s = scenario_from_dict(data)
+    summary = summarize(run_scenario(s))
+    assert summary["invariance"] == "pass"
+    assert summary["comparisons"] == "applicable"
+    assert summary["ok"] == 3 and summary["failures"] == 0
+    echoed = scenario_to_dict(s)
+    assert scenario_to_dict(scenario_from_dict(copy.deepcopy(echoed))) == echoed
+
+
 def test_sample_points_are_deterministic_and_explicit_first():
     data = base_scenario()
     data["samples"] = {
@@ -406,6 +453,8 @@ def test_boundary_points_are_skipped_not_failed():
     skipped = payload["points"][1]
     assert skipped["status"] == "skipped-boundary"
     assert skipped["agreement"] is None and skipped["dims"] is None
+    assert skipped["stratum"] is None
+    assert [s["count"] for s in payload["strata"]] == [1]
 
 
 def test_empty_sample_set_yields_an_empty_passing_report():
@@ -424,8 +473,11 @@ def test_json_report_is_deterministic_and_structured():
     second = emit_report(run_scenario(s), "json")
     assert first == second
     payload = json.loads(first)
-    assert set(payload) == {"version", "scenario", "points", "classes", "checks", "summary"}
-    assert payload["version"] == VERSION
+    assert list(payload) == [
+        "version", "scenario", "strata", "points", "classes", "checks", "summary"
+    ]
+    assert payload["version"] == REPORT_VERSION == "dirac-reduce/2"
+    assert payload["scenario"]["version"] == VERSION == "dirac-reduce/1"
     assert {c["kind"] for c in payload["checks"].values() if c} >= {
         "integrability",
         "invariance",
@@ -456,8 +508,91 @@ def test_text_labels_say_circle_none_where_the_action_has_no_circle(name, labels
     text = emit_report(report, "text")
     assert ("circle none" in text.splitlines()[0]) == (flags == {True})
     assert set(re.findall(r" (circle:\S+) components:\d+ ", text)) == labels
-    points = json.loads(emit_report(report, "json"))["points"]
+    points = _resolved_points(json.loads(emit_report(report, "json")))
     assert {p["isotropy"]["continuous_circle"] for p in points} == flags
+
+
+def _resolved_points(payload: dict) -> list:
+    """The point rows of a report, each with its ``isotropy`` and ``dims``
+    read from ``strata`` (None where the row has none)."""
+    strata = payload["strata"]
+    out = []
+    for p in payload["points"]:
+        stratum = None if p["stratum"] is None else strata[p["stratum"]]
+        dims = None if p["dims"] is None else stratum["dims"][p["dims"]]
+        out.append({**p, "isotropy": stratum and stratum["isotropy"], "dims": dims})
+    return out
+
+
+def _v1_point(index: int, row, applicable: bool) -> dict:
+    """A point row of the ``dirac-reduce/1`` report, built from the reduction
+    row itself: the layout a lifted report must reproduce."""
+    def image(x, full):
+        if x is None:
+            return None
+        if not full:
+            return {"base_dim": x.base_dim, "basis": x.space.basis.tolist()}
+        return {"base_dim": x.base_dim, "dim": x.space.dim, "lagrangian": x.lagrangian,
+                "surjective": x.surjective, "basis": x.space.basis.tolist()}
+
+    if row.status != "ok":
+        agreement = None
+    elif not applicable:
+        agreement = "not-applicable"
+    else:
+        agreement = {"distance": row.distance, "agree": row.agree}
+    return {
+        "index": index,
+        "point": list(row.point),
+        "status": row.status,
+        "reason": row.reason,
+        "isotropy": row.descriptor.to_dict() if row.descriptor else None,
+        "dims": row.dims.to_dict() if row.dims else None,
+        "iq_identity": row.iq_identity,
+        "d_q": image(row.d_q, False),
+        "route_a": image(row.route_a, True),
+        "route_b": image(row.route_b, True),
+        "lagrangian_ok": row.lagrangian_ok,
+        "agreement": agreement,
+    }
+
+
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    path = SCENARIO_DIR.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", SCENARIO_FILES, ids=lambda p: p.name)
+def test_report_with_bases_lifts_to_the_v1_report(path):
+    """Every point's descriptor, dims and bases survive the per-stratum
+    layout bit for bit: the ``--bases`` report, lifted by
+    scripts/compare_reports.py, writes the bytes of the v1 report built from
+    the reduction rows; without ``bases`` the rows lack exactly the bases."""
+    report = run_scenario(load_scenario(str(path)))
+    with_bases = json.loads(emit_report(report, "json", bases=True))
+    applicable = report.invariance.ok
+    expected = {
+        "version": VERSION,
+        "scenario": with_bases["scenario"],
+        "points": [_v1_point(i, r, applicable) for i, r in enumerate(report.points)],
+        **{k: with_bases[k] for k in ("classes", "checks", "summary")},
+    }
+    assert _dumps(_script("compare_reports").lift_v1(with_bases)) == _dumps(expected)
+    default = json.loads(emit_report(report, "json"))
+    assert {k: v for k, v in default.items() if k != "points"} == {
+        k: v for k, v in with_bases.items() if k != "points"
+    }
+    for short, full in zip(default["points"], with_bases["points"]):
+        assert short == {k: v for k, v in full.items() if k not in ("d_q", "route_a", "route_b")}
+    strata = default["strata"]
+    assert sum(s["count"] for s in strata) == sum(p["stratum"] is not None
+                                                  for p in default["points"])
+    assert all(len({json.dumps(d) for d in s["dims"]}) == len(s["dims"]) for s in strata)
+    assert len({json.dumps(s["isotropy"]) for s in strata}) == len(strata)
 
 
 def test_unknown_format_is_rejected():
@@ -581,12 +716,13 @@ def test_json_emission_uses_no_pure_python_encoder():
         "    loaded = set(sys.modules)\n"
         "    original, json.encoder._make_iterencode = json.encoder._make_iterencode, refuse\n"
         "    try:\n"
-        "        out = emit_report(report, 'json')\n"
+        "        out = [emit_report(report, 'json', bases) for bases in (False, True)]\n"
         "    finally:\n"
         "        json.encoder._make_iterencode = original\n"
         "    new = sorted(set(sys.modules) - loaded)\n"
         "    assert not new, f'{path}: emission imported {new}'\n"
-        "    expected = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + '\\n'\n"
+        "    expected = [json.dumps(report_to_dict(report, bases), indent=2, allow_nan=False)\n"
+        "                + '\\n' for bases in (False, True)]\n"
         "    assert out == expected, f'{path}: the report differs from json.dumps'\n"
     )
     src = str(SCENARIO_DIR.parent / "src")
@@ -710,7 +846,7 @@ def test_large_fiber_entries_run_without_a_traceback(tmp_path):
     cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
-    points = {tuple(p["point"]): p for p in json.loads(proc.stdout)["points"]}
+    points = {tuple(p["point"]): p for p in _resolved_points(json.loads(proc.stdout))}
     assert all(p["status"] == "ok" for p in points.values())
     assert points[(10.0, 0.3, 0.0)]["dims"] == points[(0.5, 0.2, 0.0)]["dims"]
 
@@ -726,7 +862,7 @@ def test_point_within_tol_of_the_circle_axis_is_an_axis_point(tmp_path):
     cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path), "--format", "json"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     assert proc.returncode == 0 and "internal consistency" not in proc.stderr, proc.stderr
-    near, axis = json.loads(proc.stdout)["points"]
+    near, axis = _resolved_points(json.loads(proc.stdout))
     assert near["status"] == axis["status"] == "ok"
     assert (near["isotropy"], near["dims"]) == (axis["isotropy"], axis["dims"])
 
@@ -745,7 +881,7 @@ def test_compare_reports_reads_bases_as_subspaces(tmp_path):
     another basis of the same route span prints its projector distance and
     exits 0; a changed dimension or verdict exits 1, naming the path."""
     s = load_scenario(str(SCENARIO_DIR / "circle_canonical_poisson.json"))
-    report = json.loads(emit_report(run_scenario(s), "json"))
+    report = json.loads(emit_report(run_scenario(s), "json", bases=True))
     same = _compare_reports(report, report, tmp_path)
     assert (same.returncode, same.stdout) == (0, "")
     rotated = copy.deepcopy(report)
@@ -756,7 +892,11 @@ def test_compare_reports_reads_bases_as_subspaces(tmp_path):
     assert moved.returncode == 0, moved.stdout
     assert "points[0].route_b.basis: projector distance 0" in moved.stdout
     assert "points[].agreement.distance: 1 differ" in moved.stdout
-    rotated["points"][1]["dims"]["V"] += 1
+    # point 1 gets a dims table of its own, with V one larger
+    tables = rotated["strata"][rotated["points"][1]["stratum"]]["dims"]
+    tables.append({**tables[rotated["points"][1]["dims"]]})
+    tables[-1]["V"] += 1
+    rotated["points"][1]["dims"] = len(tables) - 1
     rotated["summary"]["agreement_failures"] = 1
     broken = _compare_reports(report, rotated, tmp_path)
     assert broken.returncode == 1
@@ -849,6 +989,54 @@ def test_rank_tol_decides_the_rank_of_a_distribution(tmp_path, capsys, where):
     payload = json.loads(capsys.readouterr().out)
     assert payload["scenario"]["tolerances"]["rank_tol"] == 1e-6
     assert len(payload["scenario"]["dirac"]["distribution"]) == 1
+
+
+def test_cli_bases_add_the_point_bases_to_the_json_report(capsys):
+    path = str(SCENARIO_DIR / "z2_circle_r3_two_form.json")
+    assert main(["run", path, "--format", "json"]) == 0
+    short = json.loads(capsys.readouterr().out)
+    assert main(["run", path, "--format", "json", "--bases"]) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert list(short["points"][0]) == [
+        "index", "point", "status", "reason", "stratum", "dims", "iq_identity",
+        "lagrangian_ok", "agreement",
+    ]
+    assert list(full["points"][0]) == [
+        "index", "point", "status", "reason", "stratum", "dims", "iq_identity",
+        "d_q", "route_a", "route_b", "lagrangian_ok", "agreement",
+    ]
+    assert {k: v for k, v in full.items() if k != "points"} == {
+        k: v for k, v in short.items() if k != "points"
+    }
+
+
+@pytest.mark.parametrize("args", [[], ["--format", "text"]])
+def test_cli_bases_need_the_json_format(capsys, args):
+    path = str(SCENARIO_DIR / "z2_circle_r3_two_form.json")
+    assert main(["run", path, "--bases", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --bases needs --format json\n"
+
+
+def test_cli_fiber_failing_the_lagrangian_test_exits_1_without_a_traceback(tmp_path):
+    """so(3) Lie-Poisson times 1e8: a valid input whose fiber fails the
+    absolute self-pairing test.  The run says so on one stderr line and
+    exits 1."""
+    data = json.loads((SCENARIO_DIR / "so3_lie_poisson.json").read_text())
+    data["dirac"]["bivector"] = [
+        [e if e == "0" else f"100000000*({e})" for e in row] for row in data["dirac"]["bivector"]
+    ]
+    path = tmp_path / "so3_scaled.json"
+    path.write_text(json.dumps(data))
+    cmd = [sys.executable, "-m", "dirac_reduce", "run", str(path)]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "numerical failure: a fiber failed the Lagrangian test: "
+        "self-pairing 6.934e-08 exceeds tolerance 1.000e-09\n"
+    )
 
 
 def test_cli_sample_override_requires_a_random_block(capsys):
@@ -969,8 +1157,13 @@ def test_report_digests_names_a_non_scenario_file_and_goes_on(tmp_path):
         [sys.executable, str(script), str(other), str(scenario)], capture_output=True, text=True
     )
     assert proc.returncode == 2
-    report = emit_report(run_scenario(load_scenario(str(scenario))), "json")
-    assert proc.stdout == f"{hashlib.sha256(report.encode('utf-8')).hexdigest()}  area.json\n"
+    report = run_scenario(load_scenario(str(scenario)))
+    default, bases = (
+        hashlib.sha256(emit_report(report, "json", b).encode("utf-8")).hexdigest()
+        for b in (False, True)
+    )
+    assert default != bases
+    assert proc.stdout == f"{default}  {bases}  area.json\n"
     assert proc.stderr.startswith(f"error: {other}: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
@@ -988,14 +1181,6 @@ def test_untrafficked_lists_the_functions_no_command_enters():
     names = {line.split()[-1] for line in lines[:-1]}
     assert "vertical_space" in names and not names & {"isotropy", "courant_bracket"}
     assert lines[-1] == f"{len(lines) - 1} functions entered by no run"
-
-
-def _bench_pairs():
-    path = SCENARIO_DIR.parent / "scripts" / "bench_pairs.py"
-    spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 STEADY = [100, 102, 98, 101, 99, 100, 103, 97, 100, 101]  # q3 - q1 = 1.75
@@ -1028,7 +1213,7 @@ WIDE = [10, 10, 10, 50, 50, 50, 90, 90, 90, 90]  # median 50, q3 - q1 = 70
 def test_bench_pairs_verdict(parent, change, higher, expected):
     """scripts/bench_pairs.py's verdict on paired runs (run i of each side
     is pair i) under a bound of 24%."""
-    assert _bench_pairs().verdict(parent, change, higher, 0.24) == expected
+    assert _script("bench_pairs").verdict(parent, change, higher, 0.24) == expected
 
 
 def test_module_entry_point_is_byte_deterministic():
