@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import Poly, _from_dict, _unit
+from .poly import Poly, _from_dict, _Record, _set, _unit
 from .polyfield import _PASS_FLOATS, PolyOneForm, PolySection, PolyVectorField, pushforward_section
 from .subspace import DEFAULT_TOL, Subspace, span
 
@@ -61,8 +60,7 @@ class ExactnessWarning(UserWarning):
     """Quadrature node count below the exactness threshold."""
 
 
-@dataclass(frozen=True, eq=False)
-class FiniteGroupRep:
+class FiniteGroupRep(_Record):
     """A finite group given by its orthogonal matrices (identity included)."""
 
     elements: tuple
@@ -89,7 +87,7 @@ class FiniteGroupRep:
             raise ValueError("a finite group needs at least the identity")
         if any(m.shape != mats[0].shape for m in mats):
             raise ValueError("group elements act on different spaces")
-        object.__setattr__(self, "elements", tuple(mats))
+        _set(self, "elements", tuple(mats))
 
     @property
     def n(self) -> int:
@@ -104,8 +102,7 @@ class FiniteGroupRep:
         return cls((np.eye(n),))
 
 
-@dataclass(frozen=True)
-class CircleFactor:
+class CircleFactor(_Record):
     """Weighted circle on R^(2k+l): rotation by w_j*theta on block j."""
 
     weights: tuple
@@ -119,8 +116,8 @@ class CircleFactor:
             raise ValueError(f"circle weights must not exceed {MAX_WEIGHT} in absolute value")
         if self.fixed_dim < 0:
             raise ValueError("fixed_dim must be nonnegative")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "fixed_dim", int(self.fixed_dim))
+        _set(self, "weights", ws)
+        _set(self, "fixed_dim", int(self.fixed_dim))
 
     @property
     def n(self) -> int:
@@ -145,8 +142,7 @@ class CircleFactor:
         return r
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(_Record):
     """G = finite x circle acting orthogonally on R^n."""
 
     n: int
@@ -230,8 +226,7 @@ def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     return span([spec.circle.generator() @ m], ambient_dim=spec.n, tol=tol)
 
 
-@dataclass(frozen=True)
-class IsotropyDescriptor:
+class IsotropyDescriptor(_Record):
     """The subgroup G_m: a circle flag plus finite components (f, theta).
 
     ``continuous_circle`` is true when the whole circle factor fixes the
@@ -242,12 +237,14 @@ class IsotropyDescriptor:
     continuous_circle: bool
     pairs: tuple
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "pairs",
-            tuple(sorted((int(i), float(t)) for i, t in self.pairs)),
-        )
+    def __init__(self, continuous_circle, pairs) -> None:
+        pairs = tuple(sorted((int(i), float(t)) for i, t in pairs))
+        _set(self, "continuous_circle", continuous_circle)
+        _set(self, "pairs", pairs)
+        _set(self, "_hash", hash((continuous_circle, pairs)))  # hashed at each of its points
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def component_count(self) -> int:

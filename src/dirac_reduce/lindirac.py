@@ -15,10 +15,9 @@ on one :class:`LinearDirac` they are stacks of one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .poly import _Record, _set
 from .subspace import (
     DEFAULT_TOL,
     DimensionMismatchError,
@@ -108,8 +107,7 @@ def _check_lagrangian(base_dim: int, bases: np.ndarray, tol: float) -> None:
         raise NotLagrangianError(f"self-pairing {worst:.3e} exceeds tolerance {tol:.3e}")
 
 
-@dataclass(frozen=True)
-class LinearDirac:
+class LinearDirac(_Record):
     """A Lagrangian subspace of R^n (+) (R^n)*; validated on construction."""
 
     base_dim: int
@@ -220,8 +218,7 @@ def backward_image(phi: np.ndarray, dirac: LinearDirac) -> LinearDirac:
     return LinearDirac(m, Subspace(2 * m, rows, dirac.tol))
 
 
-@dataclass(frozen=True)
-class ForwardImage:
+class ForwardImage(_Record):
     """Result of a push-forward, with status flags.
 
     The span is always computed; it is Lagrangian whenever the map is
@@ -232,6 +229,12 @@ class ForwardImage:
     space: Subspace
     lagrangian: bool
     surjective: bool
+
+    def __init__(self, base_dim, space, lagrangian, surjective) -> None:  # two per point
+        _set(self, "base_dim", base_dim)
+        _set(self, "space", space)
+        _set(self, "lagrangian", lagrangian)
+        _set(self, "surjective", surjective)
 
     @property
     def dirac(self) -> LinearDirac:

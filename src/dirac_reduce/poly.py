@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from operator import add
@@ -60,8 +59,68 @@ def _coerce(value) -> int | Fraction:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-@dataclass(frozen=True)
-class Poly:
+_set = object.__setattr__  # writes a record's field past its __setattr__
+
+
+class _Record:
+    """The frozen record every value type of the package is built on.
+
+    A subclass's fields are its annotated names, after those of its bases,
+    and a class attribute of a field's name is its default.  The shared
+    ``__init__`` takes the fields by position or name and then calls
+    ``self.__post_init__()``.  Assigning or deleting an attribute raises
+    AttributeError.  Two records are equal when they are of one class and
+    their ``__dict__``s are equal: these hold the fields, and nothing but
+    values computed from the fields at construction.  A record hashes by its
+    fields and prints them.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls) -> None:
+        own = tuple(cls.__annotations__)  # this class's own, on Python 3.10 and later
+        cls._fields = cls._fields + own
+        cls._defaults = {**cls._defaults, **{k: vars(cls)[k] for k in own if k in vars(cls)}}
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields, name = self._fields, type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        values = {**self._defaults, **dict(zip(fields, args))}
+        for key, value in kwargs.items():
+            if key not in fields or key in fields[: len(args)]:
+                raise TypeError(f"{name}() got an unexpected argument {key!r}")
+            values[key] = value
+        for key in fields:
+            if key not in values:
+                raise TypeError(f"{name}() is missing the argument {key!r}")
+            _set(self, key, values[key])
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check and normalise the fields: nothing here."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return other is self or self.__dict__ == other.__dict__
+
+    def __hash__(self) -> int:
+        return hash(tuple([getattr(self, k) for k in self._fields]))
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+
+class Poly(_Record):
     """A polynomial in ``n_vars`` variables with rational coefficients."""
 
     n_vars: int
@@ -80,7 +139,7 @@ class Poly:
             if any(e < 0 for e in exponents):
                 raise ValueError(f"negative exponent in {exponents}")
             collected[exponents] = collected.get(exponents, 0) + _coerce(coeff)
-        object.__setattr__(self, "terms", _from_dict(self.n_vars, collected).terms)
+        _set(self, "terms", _from_dict(self.n_vars, collected).terms)
 
     # -- constructors --------------------------------------------------
 
@@ -323,8 +382,8 @@ def _trusted(n_vars: int, terms: tuple) -> Poly:
     """A Poly from terms already canonical: sorted, distinct monomials of
     length ``n_vars``, nonzero coefficients in normal form (see :func:`_normal`)."""
     p = object.__new__(Poly)
-    object.__setattr__(p, "n_vars", n_vars)
-    object.__setattr__(p, "terms", terms)
+    _set(p, "n_vars", n_vars)
+    _set(p, "terms", terms)
     return p
 
 
@@ -377,6 +436,7 @@ def default_var_names(n_vars: int) -> list[str]:
 MAX_EXPONENT = 1000  # a literal exponent, and the degree a power may produce
 MAX_TERMS = 1000  # terms all parenthesised powers and products of one string may produce
 MAX_COEFF_BITS = 3000  # bits of a coefficient a power may produce
+MAX_DEPTH = 100  # parenthesised groups open at once
 
 
 def _check_power(coefficients, degree: int, power: int) -> int:
@@ -393,161 +453,147 @@ def _check_power(coefficients, degree: int, power: int) -> int:
     return math.comb(power + k - 1, power) if k else 1
 
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<number>\d+/\d+|\d+\.\d+|\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[\^*+\-()])|(?P<bad>\S))"
-)
+# A number, a name, or any other one character: an operator, or a character
+# no token starts with, which parse_poly reports.
+_TOKEN = re.compile(r"\d+(?:[/.]\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
+_TOKEN_START = re.compile(r"[\dA-Za-z_^*+\-()]")
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """The ``(kind, value)`` tokens of ``text``, with the whitespace around
-    them dropped; a character no token starts with raises."""
-    tokens = []
+def _check_characters(text: str) -> None:
+    """Raise at the first character no token starts with, quoting the input
+    from the whitespace before it."""
     for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise PolyParseError(f"unexpected character at {text[match.start():]!r}")
-        tokens.append((kind, match[kind]))
-    return tokens
+        if not _TOKEN_START.match(match[0]):
+            start = len(text[: match.start()].rstrip())
+            raise PolyParseError(f"unexpected character at {text[start:]!r}")
 
 
-class _Parser:
-    """Recursive-descent parser for +, -, *, ^ and parentheses.
+def _number(token: str) -> int | Fraction:
+    """An integer literal as an ``int``; ``a/b`` and ``a.b`` as a Fraction in
+    normal form, so an integral one such as ``4/2`` is an int too."""
+    try:
+        return int(token) if token.isdecimal() else _normal(Fraction(token))
+    except ZeroDivisionError:
+        raise PolyParseError(f"zero denominator in {token!r}") from None
+    except ValueError:  # more digits than int() converts
+        raise PolyParseError(f"number of {len(token)} characters is too long") from None
+
+
+def _exponent(token: str) -> int:
+    """The exponent after a ``^``: an integer literal of at most MAX_EXPONENT."""
+    if not token.isdecimal():
+        raise PolyParseError("exponent must be a nonnegative integer")
+    digits = token.lstrip("0") or "0"  # int() refuses very long strings
+    if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+        raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}")
+    return int(digits)
+
+
+def _spend(budget: int, terms: int, what: str) -> int:
+    """The string's term budget left after an expansion's term bound, charged
+    before the work."""
+    budget -= terms
+    if budget < 0:
+        raise PolyParseError(f"{what} takes the expansion past {MAX_TERMS} terms")
+    return budget
+
+
+def _parse(tokens: list, n_vars: int, variables: dict, text: str) -> Poly:
+    """The polynomial of ``tokens`` (ending with ""), in one pass for +, -, *,
+    ^ and parentheses.
 
     A product of numbers and variables is collected as one coefficient and
-    one exponent vector, then added into the sum's ``{monomial: coefficient}``
-    dict; only parenthesised factors are multiplied as polynomials.  An
-    integer literal is an ``int``; ``a/b`` and ``a.b`` are built as Fractions
-    and normalised, so an integral one such as ``4/2`` is an int too.
+    one exponent vector, then added into its sum's ``{monomial: coefficient}``
+    dict; only parenthesised factors are multiplied as polynomials.  ``stack``
+    holds, for each open group, the sum and the term around it.
     """
-
-    def __init__(self, tokens, n_vars: int, variables: dict[str, int]):
-        self.tokens = tokens
-        self.pos = 0
-        self.n_vars = n_vars
-        self.variables = variables  # name -> index
-        self.budget = MAX_TERMS
-
-    def spend(self, terms: int, what: str) -> None:
-        """Charge an expansion's term bound to the string, before the work."""
-        self.budget -= terms
-        if self.budget < 0:
-            raise PolyParseError(f"{what} takes the expansion past {MAX_TERMS} terms")
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expr(self) -> Poly:
-        out: dict[Monomial, int | Fraction] = {}
-        kind, value = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.take()
-            negate = value == "-"
-        self.term(out, negate)
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value in "+-":
-                self.take()
-                self.term(out, value == "-")
-            else:
-                return _from_dict(self.n_vars, out)
-
-    def term(self, out: dict, negate: bool) -> None:
-        """Parse one product and add it into ``out``."""
-        # [coefficient, exponent vector, product of parenthesised factors]
-        product = [-1 if negate else 1, [0] * self.n_vars, None]
-        self.factor(product)
-        while True:
-            kind, value = self.peek()
-            if kind == "op" and value == "*":
-                self.take()
-                self.factor(product)
-            else:
+    stack: list = []
+    out: dict = {}  # the innermost open sum
+    budget = MAX_TERMS
+    tok, i = tokens[0], 1
+    while True:  # a sum opens: its first term may carry a sign
+        coeff, exps, group = 1, [0] * n_vars, None  # the sum's current term
+        if tok == "+" or tok == "-":
+            coeff, tok, i = (-1 if tok == "-" else 1), tokens[i], i + 1
+        while True:  # one factor
+            while tok == "-":
+                coeff, tok, i = -coeff, tokens[i], i + 1
+            if tok == "(":
+                if len(stack) == MAX_DEPTH:
+                    raise PolyParseError(f"more than {MAX_DEPTH} nested parentheses")
+                stack.append((out, coeff, exps, group))
+                out, tok, i = {}, tokens[i], i + 1
                 break
-        coeff, exps, group = product
-        if group is None:
-            items = [(tuple(exps), coeff)]
-        else:
-            items = [(tuple(map(add, m, exps)), c * coeff) for m, c in group.terms]
-        for m, c in items:
-            out[m] = out[m] + c if m in out else c
-
-    def factor(self, product: list) -> None:
-        """Parse one factor and multiply it into ``product``."""
-        kind, value = self.peek()
-        if kind == "op" and value == "-":
-            self.take()
-            product[0] = -product[0]
-            return self.factor(product)
-        kind, value = self.take()
-        if kind == "number":
-            try:
-                number = int(value) if value.isdigit() else _normal(Fraction(value))
-            except ZeroDivisionError:
-                raise PolyParseError(f"zero denominator in {value!r}") from None
-            except ValueError:  # more digits than int() converts
-                raise PolyParseError(f"number of {len(value)} characters is too long") from None
-        elif kind == "name":
-            if value not in self.variables:
-                raise PolyParseError(f"unknown variable {value!r}")
-        elif kind == "op" and value == "(":
-            inner = self.expr()
-            if self.take() != ("op", ")"):
-                raise PolyParseError("missing closing parenthesis")
-        elif kind is None:
-            raise PolyParseError("unexpected end of input")
-        else:
-            raise PolyParseError(f"unexpected token {value!r}")
-        power = self.exponent()
-        if kind == "number":
-            if power > 1:
-                _check_power((number,), 0, power)
-            product[0] *= number**power
-        elif kind == "name":
-            product[1][self.variables[value]] += power
-        else:
-            if power > 1:
-                bound = _check_power([c for _, c in inner.terms], inner.degree(), power)
-                self.spend(bound, f"^{power} of a {len(inner.terms)}-term factor")
-            inner = inner**power
-            if product[2] is not None:
-                self.spend(len(product[2].terms) * len(inner.terms), "a parenthesised product")
-            product[2] = inner if product[2] is None else product[2] * inner
-
-    def exponent(self) -> int:
-        kind, value = self.peek()
-        if not (kind == "op" and value == "^"):
-            return 1
-        self.take()
-        kind, value = self.take()
-        if kind != "number" or not value.isdigit():
-            raise PolyParseError("exponent must be a nonnegative integer")
-        digits = value.lstrip("0") or "0"  # int() refuses very long strings
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
-            raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}")
-        return int(digits)
+            if tok in variables:
+                kind, atom = "name", variables[tok]
+            elif tok[:1].isdecimal():
+                kind, atom = "number", _number(tok)
+            elif tok[:1].isalpha() or tok[:1] == "_":
+                raise PolyParseError(f"unknown variable {tok!r}")
+            elif tok:
+                raise PolyParseError(f"unexpected token {tok!r}")
+            else:
+                raise PolyParseError("unexpected end of input")
+            while True:  # the factor's power, then what follows it
+                tok, i, power = tokens[i], i + 1, 1
+                if tok == "^":
+                    power, tok, i = _exponent(tokens[i]), tokens[i + 1], i + 2
+                if kind == "name":
+                    exps[atom] += power
+                elif kind == "number":
+                    if power > 1:
+                        _check_power((atom,), 0, power)
+                    coeff *= atom**power
+                else:
+                    if power > 1:
+                        bound = _check_power([c for _, c in atom.terms], atom.degree(), power)
+                        what = f"^{power} of a {len(atom.terms)}-term factor"
+                        budget = _spend(budget, bound, what)
+                    if power != 1:
+                        atom = atom**power
+                    if group is not None:
+                        terms = len(group.terms) * len(atom.terms)
+                        budget = _spend(budget, terms, "a parenthesised product")
+                    group = atom if group is None else group * atom
+                if tok == "*":
+                    break
+                if group is None:  # the term ends: add it into the sum
+                    key = tuple(exps)
+                    out[key] = out[key] + coeff if key in out else coeff
+                else:
+                    for m, c in group.terms:
+                        key, c = tuple(map(add, m, exps)), c * coeff
+                        out[key] = out[key] + c if key in out else c
+                if tok == "+" or tok == "-":
+                    coeff, exps, group = (-1 if tok == "-" else 1), [0] * n_vars, None
+                    break
+                if tok == ")" and stack:  # the group is the factor of the term around it
+                    kind, atom = "group", _from_dict(n_vars, out)
+                    out, coeff, exps, group = stack.pop()
+                    continue
+                if stack:
+                    raise PolyParseError("missing closing parenthesis")
+                if tok:
+                    raise PolyParseError(f"trailing input in {text!r}")
+                return _from_dict(n_vars, out)
+            tok, i = tokens[i], i + 1
 
 
 def parse_poly(text: str, n_vars: int) -> Poly:
     """Parse an expression like ``"3/2*x*y^2 - z + 1"``.
 
     Variable names are x, y, z, w for up to four variables; the aliases
-    x0, x1, ... are always accepted.
+    x0, x1, ... are always accepted.  A character no token starts with is
+    reported before any other error.
     """
-    table = {name: i for i, name in enumerate(default_var_names(n_vars))}
+    variables = {name: i for i, name in enumerate(default_var_names(n_vars))}
     for i in range(n_vars):
-        table.setdefault(f"x{i}", i)
-    parser = _Parser(_tokenize(text), n_vars, table)
-    result = parser.expr()
-    if parser.pos != len(parser.tokens):
-        raise PolyParseError(f"trailing input in {text!r}")
-    return result
+        variables.setdefault(f"x{i}", i)
+    try:
+        return _parse(_TOKEN.findall(text) + [""], n_vars, variables, text)
+    except PolyParseError:
+        _check_characters(text)
+        raise
 
 
 def coeff_distance(a: Poly, b: Poly) -> float:

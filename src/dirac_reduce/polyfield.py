@@ -18,7 +18,6 @@ one membership test of constant vectors, at a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Union
@@ -26,7 +25,7 @@ from typing import Union
 import numpy as np
 
 from .lindirac import LinearDirac, from_distribution, graph_bases, lagrangian_flags
-from .poly import Poly, _exact_rows, _from_dict, _linear, _unit
+from .poly import Poly, _exact_rows, _from_dict, _linear, _Record, _set, _unit
 from .subspace import DEFAULT_TOL, Subspace, _projector, block_diagonal
 
 __all__ = [
@@ -64,8 +63,7 @@ class DegeneratePointError(ValueError):
     """Section values fail to span a Dirac fiber at a sample point."""
 
 
-@dataclass(frozen=True)
-class _Components:
+class _Components(_Record):
     """Shared behaviour for tuple-of-polynomial objects."""
 
     components: tuple
@@ -80,7 +78,7 @@ class _Components:
                 raise ValueError(
                     f"component in {c.n_vars} variables inside a {n}-component field"
                 )
-        object.__setattr__(self, "components", comps)
+        _set(self, "components", comps)
 
     @property
     def base_dim(self) -> int:
@@ -140,8 +138,7 @@ class PolyOneForm(_Components):
         return total
 
 
-@dataclass(frozen=True)
-class PolyTwoForm:
+class PolyTwoForm(_Record):
     """Antisymmetric n x n matrix of polynomials.
 
     The same container serves two-forms and bivectors; the contraction
@@ -169,7 +166,7 @@ class PolyTwoForm:
                     raise ValueError(
                         f"entries ({i},{j}) and ({j},{i}) are not antisymmetric"
                     )
-        object.__setattr__(self, "entries", rows)
+        _set(self, "entries", rows)
 
     @property
     def base_dim(self) -> int:
@@ -195,8 +192,7 @@ class PolyTwoForm:
         return out
 
 
-@dataclass(frozen=True)
-class PolySection:
+class PolySection(_Record):
     """A section (X, alpha) of TM + T*M with polynomial components."""
 
     tangent: PolyVectorField
@@ -390,8 +386,7 @@ def pushforward_section(matrix, section: PolySection) -> PolySection:
 # -- Dirac field specifications ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class BivectorSpec:
+class BivectorSpec(_Record):
     """Graph of a bivector: sections (Pi e_i, e_i)."""
 
     matrix: PolyTwoForm
@@ -401,8 +396,7 @@ class BivectorSpec:
         return self.matrix.base_dim
 
 
-@dataclass(frozen=True)
-class TwoFormSpec:
+class TwoFormSpec(_Record):
     """Graph of a two-form: sections (e_i, i_{e_i} W)."""
 
     matrix: PolyTwoForm
@@ -412,8 +406,7 @@ class TwoFormSpec:
         return self.matrix.base_dim
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
+class DistributionSpec(_Record):
     """Constant Dirac structure Delta + ann(Delta)."""
 
     subspace: Subspace
@@ -423,8 +416,7 @@ class DistributionSpec:
         return self.subspace.ambient_dim
 
 
-@dataclass(frozen=True)
-class SectionsSpec:
+class SectionsSpec(_Record):
     """Explicit generating sections, with a basepoint certifying rank n."""
 
     sections: tuple
@@ -442,8 +434,8 @@ class SectionsSpec:
         basepoint = tuple(float(c) for c in self.basepoint)
         if len(basepoint) != n:
             raise ValueError("basepoint has the wrong number of coordinates")
-        object.__setattr__(self, "sections", sections)
-        object.__setattr__(self, "basepoint", basepoint)
+        _set(self, "sections", sections)
+        _set(self, "basepoint", basepoint)
         evaluate_at(self, basepoint)  # raises DegeneratePointError if rank < n
 
     @property
@@ -487,16 +479,18 @@ def generating_sections(spec: DiracFieldSpec) -> tuple:
     raise TypeError(f"not a Dirac field spec: {type(spec).__name__}")
 
 
-@dataclass(frozen=True, eq=False)
-class FiberStack:
+class FiberStack(_Record):
     """D(m) at each point of a sample: ``bases`` (N, n, 2n) holds the
     orthonormal rows of each fiber, and ``errors[i]`` the
     DegeneratePointError raised at point i (None elsewhere), whose rows are
-    then zero.  Indexing gives one point's LinearDirac, or its error."""
+    then zero.  Indexing gives one point's LinearDirac, or its error.  A
+    stack is equal only to itself."""
 
     bases: np.ndarray
     errors: tuple
     tol: float
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -557,8 +551,7 @@ def evaluate_at(spec: DiracFieldSpec, point, tol: float = DEFAULT_TOL) -> Linear
 # -- integrability and invariance checks ---------------------------------------
 
 
-@dataclass(frozen=True)
-class BracketResidual:
+class BracketResidual(_Record):
     """One failure of a check: the tensor component or section at fault
     (``index``) and its residual (for an exact check, the component's
     largest |coefficient|)."""
@@ -567,8 +560,7 @@ class BracketResidual:
     residual: float
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Record):
     """Verdict of one check; ``method`` is ``"exact"`` (polynomial
     identities, failing on any nonzero coefficient, so ``tol`` is 0) or
     ``"linear"`` (a constant distribution's membership test at ``tol``)."""

@@ -47,8 +47,6 @@ descriptor (:func:`descriptor_classes`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .action import (
@@ -59,6 +57,7 @@ from .action import (
     isotropy,
 )
 from .lindirac import ForwardImage, LinearDirac, lagrangian_flags, pull_back
+from .poly import _Record, _set
 from .polyfield import DiracFieldSpec, evaluate_fibers
 from .subspace import (
     DEFAULT_TOL,
@@ -110,8 +109,7 @@ def _push(rows: np.ndarray, onto: np.ndarray, tol: float) -> np.ndarray:
     return orthonormal_rows(images.reshape(*batch, 2 * q), tol)
 
 
-@dataclass(frozen=True)
-class PointReduction:
+class PointReduction(_Record):
     """Everything the reduction records about one sample point: its status
     and, at an ok point, the dimension table, D_Q(m) on Fix coordinates and
     both route images in the quotient model."""
@@ -128,6 +126,23 @@ class PointReduction:
     lagrangian_ok: bool | None
     distance: float | None  # projector distance of the two route images
     agree: bool | None
+
+    def __init__(  # one per point
+        self, point, status, reason, descriptor, dims, iq_identity,
+        d_q, route_a, route_b, lagrangian_ok, distance, agree,
+    ) -> None:
+        _set(self, "point", point)
+        _set(self, "status", status)
+        _set(self, "reason", reason)
+        _set(self, "descriptor", descriptor)
+        _set(self, "dims", dims)
+        _set(self, "iq_identity", iq_identity)
+        _set(self, "d_q", d_q)
+        _set(self, "route_a", route_a)
+        _set(self, "route_b", route_b)
+        _set(self, "lagrangian_ok", lagrangian_ok)
+        _set(self, "distance", distance)
+        _set(self, "agree", agree)
 
 
 def _action_rows(action: ActionSpec, classes: dict, at, points, tol: float) -> dict:
@@ -312,8 +327,7 @@ def reduce_orbit_route(spec: DiracFieldSpec, action: ActionSpec, m, tol: float =
 DEFAULT_AGREE_TOL = 1e-8  # the largest projector distance at which the routes agree
 
 
-@dataclass(frozen=True)
-class RouteComparison:
+class RouteComparison(_Record):
     agree: bool
     distance: float
 
@@ -333,8 +347,7 @@ def compare_routes(
 # -- rank bookkeeping ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankDims:
+class RankDims(_Record):
     """Dimension table at one point."""
 
     vertical: int
@@ -359,8 +372,7 @@ class RankDims:
         }
 
 
-@dataclass(frozen=True)
-class RankClass:
+class RankClass(_Record):
     """Samples sharing an isotropy descriptor, with a constancy verdict."""
 
     indices: tuple
@@ -368,8 +380,7 @@ class RankClass:
     constant: bool
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(_Record):
     rows: tuple
     classes: tuple
 

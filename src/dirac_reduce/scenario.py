@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .action import (
     FiniteGroupRep,
     validate_action,
 )
-from .poly import Poly, PolyParseError, _coerce, parse_poly
+from .poly import Poly, PolyParseError, _coerce, _Record, parse_poly
 from .polyfield import (
     BivectorSpec,
     CheckReport,
@@ -86,8 +85,7 @@ class ScenarioError(ValueError):
     """Malformed or inconsistent scenario input."""
 
 
-@dataclass(frozen=True)
-class SampleSpec:
+class SampleSpec(_Record):
     """Explicit points plus an optional seeded uniform box."""
 
     explicit: tuple = ()
@@ -96,8 +94,7 @@ class SampleSpec:
     box: tuple | None = None
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(_Record):
     n: int
     dirac: DiracFieldSpec
     action: ActionSpec
@@ -377,6 +374,10 @@ def _read_json(path: str):
         raise ScenarioError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"{path}: JSON nested too deeply to read") from exc
 
 
 def _scenario_from_file(path: str, data) -> Scenario:
@@ -456,8 +457,7 @@ def sample_points(s: Scenario) -> np.ndarray:
 # -- running ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(_Record):
     scenario: Scenario
     points: tuple  # PointReduction, in input order
     classes: tuple  # RankClass

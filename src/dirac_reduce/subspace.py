@@ -13,10 +13,11 @@ annihilators are computed as Euclidean orthogonal complements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .poly import _Record, _set
 
 DEFAULT_TOL = 1e-9
 _DIAGONAL_ATOL = 1e-8 + 1e-5  # allclose's atol + rtol * |1|
@@ -129,7 +130,7 @@ def _checked_bases(ambient_dim: int, bases) -> np.ndarray:
 
 
 def _assembled(cls, **fields):
-    """An instance of the dataclass ``cls`` with these fields, without
+    """An instance of the record class ``cls`` with these fields, without
     running ``__post_init__``: for the stacked constructors, which have run
     its checks over the whole stack."""
     instance = object.__new__(cls)
@@ -147,8 +148,7 @@ def block_diagonal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class Subspace:
+class Subspace(_Record):
     """A linear subspace of R^n with an orthonormal row basis.
 
     ``basis`` has shape ``(dim, ambient_dim)``; the zero subspace has an
@@ -158,7 +158,7 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: np.ndarray = field(repr=False)
+    basis: np.ndarray
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
@@ -166,7 +166,7 @@ class Subspace:
         basis = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if basis.size == 0:
             basis = basis.reshape(0, self.ambient_dim)
-        object.__setattr__(self, "basis", _checked_bases(self.ambient_dim, basis[None])[0])
+        _set(self, "basis", _checked_bases(self.ambient_dim, basis[None])[0])
 
     # -- constructors ------------------------------------------------
 
@@ -292,6 +292,9 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             return False
         return self.distance(other) <= max(self.tol, other.tol)
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient_dim={self.ambient_dim!r}, tol={self.tol!r})"
 
 
 def span(vectors, ambient_dim: int | None = None, tol: float = DEFAULT_TOL) -> Subspace:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirac_reduce.poly import Poly, PolyParseError, coeff_distance, parse_poly
+from dirac_reduce.poly import MAX_DEPTH, Poly, PolyParseError, coeff_distance, parse_poly
 
 X = Poly.variable(0, 2)
 Y = Poly.variable(1, 2)
@@ -108,6 +108,23 @@ def test_parse_errors():
         parse_poly("x $", 2)
     with pytest.raises(PolyParseError, match="unexpected end of input"):
         parse_poly(" \n", 2)
+    # a character no token starts with is reported before any other error
+    with pytest.raises(PolyParseError, match=re.escape("unexpected character at ' $'")):
+        parse_poly("(" * 200 + "x + + $", 2)
+
+
+def test_nesting_is_bounded_and_unary_minus_runs_are_not():
+    """Open groups are bounded by MAX_DEPTH, with a parse error beyond it,
+    and a run of unary minus signs of any length parses."""
+    x = parse_poly("x", 1)
+    assert parse_poly("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 1) == x
+    for depth in (MAX_DEPTH + 1, 340):
+        with pytest.raises(PolyParseError, match=f"^more than {MAX_DEPTH} nested parentheses$"):
+            parse_poly("(" * depth + "x" + ")" * depth, 1)
+    assert parse_poly("-" * 1000 + "x", 1) == x
+    assert parse_poly("x*" + "-" * 1001 + "(1)", 1) == -x
+    with pytest.raises(PolyParseError, match="unexpected end of input"):
+        parse_poly("-" * 1000, 1)
 
 
 def test_parse_limits_charge_only_expansions():
@@ -174,3 +191,92 @@ def test_ring_axioms(a, b, c):
 def test_partial_is_a_derivation(a, b):
     for i in range(2):
         assert (a * b).partial(i) == a.partial(i) * b + a * b.partial(i)
+
+
+# -- one polynomial, many spellings ------------------------------------------------
+
+_SPACE = st.sampled_from(["", " ", "  ", "\t", "\n"])
+
+
+def _spell_number(draw, value: Fraction) -> str:
+    """A nonnegative rational as ``a/b`` (not always in lowest terms), as an
+    integer when it is one, or as a decimal when its denominator divides a
+    power of ten."""
+    num, den = value.numerator, value.denominator
+    scale = draw(st.integers(1, 3))
+    spellings = [f"{num * scale}/{den * scale}"]
+    if den == 1:
+        spellings.append(str(num))
+    digits = next((d for d in range(1, 7) if 10**d % den == 0), None)
+    if digits is not None:
+        whole, part = divmod(num * 10**digits // den, 10**digits)
+        spellings.append(f"{whole}.{part:0{digits}d}")
+    return draw(st.sampled_from(spellings))
+
+
+def _spell_product(draw, magnitude: Fraction, names: str, exponents) -> str:
+    """The term magnitude * prod(name^e): shuffled factors, a power split in
+    two, ``^1`` and ``^0`` written or not, and maybe a parenthesised product."""
+    factors = []
+    for name, e in zip(names, exponents):
+        for part in [e] if e < 2 or draw(st.booleans()) else [1, e - 1]:
+            if part or draw(st.booleans()):
+                factors.append(name if part == 1 and draw(st.booleans()) else f"{name}^{part}")
+    if magnitude != 1 or not factors or draw(st.booleans()):
+        factors.append(_spell_number(draw, magnitude))
+    factors = draw(st.permutations(factors))
+    if len(factors) > 1 and draw(st.booleans()):
+        k = draw(st.integers(1, len(factors) - 1))
+        power = draw(st.sampled_from(["", "^1"]))
+        factors = ["(" + "*".join(factors[:k]) + ")" + power, *factors[k:]]
+    text = factors[0]
+    for factor in factors[1:]:
+        text += draw(_SPACE) + "*" + draw(_SPACE) + factor
+    return text
+
+
+def _spell_sum(draw, terms) -> str:
+    """The sum of ``(negative, body)`` terms, maybe with a run of them as a
+    parenthesised sub-sum whose sign stands outside; a sign is a binary plus
+    or minus followed by unary minus signs of the right parity."""
+    if len(terms) > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, len(terms) - 2))
+        j = draw(st.integers(i + 2, len(terms)))
+        outside = draw(st.booleans())
+        inner = _spell_sum(draw, [(negative != outside, body) for negative, body in terms[i:j]])
+        terms = [*terms[:i], (outside, f"({inner})"), *terms[j:]]
+    text = ""
+    for k, (negative, body) in enumerate(terms):
+        binary = draw(st.sampled_from("+-"))
+        unary = draw(st.integers(0, 1)) * 2 + ((binary == "-") != negative)
+        if k == 0 and binary == "+" and draw(st.booleans()):
+            binary = ""  # a sum's first term needs no sign
+        signs = [binary, *"-" * unary] if binary else ["-"] * unary
+        text += "".join(draw(_SPACE) + sign for sign in signs) + draw(_SPACE) + body
+    return text
+
+
+@st.composite
+def spelled_polys(draw):
+    """A random polynomial in 1 to 4 variables with int and Fraction
+    coefficients, built by arithmetic, and one spelling of it."""
+    n = draw(st.integers(1, 4))
+    value, terms = Poly.zero(n), []
+    for _ in range(draw(st.integers(1, 5))):
+        coeff = draw(st.integers(-30, 30) | st.fractions(-30, 30, max_denominator=40))
+        exponents = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        term = Poly.constant(coeff, n)
+        for i, e in enumerate(exponents):
+            term = term * Poly.variable(i, n) ** e
+        value = value + term
+        terms.append((coeff < 0, _spell_product(draw, abs(Fraction(coeff)), "xyzw", exponents)))
+    return _spell_sum(draw, terms) + draw(_SPACE), value
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled_polys())
+def test_every_spelling_parses_to_the_polynomial_built_by_arithmetic(spelled):
+    text, value = spelled
+    parsed = parse_poly(text, value.n_vars)
+    assert parsed == value
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for _, c in parsed.terms)

@@ -4,7 +4,6 @@ rank bookkeeping that the runner reports."""
 import itertools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +51,7 @@ from dirac_reduce.reduction import (
 from dirac_reduce.scenario import (
     VERSION,
     SampleSpec,
+    Scenario,
     load_scenario,
     run_scenario,
     sample_points,
@@ -731,7 +731,8 @@ def test_svd_calls_per_point_stay_bounded(monkeypatch, name):
     counts = []
     for count in (s.samples.count, 2 * s.samples.count):
         calls.clear()
-        report = run_scenario(replace(s, samples=replace(s.samples, count=count)))
+        samples = SampleSpec(s.samples.explicit, count, s.samples.seed, s.samples.box)
+        report = run_scenario(Scenario(s.n, s.dirac, s.action, samples, s.rank_tol, s.agree_tol))
         counts.append((len(report.points), len(report.classes), len(calls)))
     (points, classes, svds), (more_points, more_classes, more_svds) = counts
     assert more_points > points and more_classes == classes
@@ -797,7 +798,8 @@ def test_permuting_or_duplicating_samples_moves_rows_and_changes_no_bit(data):
     base = run_scenario(s).points
     picks = data.draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=2 * len(base)))
     explicit = tuple(base[i].point for i in picks)
-    rows = run_scenario(replace(s, samples=SampleSpec(explicit=explicit))).points
+    samples = SampleSpec(explicit=explicit)
+    rows = run_scenario(Scenario(s.n, s.dirac, s.action, samples, s.rank_tol, s.agree_tol)).points
     for i, row in zip(picks, rows, strict=True):
         _assert_same_row(row, base[i])
 

@@ -300,6 +300,59 @@ def test_oversized_expansion_exits_2_promptly(tmp_path, capsys, entry, message):
     assert f"dirac.two_form[0][1]: {message}" in capsys.readouterr().err
 
 
+def _cli(*args) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "dirac_reduce", *map(str, args)], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("(" * 340 + "x" + ")" * 340, "more than 100 nested parentheses"),
+        ("-" * 1000, "unexpected end of input"),
+    ],
+    ids=["nested-parentheses", "minus-run"],
+)
+def test_deep_polynomial_entry_exits_2_naming_it(tmp_path, entry, message):
+    """Nesting beyond MAX_DEPTH, and the end of input after a long run of
+    unary minus signs, are input errors; the recursive parser died of a
+    RecursionError on both."""
+    data = base_scenario()
+    data["dirac"] = {"bivector": [[0, entry], ["-x", 0]]}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    proc = _cli("run", path)
+    expected = f"error: {path}: dirac.bivector[0][1]: {message}\n"
+    assert (proc.returncode, proc.stderr) == (2, expected)
+
+
+def test_long_unary_minus_runs_parse(tmp_path, capsys):
+    data = base_scenario()
+    data["dirac"] = {"two_form": [[0, "-" * 1000 + "1"], ["-" * 1001 + "1", 0]]}
+    assert _run_cli_on(tmp_path, data) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "bracket"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"[" * 100_000, "JSON nested too deeply to read"),
+        (
+            b"\xff\xfe{}",
+            "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        ),
+    ],
+    ids=["deep-json", "not-utf8"],
+)
+def test_unreadable_json_exits_2_naming_the_file(tmp_path, command, content, message):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    proc = _cli(command, path)
+    assert (proc.returncode, proc.stderr) == (2, f"error: {path}: {message}\n")
+
+
 def test_coefficient_beyond_float_range_exits_2(tmp_path, capsys):
     data = base_scenario()
     data["dirac"] = {"two_form": [[0, "10^400*x"], ["-10^400*x", 0]]}
