@@ -5,10 +5,12 @@ standard block form (2x2 rotation blocks with integer weights, identity on
 the remaining coordinates).  This module computes isotropy subgroups
 exactly, averaging projectors and fixed subspaces, the vertical space V(m),
 and Haar averages of polynomial sections.  Isotropy is decided for a stack of
-points at once: the residuals, fixed-coordinate differences and block norms
-of every (point, element) pair are arrays, and the circle angles of all
-pairs whose fixed coordinates match are solved together, as flat arrays of
-candidate angles (:func:`_circle_isotropies`).  The subspaces the reduction
+points at once by one rule: a group element g belongs to G_m when its
+residual |g m - m| is within the tolerance, and a residual inside the guard
+band makes m a skip.  Where the circle moves m, the elements tried are the
+candidate angles of the rotation block of m that pins the angle the most,
+one flat array for the whole stack, and near each candidate the residual is
+also followed to first order in the angle (:func:`_circle_isotropies`).  The subspaces the reduction
 routes build from these are computed for a whole stack of isotropy classes
 of one shape at once in :mod:`.reduction`.
 """
@@ -45,7 +47,7 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-7  # isotropy angles closer than this name one subgroup
-MAX_WEIGHT = 1000  # largest |circle weight|: isotropy lists |w| angles per point and element
+MAX_WEIGHT = 1000  # largest |circle weight|: isotropy tries |w| angles per point and element
 
 
 class ActionValidationError(ValueError):
@@ -303,40 +305,21 @@ def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-# Why a (point, element) pair is ambiguous, in the order its search meets the
-# cases: the fixed coordinates, each block's magnitudes, the merge of two
-# blocks' angles, no constraining block, and a candidate's residual.
-_AMBIGUITIES = (
-    None,
-    "fixed coordinates under element {idx} match only inside the guard band",
-    "a rotation block has magnitude inside the guard band",
-    "rotation-block magnitudes match only inside the guard band",
-    "candidate angles of two blocks agree only inside the guard band",
-    "every rotation block is below tolerance while the vertical direction is not",
-    "element {idx} with angle {theta:.6f} fixes the point only inside the guard band",
-)
-_FIXED, _MAGNITUDE, _MATCH, _MERGE, _UNCONSTRAINED, _RESIDUAL = range(1, 7)
-
-
-def _block_angles(vectors: np.ndarray) -> np.ndarray:
-    """math.atan2 of each 2-d block of each row of ``vectors`` (P, 2k), as
-    (P, k); numpy's arctan2 rounds some angles differently."""
-    ys, xs = vectors[:, 1::2], vectors[:, 0::2]
-    angles = map(math.atan2, ys.ravel().tolist(), xs.ravel().tolist())
-    return np.array(list(angles)).reshape(ys.shape)
-
-
-def _nearest_block_angle(candidates: np.ndarray, psi: np.ndarray, weight: int) -> np.ndarray:
-    """The distance on the circle from each candidate to the nearest angle
-    ((psi + 2 pi k) / weight) mod 2 pi, 0 <= k < |weight|, of its block, with
-    ``psi`` given per candidate.  Those angles are 2 pi / |weight| apart, and
-    candidate c lies between the two with k = x and x + 1 (mod |weight|), x =
-    floor((c weight - psi) / 2 pi): only those two are computed, each as the
-    whole block would compute it, so no block is listed."""
-    count = abs(weight)
-    k = np.floor((candidates * weight - psi) / TWO_PI).astype(np.int64)
-    near = np.stack([((psi + TWO_PI * ((k + d) % count)) / weight) % TWO_PI for d in (0, 1)])
-    return _angle_distance(candidates, near).min(axis=0)
+def _inside_band(v: np.ndarray, u: np.ndarray, guard: np.ndarray) -> np.ndarray:
+    """Whether some h has |v + h u|_inf <= guard, for each row of ``v`` and
+    ``u`` (C, n) and entry of ``guard`` (C,).  With v = f R(theta) m - m and
+    u = f R(theta) A m, f R(theta + h) m - m = v + h u + O(h^2): this asks
+    whether f moves m by at most the guard band near theta, to first order in
+    the angle.  Coordinate i allows the h of one interval (all h or none
+    where u_i = 0), and some h serves every coordinate iff the largest lower
+    end is at most the smallest upper end."""
+    g = guard[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ends = np.stack([(-g - v) / u, (g - v) / u])
+    free = np.abs(v) <= g
+    low = np.where(u == 0.0, np.where(free, -np.inf, np.inf), ends.min(axis=0))
+    high = np.where(u == 0.0, np.where(free, np.inf, -np.inf), ends.max(axis=0))
+    return low.max(axis=-1) <= high.min(axis=-1)
 
 
 def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: float) -> list:
@@ -344,89 +327,86 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     pairs (f, theta) with f R(theta) m = m, or the message of its
     AmbiguousIsotropyError; ``atol`` and ``guard`` are per point.
 
-    Every (point, element) pair whose fixed coordinates match within the
-    guard band is solved at once, block by block.  A block either leaves the
-    angle free, admits none (the pair ends with no component), is ambiguous,
-    or constrains theta to (psi + 2 pi k) / w: the first constraining block
-    lists a pair's candidate angles in one flat array with an owner index,
-    and each later block keeps those nearest one of its own angles.  Each
-    surviving candidate is checked by its residual |f R(theta) m - m|.  A
-    pair's error is the first case it meets in that order, and a point's the
-    first in element order; the arithmetic of each pair (f^T m, computed once
-    for every pair, and (f R) m by :func:`_act`, atan2 from math) is that of
-    the pair alone."""
+    The candidates come from the rotation block j* of m above the guard band
+    with the largest |w_j| |m_j| (the first of equal ones), the block that
+    pins theta the most: for each element f, the |w*| angles theta_k = (psi
+    + 2 pi k) / w* that turn that block of m onto that of f^T m.  Any theta
+    at which f R(theta) moves m by at most the guard band lies close to one
+    of them.  A candidate whose residual |f R(theta_k) m - m| is within atol
+    is a component.  Otherwise, if f moves m by at most the guard band at
+    some angle near theta_k, to first order in the angle
+    (:func:`_inside_band`), the point is a skip: the first such candidate in
+    element order, then candidate order.  A point with no block above the
+    band is a skip.  Matrices are built only for the candidates that a
+    screen keeps; each of those gets the arithmetic it would get alone (f^T m
+    and (f R) m by :func:`_act`, atan2 from math, as numpy's rounds some
+    angles differently)."""
     circle, elements = spec.circle, np.stack(spec.finite.elements)
-    k2 = 2 * len(circle.weights)
-    angle_atol = max(tol, 1e-12)
-    angle_guard = 1000.0 * angle_atol
+    weights = np.array(circle.weights)
+    k2 = 2 * len(weights)
+    norms = np.hypot(points[:, 0:k2:2], points[:, 1:k2:2])  # (N, blocks)
+    above = norms > guard[:, None]
+    rotating = above.any(axis=1)
+    block = np.where(above, np.abs(weights) * norms, -1.0).argmax(axis=1)
+    reach = 2.0 * math.sqrt(spec.n) * guard
     targets = _act(np.swapaxes(elements, -1, -2), points[:, None])  # f^T m
-    fixed_diff = np.abs(targets[..., k2:] - points[:, None, k2:]).max(axis=-1, initial=0.0)
-    at, idx = np.nonzero(fixed_diff <= guard[:, None])  # the pairs, point-major
-    pa, pg = atol[at, None], guard[at, None]
-    code = np.where(fixed_diff[at, idx] > pa[:, 0], _FIXED, 0)
+    gap = np.linalg.norm(targets[..., k2:] - points[:, None, k2:], axis=-1)  # fixed coordinates
+    at, idx = np.nonzero(rotating[:, None] & (gap <= reach[:, None]))  # the pairs, point-major
+    source, target = points[at], targets[at, idx]
+    columns = 2 * block[at, None] + np.arange(2)  # each pair's block: of f^T m, then of m
+    blocks = np.stack([np.take_along_axis(v, columns, 1) for v in (target, source)])
+    angles = map(math.atan2, blocks[..., 1].ravel().tolist(), blocks[..., 0].ravel().tolist())
+    psi = np.subtract(*np.array(list(angles)).reshape(2, len(at)))
 
-    ns = np.hypot(points[at, 0:k2:2], points[at, 1:k2:2])  # (pairs, blocks)
-    nt = np.hypot(targets[at, idx, 0:k2:2], targets[at, idx, 1:k2:2])
-    low, high, gap = np.minimum(ns, nt), np.maximum(ns, nt), np.abs(ns - nt)
-    free = (ns <= pa) & (nt <= pa)
-    banded = low <= pg
-    empty = ~free & np.where(banded, (low <= pa) & (high > pg), gap > pg)
-    ambiguous = np.where(banded, _MAGNITUDE, np.where(gap > pa, _MATCH, 0))
-    block_code = np.where(free | empty, 0, ambiguous)
-    angled = ~free & ~empty & (block_code == 0)
-    psi = np.zeros(ns.shape)
-    need = np.flatnonzero(angled.any(axis=1))
-    pair_targets = targets[at[need], idx[need], :k2]
-    psi[need] = _block_angles(pair_targets) - _block_angles(points[at[need], :k2])
+    w = weights[block[at]]
+    counts = np.abs(w)
+    owner = np.repeat(np.arange(len(at)), counts)  # grouped by pair, k ascending
+    k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+    theta = ((psi[owner] + TWO_PI * k) / w[owner]) % TWO_PI
 
-    theta, owner = np.empty(0), np.empty(0, dtype=np.int64)
-    alive, started = code == 0, np.zeros(len(at), dtype=bool)
-    for j, w in enumerate(circle.weights):
-        failing = alive & (block_code[:, j] > 0)
-        code[failing] = block_code[failing, j]
-        alive &= ~failing & ~empty[:, j]
-        merging, first = alive & angled[:, j] & started, alive & angled[:, j] & ~started
-        if merging.any():
-            on = merging[owner]
-            best = _nearest_block_angle(theta[on], psi[owner[on], j], w)
-            code[owner[on][(best > angle_atol) & (best <= angle_guard)]] = _MERGE
-            keep = ~on
-            keep[on] = best <= angle_atol
-            theta, owner = theta[keep], owner[keep]
-            kept = np.zeros(len(at), dtype=bool)
-            kept[owner] = True
-            alive &= (code == 0) & (kept | ~merging)
-        if first.any():
-            new, count = np.flatnonzero(first), abs(w)
-            k = np.tile(np.arange(count), len(new))
-            angles = ((np.repeat(psi[new, j], count) + TWO_PI * k) / w) % TWO_PI
-            theta = np.concatenate([theta, angles])
-            owner = np.concatenate([owner, np.repeat(new, count)])
-            started |= first
-    code[alive & ~started] = _UNCONSTRAINED
-    alive &= started
+    # The screen: p = R(theta) m - f^T m and q = A R(theta) m block by block,
+    # without matrices.  Near theta, |f R m - m| = |p + h q| to first order,
+    # at most sqrt(n) times the residual in the max norm, so a candidate
+    # whose p lies farther than ``reach`` from the line through q is neither.
+    # R(theta_k) turns block j by w_j psi / w*, then by 2 pi k w_j / w*, the
+    # column k of one table per block j* that lists candidates.
+    def spread(v):  # from the pairs to their candidates, along the last axis
+        return np.repeat(v, counts, axis=-1)
 
-    order = np.argsort(owner, kind="stable")
-    on = order[alive[owner[order]]]
-    theta, owner = theta[on], owner[on]  # grouped by pair, in each pair's candidate order
-    m = points[at[owner]]  # (f R) m, with f R the matrix the descriptor averages
-    residual = np.abs(_act(_group_matrices(spec, idx[owner], theta), m) - m).max(axis=-1)
-    fixes = residual <= atol[at[owner]]
-    inside = ~fixes & (residual <= guard[at[owner]])
-    bad, first_bad = np.unique(owner[inside], return_index=True)
-    code[bad] = _RESIDUAL
-    bad_theta = np.zeros(len(at))
-    bad_theta[bad] = theta[inside][first_bad]
-    theta = np.where(_angle_distance(theta, 0.0) <= angle_atol, 0.0, theta)
+    turns = [np.arange(abs(v)) * np.sign(v) * weights[:, None] % abs(v) / abs(v) for v in weights]
+    table = TWO_PI * np.concatenate(turns, axis=1)  # (blocks, sum |w|)
+    column = spread((np.cumsum(np.abs(weights)) - np.abs(weights))[block[at]]) + k
+    cos, sin = np.take(np.cos(table), column, axis=1), np.take(np.sin(table), column, axis=1)
+    turn, x, y = weights[:, None] * (psi / w), source[:, 0:k2:2].T, source[:, 1:k2:2].T
+    x, y = spread(x * np.cos(turn) - y * np.sin(turn)), spread(x * np.sin(turn) + y * np.cos(turn))
+    x, y = x * cos - y * sin, x * sin + y * cos  # (blocks, candidates)
+    px, py = x - spread(target[:, 0:k2:2].T), y - spread(target[:, 1:k2:2].T)
+    qx, qy = -weights[:, None] * y, weights[:, None] * x
+    slope = (px * qx + py * qy).sum(axis=0) / (qx * qx + qy * qy).sum(axis=0)
+    off = ((px - slope * qx) ** 2 + (py - slope * qy) ** 2).sum(axis=0) + spread(gap[at, idx] ** 2)
+    near = off <= spread(reach[at] ** 2)
+    owner, theta = owner[near], theta[near]
+    m = source[owner]  # (f R) m, with f R the matrix the descriptor averages
+    velocity = np.zeros_like(m)  # A m
+    velocity[:, 0:k2:2], velocity[:, 1:k2:2] = -weights * m[:, 1:k2:2], weights * m[:, 0:k2:2]
+    matrices = _group_matrices(spec, idx[owner], theta)
+    moved = _act(matrices, m) - m
+    fixes = np.abs(moved).max(axis=-1) <= atol[at[owner]]
+    rest, inside = np.flatnonzero(~fixes), np.zeros_like(fixes)
+    along = _act(matrices[rest], velocity[rest])
+    inside[rest] = _inside_band(moved[rest], along, guard[at[owner[rest]]])
+    snapped = np.where(_angle_distance(theta[fixes], 0.0) <= max(tol, 1e-12), 0.0, theta[fixes])
 
-    out: list = [[] for _ in range(len(points))]
+    small = "the rotating part of the point lies inside the guard band"
+    out = [[] if r else small for r in rotating.tolist()]
     at_list, idx_list = at.tolist(), idx.tolist()
-    for o, t in zip(owner[fixes].tolist(), theta[fixes].tolist()):
+    for o, t in zip(owner[fixes].tolist(), snapped.tolist()):
         out[at_list[o]].append((idx_list[o], t))
-    errors = np.flatnonzero(code)
-    failed, first_error = np.unique(at[errors], return_index=True)
-    for p, e in zip(failed.tolist(), errors[first_error].tolist()):
-        out[p] = _AMBIGUITIES[code[e]].format(idx=idx_list[e], theta=float(bad_theta[e]))
+    bad = owner[inside]
+    failed, first = np.unique(at[bad], return_index=True)
+    for p, o, t in zip(failed.tolist(), bad[first].tolist(), theta[inside][first].tolist()):
+        candidate = f"element {idx_list[o]} with angle {t:.6f}"
+        out[p] = f"{candidate} fixes the point only inside the guard band"
     return out
 
 
@@ -434,9 +414,9 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
     """The descriptor, or the AmbiguousIsotropyError, of each point of a stack
     (N, n), in array passes over points x elements.  Where the circle fixes a
     point, theta is free and an element belongs iff it fixes the point by
-    itself; elsewhere :func:`_circle_isotropies` solves for theta.  A point's
-    error is the first one in element order.  Points with one outcome share
-    one descriptor."""
+    itself; elsewhere :func:`_circle_isotropies` tries candidate angles.  A
+    point's error is the first one in element order.  Points with one outcome
+    share one descriptor."""
     atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
     guard = 1000.0 * atol
     continuous = _circle_fixes(spec, points, tol)
@@ -457,9 +437,13 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
 
     rows = np.flatnonzero(~continuous)
     if rows.size:
-        # A point has at most (elements x |w|) candidate angles, each an n x n
-        # product: solve the points in passes that keep those stacks small.
-        per_point = len(elements) * max(abs(w) for w in spec.circle.weights) * spec.n**2
+        # A point has up to (elements x |w|) candidate angles.  The screen
+        # holds about 16 floats per rotation block of each at once, and a
+        # candidate it keeps three n x n matrices (f, R(theta), f R(theta)):
+        # solve the points in passes of at most _PASS_FLOATS floats of those.
+        weights = spec.circle.weights
+        per_candidate = max(16 * len(weights), 3 * spec.n**2)
+        per_point = per_candidate * len(elements) * max(abs(w) for w in weights)
         step = max(1, _PASS_FLOATS // per_point)
         for start in range(0, len(rows), step):
             part = rows[start : start + step]
@@ -474,10 +458,11 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
 
 
 def isotropy(spec: ActionSpec, m, tol: float = DEFAULT_TOL):
-    """The isotropy subgroup of m, solved exactly per weight block.
+    """The isotropy subgroup of m: the group elements g with |g m - m| within
+    the tolerance.
 
-    Points whose classification depends on sub-guard-band distinctions
-    raise AmbiguousIsotropyError instead of being silently classified.  A
+    A point that some element moves by a residual inside the guard band
+    raises AmbiguousIsotropyError instead of being silently classified.  A
     stack of points (N, n) gives, per point in order, its descriptor or the
     AmbiguousIsotropyError it would raise, all solved in one pass of array
     operations (:func:`_isotropies`); one point is a stack of one, and a

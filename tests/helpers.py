@@ -239,11 +239,13 @@ def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:
     assert d <= tol, f"subspace distance {d} exceeds {tol}"
 
 
-# -- the per-pair isotropy solver: the reference for action.isotropy ---------
+# -- the per-candidate isotropy rule: the reference for action.isotropy -------
 #
-# Each (point, element) pair whose fixed coordinates match is solved on its
-# own: candidate angles per rotation block, merged block by block, then one
-# residual per surviving angle.
+# One point, one element and one candidate angle at a time: the candidates
+# come from the point's rotation block above the guard band with the largest
+# |w| |m_j|, and each is decided by its residual |f R(theta) m - m| and, where
+# that exceeds the tolerance, by whether f moves m by at most the guard band
+# at some angle near theta, to first order in the angle.
 
 
 def _product(g, m):
@@ -252,142 +254,80 @@ def _product(g, m):
     return sum((g[..., j] * m[..., j, None] for j in range(m.shape[-1])), np.zeros(1))
 
 
-def _candidate_angles(source, target, ns, nt, weight, atol, guard):
-    """Angles theta with R(weight*theta) source = target on one 2-d block,
-    the two vectors having norms ``ns`` and ``nt``.
-
-    Returns None for "unconstrained" (both vectors vanish), an array of
-    candidate angles, or raises on ambiguity.
-    """
-    if ns <= atol and nt <= atol:
-        return None
-    if min(ns, nt) <= guard:
-        if min(ns, nt) <= atol and max(ns, nt) > guard:
-            return np.empty(0)  # one side is zero, the other is definitely not
-        raise AmbiguousIsotropyError(
-            "a rotation block has magnitude inside the guard band"
-        )
-    if abs(ns - nt) > guard:
-        return np.empty(0)
-    if abs(ns - nt) > atol:
-        raise AmbiguousIsotropyError(
-            "rotation-block magnitudes match only inside the guard band"
-        )
-    psi = math.atan2(target[1], target[0]) - math.atan2(source[1], source[0])
-    return ((psi + TWO_PI * np.arange(abs(weight))) / weight) % TWO_PI
-
-
-def _merge_angles(candidates: np.ndarray, block: np.ndarray, atol: float, guard: float):
-    """The ``candidates`` within ``atol`` of an angle of ``block`` on the
-    circle, in their order; raises if the nearest is farther than ``atol`` but
-    within ``guard``.  The angle of the sorted block nearest a candidate is one
-    of the two around its insertion point or one of the two ends (the circle
-    wraps at 2 pi), so the merge is a binary search, not |c|*|b| distances."""
-    u = np.sort(block)
-    at = np.searchsorted(u, candidates)
-    near = u[np.stack([at - 1, at % len(u), np.zeros_like(at), np.full_like(at, -1)])]
-    best = _angle_distance(candidates, near).min(axis=0)
-    if ((best > atol) & (best <= guard)).any():
-        raise AmbiguousIsotropyError(
-            "candidate angles of two blocks agree only inside the guard band"
-        )
-    return candidates[best <= atol]
-
-
-def _circle_components(spec: ActionSpec, idx, m, ns, nt, atol, guard, tol) -> list:
-    """The pairs (idx, theta) with f R(theta) m = m for the finite element f =
-    ``idx``, whose fixed coordinates already match (``ns`` and ``nt`` the
-    block norms of m and f^T m); raises on ambiguity.  Every product g m is
-    :func:`_product` of the one matrix g and the point."""
-    circle = spec.circle
-    f = spec.finite.elements[idx]
-    target = _product(f.T, m)
-    angle_atol = max(tol, 1e-12)
-    angle_guard = 1000.0 * angle_atol
-    candidates = None  # None = every angle admissible so far
-    for j, w in enumerate(circle.weights):
-        block = _candidate_angles(
-            m[2 * j : 2 * j + 2], target[2 * j : 2 * j + 2], ns[j], nt[j], w, atol, guard
-        )
-        if block is None:
+def _inside_band(v, u, guard: float) -> bool:
+    """Whether some h has max_i |v_i + h u_i| <= guard, for one candidate:
+    each coordinate allows the h of one interval, and they must meet."""
+    low, high = -math.inf, math.inf
+    for a, b in zip(v.tolist(), u.tolist()):
+        if b == 0.0:
+            if abs(a) > guard:
+                return False
             continue
-        if block.size and candidates is not None:
-            block = _merge_angles(candidates, block, angle_atol, angle_guard)
-        if not block.size:
-            return []
-        candidates = block
-    if candidates is None:
-        # not continuous, yet no block constrained the angle: the point is
-        # too close to the circle-fixed set to classify
-        raise AmbiguousIsotropyError(
-            "every rotation block is below tolerance while the vertical "
-            "direction is not"
-        )
+        ends = sorted(((-guard - a) / b, (guard - a) / b))
+        low, high = max(low, ends[0]), min(high, ends[1])
+    return low <= high
+
+
+def _reference_isotropy(spec: ActionSpec, m: np.ndarray, tol: float):
+    """The descriptor, or the AmbiguousIsotropyError, of one point m."""
+    atol = tol * max(float(np.linalg.norm(m, axis=-1)), 1.0)
+    guard = 1000.0 * atol
+    if _circle_fixes(spec, m[None], tol)[0]:
+        # theta is free: f belongs iff it fixes m by itself
+        pairs = []
+        for idx, f in enumerate(spec.finite.elements):
+            residual = float(np.max(np.abs(_product(f, m) - m)))
+            if residual <= atol:
+                pairs.append((idx, 0.0))
+            elif residual <= guard:
+                return AmbiguousIsotropyError(
+                    f"finite element {idx} fixes the point only inside the guard band"
+                )
+        return IsotropyDescriptor(True, tuple(pairs))
+
+    circle = spec.circle
+    weights = np.array(circle.weights)
+    k2 = 2 * len(weights)
+    norms = [np.hypot(m[2 * j], m[2 * j + 1]) for j in range(len(weights))]
+    if max(norms) <= guard:
+        return AmbiguousIsotropyError("the rotating part of the point lies inside the guard band")
+    scores = [abs(w) * r if r > guard else -1.0 for w, r in zip(circle.weights, norms)]
+    j = scores.index(max(scores))
+    w = circle.weights[j]
+    velocity = np.zeros(spec.n)  # A m
+    velocity[0:k2:2], velocity[1:k2:2] = -weights * m[1:k2:2], weights * m[0:k2:2]
+    reach = 2.0 * math.sqrt(spec.n) * guard
     pairs = []
-    for theta in candidates.tolist():
-        residual = float(np.max(np.abs(_product(f @ circle.rotation(theta), m) - m)))
-        if residual <= atol:
-            if _angle_distance(theta, 0.0) <= angle_atol:
-                theta = 0.0
-            pairs.append((idx, theta))
-        elif residual <= guard:
-            raise AmbiguousIsotropyError(
-                f"element {idx} with angle {theta:.6f} fixes the point only "
-                "inside the guard band"
-            )
-    return pairs
+    for idx, f in enumerate(spec.finite.elements):
+        target = _product(f.T, m)  # f^T m: f R(theta) m = m iff R(theta) m = f^T m
+        psi = math.atan2(target[2 * j + 1], target[2 * j]) - math.atan2(m[2 * j + 1], m[2 * j])
+        candidates = [((psi + TWO_PI * k) / w) % TWO_PI for k in range(abs(w))]
+        # the element's |w| candidates from one array of rotations (at |w| =
+        # 1000, one rotation per candidate takes minutes on the planted
+        # stacks); each is then decided on its own, in order
+        g = f @ circle.rotation(candidates)
+        moved, along = _product(g, m) - m, _product(g, velocity)
+        # max_i |v_i + h u_i| >= |v + h u| / sqrt(n) >= the distance of v from
+        # the line through u, over sqrt(n): candidates beyond twice sqrt(n)
+        # guard of it are not within the band anywhere near theta
+        slope = (moved * along).sum(axis=-1) / (along * along).sum(axis=-1)
+        away = np.linalg.norm(moved - slope[:, None] * along, axis=-1) > reach
+        residuals = np.abs(moved).max(axis=-1).tolist()
+        for theta, residual, v, u, far in zip(candidates, residuals, moved, along, away):
+            if residual <= atol:
+                snap = _angle_distance(theta, 0.0) <= max(tol, 1e-12)
+                pairs.append((idx, 0.0 if snap else theta))
+            elif not far and _inside_band(v, u, guard):
+                return AmbiguousIsotropyError(
+                    f"element {idx} with angle {theta:.6f} fixes the point only inside the "
+                    "guard band"
+                )
+    return IsotropyDescriptor(False, tuple(pairs))
 
 
 def reference_isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
     """The reference for ``isotropy`` on a stack: the descriptor, or the
-    AmbiguousIsotropyError, of each point of a stack (N, n).  Residuals,
-    fixed-coordinate differences and block norms are arrays over points x
-    elements; the pairs whose fixed coordinates match go on to candidate
-    angles one by one.  A point's error is the first one in element order."""
-    atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
-    guard = 1000.0 * atol
-    continuous = _circle_fixes(spec, points, tol)
-    elements = np.stack(spec.finite.elements)
-    out: list = [None] * len(points)
-
-    # theta is unconstrained; f belongs iff it fixes m by itself
-    rows = np.flatnonzero(continuous)
-    residual = np.abs(_product(elements, points[rows, None]) - points[rows, None]).max(axis=-1)
-    belongs = residual <= atol[rows, None]
-    inside = ~belongs & (residual <= guard[rows, None])
-    first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
-    for p, member, idx in zip(rows.tolist(), belongs, first.tolist()):
-        out[p] = (
-            AmbiguousIsotropyError(
-                f"finite element {idx} fixes the point only inside the guard band"
-            )
-            if idx >= 0
-            else IsotropyDescriptor(True, tuple((i, 0.0) for i in np.flatnonzero(member).tolist()))
-        )
-
-    rows = np.flatnonzero(~continuous)
-    if not rows.size:
-        return out
-    k2 = 2 * len(spec.circle.weights)
-    moving = points[rows]
-    targets = _product(np.swapaxes(elements, -1, -2), moving[:, None])  # f^T m
-    fixed_diff = np.abs(targets[..., k2:] - moving[:, None, k2:]).max(axis=-1, initial=0.0)
-    source_norms = np.hypot(moving[:, 0:k2:2], moving[:, 1:k2:2]).tolist()
-    target_norms = np.hypot(targets[..., 0:k2:2], targets[..., 1:k2:2])
-    for r, p in enumerate(rows.tolist()):
-        pairs = []
-        try:
-            for idx in np.flatnonzero(fixed_diff[r] <= guard[p]).tolist():
-                if fixed_diff[r, idx] > atol[p]:
-                    raise AmbiguousIsotropyError(
-                        f"fixed coordinates under element {idx} match only inside the guard band"
-                    )
-                pairs += _circle_components(
-                    spec, idx, moving[r], source_norms[r], target_norms[r, idx].tolist(),
-                    atol[p], guard[p], tol,
-                )
-        except AmbiguousIsotropyError as exc:
-            out[p] = exc
-            continue
-        out[p] = IsotropyDescriptor(False, tuple(pairs))
-    return out
+    AmbiguousIsotropyError, of each point of a stack (N, n), one point at a
+    time.  A point's error is the first one in element order, then in
+    candidate order."""
+    return [_reference_isotropy(spec, m, tol) for m in np.asarray(points, dtype=float)]

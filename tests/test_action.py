@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import time
@@ -6,8 +7,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirac_reduce.action import (
+    ANGLE_TOL,
     MAX_WEIGHT,
     ActionSpec,
     ActionValidationError,
@@ -24,6 +28,7 @@ from dirac_reduce.action import (
     quadrature_nodes_required,
     validate_action,
     vertical_space,
+    _angle_distance,
 )
 from dirac_reduce.poly import Poly, parse_poly
 from dirac_reduce.polyfield import (
@@ -264,51 +269,6 @@ def test_isotropy_dihedral_table():
             np.testing.assert_allclose(g @ np.array(point), point, atol=1e-9)
 
 
-def _pairwise_merge(candidates, block, atol, guard):
-    """The merge of two blocks' candidate angles as every candidate against
-    every angle of the block: the reference for helpers._merge_angles."""
-    merged = []
-    for t in candidates.tolist():
-        distances = (abs(t - u) % (2 * math.pi) for u in block.tolist())
-        best = min(min(d, 2 * math.pi - d) for d in distances)
-        if best <= atol:
-            merged.append(t)
-        elif best <= guard:
-            raise AmbiguousIsotropyError(
-                "candidate angles of two blocks agree only inside the guard band"
-            )
-    return np.array(merged)
-
-
-def _outcome(merge, *args):
-    try:
-        return merge(*args).tolist()
-    except AmbiguousIsotropyError as exc:
-        return str(exc)
-
-
-@pytest.mark.parametrize("seed", range(40))
-def test_merge_angles_matches_the_pairwise_merge(seed):
-    """Blocks with planted near-coincidences, some across the wrap at 2 pi,
-    at offsets that keep (1e-10), raise (1e-8) or drop (1e-3) a candidate."""
-    rng = np.random.default_rng(seed)
-    two_pi = 2 * math.pi
-    candidates = rng.uniform(0.0, two_pi, rng.integers(1, 12))
-    candidates[: rng.integers(0, 3)] = rng.choice([0.0, 1e-11, two_pi - 1e-11], 2)[:1]
-    offsets = rng.choice([0.0, 1e-10, -1e-10, 1e-8, 1e-3], len(candidates))
-    planted = (candidates + offsets) % two_pi
-    block = np.concatenate([planted[rng.random(len(planted)) < 0.6], rng.uniform(0.0, two_pi, 5)])
-    rng.shuffle(block)
-    args = (candidates, block, 1e-9, 1e-6)
-    assert _outcome(helpers._merge_angles, *args) == _outcome(_pairwise_merge, *args)
-
-
-def test_merge_angles_wraps_around_two_pi():
-    candidates = np.array([2 * math.pi - 1e-11, 1.0])
-    kept = helpers._merge_angles(candidates, np.array([3.0, 0.0]), 1e-9, 1e-6)
-    assert kept.tolist() == [2 * math.pi - 1e-11]
-
-
 def _rotating_group(weights):
     """{±g^k} for g the quarter turn of the first block: it commutes with the
     circle, so two blocks' candidate angles meet under several elements."""
@@ -320,20 +280,57 @@ def _rotating_group(weights):
 
 
 @pytest.mark.parametrize("weights", [(3, 2), (4, 6), (2, -4)])
-def test_two_block_isotropy_matches_the_pairwise_merge(monkeypatch, weights):
-    """The stacked solve against the per-pair reference with its merge done
-    pairwise."""
+def test_two_block_isotropy_matches_the_pairwise_merge(weights):
+    """The stacked solve against the reference, one point, element and
+    candidate angle at a time, where two blocks of different weights both
+    pin the angle, where only one does, and where they have equal norms."""
     act = _rotating_group(weights)
     rng = np.random.default_rng(11)
     points = rng.uniform(-2.0, 2.0, (60, 4))
-    points[:15, :2] = 0.0  # only the second block constrains the angle
+    points[:15, :2] = 0.0  # only the second block pins the angle
     points[15:30, 2:] = 0.0  # only the first does
     points[30:40, 2:] = points[30:40, :2]  # blocks of equal size
     fast = isotropy(act, points)
-    monkeypatch.setattr(helpers, "_merge_angles", _pairwise_merge)
     slow = helpers.reference_isotropies(act, points, DEFAULT_TOL)
     assert [str(h) for h in fast] == [str(h) for h in slow]
     assert any(isinstance(h, IsotropyDescriptor) and h.component_count > 1 for h in fast)
+
+
+def _block_swap(weights, fixed_dim):
+    """The circle of ``weights`` times {I, f}, f the swap of the first two
+    blocks (of equal weight)."""
+    c = CircleFactor(weights, fixed_dim)
+    f = np.eye(c.n)
+    f[:4, :4] = np.kron([[0.0, 1.0], [1.0, 0.0]], np.eye(2))
+    return validate_action(ActionSpec(c.n, FiniteGroupRep((np.eye(c.n), f)), c))
+
+
+@pytest.mark.parametrize(
+    "weights, fixed_dim, m",
+    [
+        ((1, 1, 6), 1, [1.0, 0.0, math.cos(4e-7), math.sin(4e-7), 0.9, 0.0, 0.0]),
+        ((1, 1), 1, [0.5, 0.0, 0.5 * math.cos(1.5e-6), 0.5 * math.sin(1.5e-6), 0.0]),
+    ],
+)
+def test_an_element_that_moves_the_point_inside_the_band_between_candidates(
+    weights, fixed_dim, m
+):
+    """The swap f moves m by less than the guard band at theta = 0, but by
+    more at every candidate angle, where one block of R(theta) m lies on that
+    of f^T m: under weights (1, 1, 6), by 4e-7 at 0 and by 2.2e-6 at the
+    first block's candidate theta = 4e-7, which turns the third block by
+    2.4e-6; under (1, 1), by 7.5e-7 at 0 and by 1.5e-6 at each block's
+    candidate.  Deciding f by its residuals at the candidates alone calls
+    these points ok with one component."""
+    act, m = _block_swap(weights, fixed_dim), np.array(m)
+    atol = DEFAULT_TOL * max(np.linalg.norm(m), 1.0)
+    f = act.finite.elements[1]
+    assert atol < np.abs(f @ m - m).max() <= 1000 * atol
+    with pytest.raises(AmbiguousIsotropyError, match=r"element 1 with angle .* guard band"):
+        isotropy(act, m)
+    assert str(helpers.reference_isotropies(act, m[None], DEFAULT_TOL)[0]) == str(
+        isotropy(act, m[None])[0]
+    )
 
 
 def _large_weights_action():
@@ -343,8 +340,8 @@ def _large_weights_action():
 
 
 def test_two_large_blocks_merge_promptly():
-    """Weights near the bound give about 1000 candidate angles per block,
-    which a pairwise merge compares a million times per element and point."""
+    """Weights near the bound give about 1000 candidate angles per point
+    and element, each decided by its residual."""
     act = _large_weights_action()
     points = np.random.default_rng(3).uniform(0.4, 2.0, (3, 4))
     start = time.perf_counter()
@@ -355,8 +352,7 @@ def test_two_large_blocks_merge_promptly():
 
 def test_a_stack_of_two_large_blocks_merges_promptly():
     """200 points at weights (1000, 999): a flat array of 1000 candidate
-    angles per point and element, each merged against its nearest angle of
-    the second block without listing that block."""
+    angles per point and element, their residuals one stacked product."""
     act = _large_weights_action()
     points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
     start = time.perf_counter()
@@ -365,10 +361,22 @@ def test_a_stack_of_two_large_blocks_merges_promptly():
     assert all(h.pairs == ((0, 0.0),) for h in descriptors)
 
 
+def test_a_stack_under_eight_elements_is_solved_promptly():
+    """200 points at weights (1000, 999) under eight elements: 1.6 million
+    candidate angles, of which the screen keeps the few near the band."""
+    act = _rotating_group((1000, 999))
+    points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
+    start = time.perf_counter()
+    descriptors = isotropy(act, points)
+    assert time.perf_counter() - start < 1.0
+    assert all(h.component_count == 2 for h in descriptors)
+
+
 def test_large_weights_are_solved_in_bounded_memory():
-    """Under eight elements at weights (1000, 999), 200 points list 1.6
-    million candidate angles; solved in passes of a bounded number of
-    points, isotropy's arrays peak near 15 MB (in one pass, 185 MB)."""
+    """Under eight elements at weights (1000, 999), 200 points list up to
+    1.6 million candidate angles, each screened by about 16 floats per
+    rotation block; solved in passes of a bounded number of points,
+    isotropy's arrays peak near 9 MB (in one pass, 318 MB)."""
     act = _rotating_group((1000, 999))
     points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
     tracemalloc.start()
@@ -379,6 +387,91 @@ def test_large_weights_are_solved_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert all(h.component_count == 2 for h in descriptors)
+
+
+@st.composite
+def _block_actions(draw) -> ActionSpec:
+    """A circle of one to three blocks with weights in +-1..6 (drawn from a
+    pool of two, so blocks often share a weight) and one or two fixed
+    coordinates, times the finite group of all permutations of equal-weight
+    blocks, each block optionally negated, and z -> -z on one fixed
+    coordinate.  Each such element commutes with the circle."""
+    pool = draw(st.lists(st.sampled_from([w for w in range(-6, 7) if w]), min_size=2, max_size=2))
+    weights = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)))
+    fixed_dim, signed = draw(st.integers(1, 2)), draw(st.booleans())
+    k, n = len(weights), 2 * len(weights) + fixed_dim
+    reflection = np.eye(n)
+    reflection[2 * k + draw(st.integers(0, fixed_dim - 1))] *= -1.0
+    elements = []
+    for sigma in itertools.permutations(range(k)):
+        if any(weights[sigma[j]] != weights[j] for j in range(k)):
+            continue
+        for signs in itertools.product((1.0, -1.0) if signed else (1.0,), repeat=k):
+            g = np.eye(n)
+            g[: 2 * k, : 2 * k] = 0.0
+            for j in range(k):
+                g[2 * sigma[j] : 2 * sigma[j] + 2, 2 * j : 2 * j + 2] = signs[j] * np.eye(2)
+            elements += [g, g @ reflection]
+    circle = CircleFactor(weights, fixed_dim)
+    return validate_action(ActionSpec(n, FiniteGroupRep(tuple(elements)), circle))
+
+
+def _order(g: np.ndarray) -> int:
+    power, order = g, 1
+    while not np.allclose(power, np.eye(len(g))):
+        power, order = power @ g, order + 1
+    return order
+
+
+def _outcome(act, m):
+    try:
+        return repr(isotropy(act, m))
+    except AmbiguousIsotropyError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(act=_block_actions(), data=st.data())
+def test_isotropy_meets_an_oracle_independent_of_the_algorithm(act, data):
+    """At a point m of Fix(g) for g = f R(theta*), theta* = 2 pi q / (|w| ord
+    f) with w a block's weight (g has finite order, so the mean of its
+    powers projects onto Fix(g); its rounding is cleared): (a) every matrix
+    of the descriptor fixes m within the tolerance; (b) (f, theta*) is a
+    component, up to same_as's angle tolerance (as (f, 0) where the whole
+    circle fixes m); (c) g' m has as many components, for random g' in G;
+    (d) a stack gives each point its own outcome."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    i = data.draw(st.integers(0, act.finite.order - 1))
+    f = act.finite.elements[i]
+    w = abs(act.circle.weights[data.draw(st.integers(0, len(act.circle.weights) - 1))])
+    count = w * _order(f)
+    theta = 2 * np.pi * data.draw(st.integers(0, count - 1)) / count
+    g = f @ act.circle.rotation(theta)
+    projector = sum(np.linalg.matrix_power(g, p) for p in range(count)) / count
+    m = projector @ rng.uniform(-1.0, 1.0, act.n) * data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+    m[np.abs(m) < 1e-12] = 0.0  # the projector's rounding, where Fix(g) has a zero coordinate
+    h = isotropy(act, m)
+    atol = DEFAULT_TOL * max(np.linalg.norm(m), 1.0)
+
+    for matrix in h.matrices(act):  # (a)
+        assert np.abs(matrix @ m - m).max() <= atol, (h, m)
+    if h.continuous_circle:  # (b)
+        assert (i, 0.0) in h.pairs, (h, i, m)
+    else:
+        near = [j == i and _angle_distance(t, theta) <= ANGLE_TOL for j, t in h.pairs]
+        assert any(near), (h, i, theta, m)
+    moved = []
+    for _ in range(3):  # (c)
+        other = act.finite.elements[rng.integers(act.finite.order)]
+        moved.append(other @ act.circle.rotation(rng.uniform(0.0, 2 * np.pi)) @ m)
+        image = isotropy(act, moved[-1])
+        assert image.continuous_circle == h.continuous_circle, (h, image)
+        assert image.component_count == h.component_count, (h, image)
+    stack = np.array([m, *moved, *rng.uniform(-1.0, 1.0, (3, act.n)), projector @ moved[0]])
+    stacked = isotropy(act, stack)  # (d)
+    assert [str(x) if isinstance(x, Exception) else repr(x) for x in stacked] == [
+        _outcome(act, p) for p in stack
+    ]
 
 
 def test_isotropy_boundary_band_is_ambiguous():

@@ -530,10 +530,10 @@ BUNDLED = {
 def test_reduce_point_equals_the_public_views_bit_for_bit(data):
     """At a sample point of a bundled scenario moved by a random group
     element and scale (so every sampled stratum is visited), the runner's
-    reduce_point takes its status, reason and descriptor from the per-pair
-    isotropy reference and the fiber's DegeneratePointError, and its D_Q is
-    lindirac.backward_image of the fiber along the inclusion of Fix(G_m), bit
-    for bit.  (Route A is checked against lindirac.forward_image below.)"""
+    reduce_point takes its status, reason and descriptor from the
+    per-candidate isotropy reference and the fiber's DegeneratePointError,
+    and its D_Q is lindirac.backward_image of the fiber along the inclusion
+    of Fix(G_m), bit for bit.  (Route A is checked against lindirac.forward_image below.)"""
     s = BUNDLED[data.draw(st.sampled_from(sorted(BUNDLED)))]
     points = sample_points(s)
     base = points[data.draw(st.integers(0, len(points) - 1))]
@@ -812,25 +812,45 @@ _QUADRATIC = st.lists(st.integers(-3, 3), min_size=len(_MONOMIALS), max_size=len
 )
 
 
+def _d4_xy() -> list:
+    """D4 on the first two coordinates of R^3, as scenario matrices."""
+    quarter, flip = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]]), np.diag([1, -1, 1])
+    powers = [np.linalg.matrix_power(quarter, k) for k in range(4)]
+    return [g.tolist() for g in powers + [p @ flip for p in powers]]
+
+
+_ROUTE_ACTIONS = {  # actions on R^3 in scenario form; z2_circle_r3 is its scenario's
+    "trivial": {},
+    "z2_circle_r3": None,
+    "circle_weight_2": {"circle": {"weights": [2], "fixed_dim": 1}},
+    "d4_xy": {"finite": _d4_xy()},
+}
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     kind=st.sampled_from(["two_form", "bivector"]),
     entries=st.tuples(_QUADRATIC, _QUADRATIC, _QUADRATIC),
+    action=st.sampled_from(sorted(_ROUTE_ACTIONS)),
     seed=st.integers(0, 2**16),
 )
-def test_routes_agree_at_every_point_for_any_spec(kind, entries, seed):
+def test_routes_agree_at_every_point_for_any_spec(kind, entries, action, seed):
     """At a point m the two route images coincide for any D(m), invariant,
     integrable or neither, and both are Lagrangian: random quadratic two-forms
-    and bivectors on R^3 under z2_circle_r3's action (neither invariant nor
-    integrable in general), at random points of a box and at points of the
-    plane z = 0, the circle's axis and the origin.  A skip is allowed."""
+    and bivectors on R^3 (neither invariant nor integrable in general) under
+    the trivial group, z2_circle_r3's action, a weight-2 circle about the z
+    axis and D4 on the (x, y) plane, at random points of a box and at points
+    of the plane z = 0, the z axis, the origin and D4's mirror lines.  A skip
+    is allowed."""
     a, b, c = entries
     scenarios = Path(__file__).resolve().parent.parent / "scenarios"
     data = json.loads((scenarios / "z2_circle_r3_two_form.json").read_text())
+    if _ROUTE_ACTIONS[action] is not None:
+        data["action"] = _ROUTE_ACTIONS[action]
     data["dirac"] = {kind: [["0", a, b], [f"-({a})", "0", c], [f"-({b})", f"-({c})", "0"]]}
     data["samples"] = {
         "explicit": [[0.8, -0.5, 0.0], [-1.2, 0.3, 0.0], [0.0, 0.0, 1.3], [0.0, 0.0, -0.6],
-                     [0.0, 0.0, 0.0]],
+                     [0.0, 0.0, 0.0], [0.9, 0.0, 0.4], [0.7, 0.7, -0.2]],
         "random": {"count": 6, "seed": seed, "box": [[-1.5, 1.5]] * 3},
     }
     report = run_scenario(scenario_from_dict(data))

@@ -2,12 +2,17 @@
 
 Isotropy and fiber evaluation run once over a stack of all sample points;
 the per-point functions are stacks of one.  A point's descriptor or error
-must be what the per-pair reference solver in helpers.py gives it, bit for
-bit: on every bundled scenario, on the three benchmark workloads (seeds 7
-and 31) and on planted stacks around every guard band; the circle's
-rotations are built once per pass over the points, not once per candidate
-angle.  On the bundled scenarios and the workloads (seed 7) a point's fiber
-basis must not depend on the rest of the stack, bit for bit, and the stacked
+must be what the reference in helpers.py gives it, bit for bit: that
+reference applies isotropy's one rule (each candidate (f, theta) of the
+point's rotation block with the largest |w| |m_j| decided by its residual
+|f R(theta) m - m|, and, where that is above the tolerance, by whether f
+moves m by at most the guard band near theta, to first order in the angle)
+to one point, element and candidate at a time.  The comparison runs
+on every bundled scenario, on the three benchmark workloads (seeds 7 and
+31) and on planted stacks around every guard band; the circle's rotations
+are built once per pass over the points, not once per candidate angle.
+On the bundled scenarios and the workloads (seed 7) a point's fiber basis
+must not depend on the rest of the stack, bit for bit, and the stacked
 polynomial evaluation must be Poly.evaluate's arithmetic (lower triangle and
 signed zeros included, in one pass or in many);
 a sections spec's fibers, spanned by one stacked SVD, must equal the span of
@@ -44,7 +49,9 @@ from dirac_reduce.action import (
 from dirac_reduce.lindirac import is_lagrangian
 from dirac_reduce.polyfield import (
     DegeneratePointError,
+    PolyTwoForm,
     SectionsSpec,
+    TwoFormSpec,
     evaluate_at,
     evaluate_fibers,
     generating_sections,
@@ -113,8 +120,8 @@ def _assert_same_isotropy(stacked, reference, points):
 
 @pytest.mark.parametrize("name", [*BUNDLED, *WORKLOADS, *(f"{w}-31" for w in WORKLOADS)])
 def test_stacked_isotropy_equals_the_per_point_calls(name, workload_dir):
-    """The stacked circle solve gives every sample point what the per-pair
-    solver (helpers.reference_isotropies, one point and one element at a
+    """The stacked isotropy gives every sample point what the reference
+    (helpers.reference_isotropies, one point, element and candidate at a
     time) gives it, angle bits and error messages included: on the bundled
     scenarios and the workloads at seeds 7 and 31."""
     s = _scenario(name, workload_dir)
@@ -191,7 +198,8 @@ def test_stacked_isotropy_equals_the_reference_at_planted_points(weights, turn, 
 
 def test_planted_points_meet_every_ambiguity():
     """The planted stacks make the reference raise each of its guard-band
-    errors, so the comparison above covers every one."""
+    errors, so the comparison above covers every one: a residual inside the
+    band with the circle free or fixed, and every rotation block inside it."""
     raised = {
         str(h)
         for weights, turn in PLANTED
@@ -200,15 +208,33 @@ def test_planted_points_meet_every_ambiguity():
         if isinstance(h, AmbiguousIsotropyError)
     }
     for pattern in (
-        r"fixed coordinates under element \d+ match only inside the guard band",
-        r"a rotation block has magnitude inside the guard band",
-        r"rotation-block magnitudes match only inside the guard band",
-        r"candidate angles of two blocks agree only inside the guard band",
-        r"every rotation block is below tolerance while the vertical direction is not",
+        r"the rotating part of the point lies inside the guard band",
         r"element \d+ with angle \d\.\d{6} fixes the point only inside the guard band",
         r"finite element \d+ fixes the point only inside the guard band",
     ):
         assert any(re.fullmatch(pattern, message) for message in raised), pattern
+
+
+def test_an_element_that_moves_the_point_inside_the_band_is_not_missed():
+    """At the (4, 6) stack, a point whose first block has norm 1.001e-6, just
+    above the guard band of 1e-6, and whose second block is large.  Element 1
+    (the quarter turn of the first block) at theta = pi/3 turns the second
+    block by 2 pi and moves the first by 4.1e-7, inside the band: the point
+    is 8e-7 from a point with 24 components.  The candidates of the first
+    block above the band miss theta = pi/3 and give 2 components; those of
+    the block with the largest |w| |m_j| make the point a skip."""
+    act = _planted((4, 6), "quarter", 1e-9)[0]
+    m = np.array(
+        [6.006e-7, 8.008e-7, -0.19663566004949334, 0.07515139872245724, -0.13389035722283768]
+    )
+    g = act.finite.elements[1] @ act.circle.rotation(np.pi / 3)
+    assert 1e-9 < np.abs(g @ m - m).max() <= 1e-6
+    assert isotropy(act, m * [0, 0, 1, 1, 1], 1e-9).component_count == 24
+    with pytest.raises(AmbiguousIsotropyError, match=r"element 1 with angle 1\.047198"):
+        isotropy(act, m, 1e-9)
+    spec = TwoFormSpec(PolyTwoForm.from_constant(np.zeros((5, 5))))
+    row = reduction.reduce_point(spec, act, [m], 1e-9)[0]
+    assert row.status == reduction.STATUS_BOUNDARY and row.descriptor is None
 
 
 @pytest.mark.parametrize("name", [*BUNDLED, *WORKLOADS])
@@ -335,13 +361,17 @@ def _counted(monkeypatch, owner, name: str) -> list:
 
 @pytest.mark.parametrize("weights", [(1,), (1, 2), (1000, 999)])
 def test_circle_isotropy_builds_rotations_per_stack_not_per_angle(weights, monkeypatch):
-    """The residual of every candidate angle of a pass over the points is one
-    stacked product, so isotropy calls CircleFactor.rotation once per pass of
-    at most _PASS_FLOATS floats, on 10 points as on 200, whatever the number
-    of candidates; solved per pair, it made one call per candidate angle."""
+    """The residual of every candidate angle of a pass over the points that
+    the screen keeps is one stacked product, so isotropy calls
+    CircleFactor.rotation once per pass, on 10 points as on 200, whatever
+    the number of candidates; solved per pair, it made one call per
+    candidate angle.  A pass holds at most _PASS_FLOATS floats: for each of
+    a point's |w| candidates per element, the larger of the screen's 16 per
+    rotation block and the three n x n matrices of a candidate it keeps."""
     act = circle_action(weights, fixed_dim=1)
     points = np.random.default_rng(8).uniform(-2.0, 2.0, (200, act.n))
-    per_pass = max(1, polyfield._PASS_FLOATS // (max(weights) * act.n**2))
+    per_candidate = max(16 * len(weights), 3 * act.n**2)
+    per_pass = max(1, polyfield._PASS_FLOATS // (per_candidate * max(weights)))
     for count in (10, 200):
         calls = _counted(monkeypatch, CircleFactor, "rotation")
         isotropy(act, points[:count])
