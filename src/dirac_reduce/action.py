@@ -5,14 +5,17 @@ standard block form (2x2 rotation blocks with integer weights, identity on
 the remaining coordinates).  This module computes isotropy subgroups
 exactly, averaging projectors and fixed subspaces, the vertical space V(m),
 and Haar averages of polynomial sections.  Isotropy is decided for a stack of
-points at once by one rule: a group element g belongs to G_m when its
-residual |g m - m| is within the tolerance, and a residual inside the guard
-band makes m a skip.  Where the circle moves m, the elements tried are the
-candidate angles of the rotation block of m that pins the angle the most,
-one flat array for the whole stack, and near each candidate the residual is
-also followed to first order in the angle (:func:`_circle_isotropies`).  The subspaces the reduction
-routes build from these are computed for a whole stack of isotropy classes
-of one shape at once in :mod:`.reduction`.
+points at once by one rule, in Euclidean norms throughout: with atol =
+tol max(|m|, 1) and the guard band 1000 atol, a group element g belongs to
+G_m when |g m - m| <= atol, and a residual inside the guard band makes m a
+skip.  The whole circle fixes m when 2 |m_rot| <= atol, m_rot the rotating
+coordinates of m.  Elsewhere the elements tried are the candidate angles of
+the rotation block of m that pins the angle the most, one flat array for the
+whole stack, each decided in the frame of f^T m, to first order in the angle
+near it (:func:`_circle_isotropies`).  So the verdicts do not change under an
+orthogonal change of coordinates that commutes with G.  The subspaces the
+reduction routes build from these are computed for a whole stack of isotropy
+classes of one shape at once in :mod:`.reduction`.
 """
 
 from __future__ import annotations
@@ -209,21 +212,27 @@ def validate_action(spec: ActionSpec) -> ActionSpec:
     return spec
 
 
-def _circle_fixes(spec: ActionSpec, points: np.ndarray, tol: float) -> np.ndarray:
-    """Whether the whole circle fixes each point of a stack (N, n), |A m| <=
-    tol |m| (vacuously true with no circle): the one test by which isotropy
-    puts the circle in G_m and vertical_space sets V(m) = 0, so that V(m) = 0
-    exactly there."""
+def _tolerance(points: np.ndarray, tol: float) -> np.ndarray:
+    """isotropy's tolerance atol = tol max(|m|, 1) at each point of a stack (N, n)."""
+    return tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
+
+
+def _circle_fixes(spec: ActionSpec, points: np.ndarray, atol: np.ndarray) -> np.ndarray:
+    """Whether the whole circle fixes each point of a stack (N, n), 2
+    |m_rot| <= atol with m_rot its rotating coordinates (vacuously true with
+    no circle): no rotation moves m by more than 2 |m_rot|.  The one test by
+    which isotropy puts the circle in G_m and vertical_space sets V(m) = 0,
+    so that V(m) = 0 exactly there."""
     if spec.circle is None:
         return np.ones(len(points), dtype=bool)
-    moved = points @ spec.circle.generator().T
-    return np.linalg.norm(moved, axis=-1) <= tol * np.linalg.norm(points, axis=-1)
+    k2 = 2 * len(spec.circle.weights)
+    return 2.0 * np.linalg.norm(points[:, :k2], axis=-1) <= atol
 
 
 def vertical_space(spec: ActionSpec, m, tol: float = DEFAULT_TOL) -> Subspace:
     """V(m) = span of the fundamental vector fields at m."""
     m = _as_points(spec, m, (1,))
-    if _circle_fixes(spec, m[None], tol)[0]:
+    if _circle_fixes(spec, m[None], _tolerance(m[None], tol))[0]:
         return Subspace.zero(spec.n, tol)
     return span([spec.circle.generator() @ m], ambient_dim=spec.n, tol=tol)
 
@@ -305,23 +314,6 @@ def _act(matrices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _inside_band(v: np.ndarray, u: np.ndarray, guard: np.ndarray) -> np.ndarray:
-    """Whether some h has |v + h u|_inf <= guard, for each row of ``v`` and
-    ``u`` (C, n) and entry of ``guard`` (C,).  With v = f R(theta) m - m and
-    u = f R(theta) A m, f R(theta + h) m - m = v + h u + O(h^2): this asks
-    whether f moves m by at most the guard band near theta, to first order in
-    the angle.  Coordinate i allows the h of one interval (all h or none
-    where u_i = 0), and some h serves every coordinate iff the largest lower
-    end is at most the smallest upper end."""
-    g = guard[:, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ends = np.stack([(-g - v) / u, (g - v) / u])
-    free = np.abs(v) <= g
-    low = np.where(u == 0.0, np.where(free, -np.inf, np.inf), ends.min(axis=0))
-    high = np.where(u == 0.0, np.where(free, np.inf, -np.inf), ends.max(axis=0))
-    return low.max(axis=-1) <= high.min(axis=-1)
-
-
 def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: float) -> list:
     """For each point m of a stack (N, n) that the circle does not fix, the
     pairs (f, theta) with f R(theta) m = m, or the message of its
@@ -332,15 +324,17 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     pins theta the most: for each element f, the |w*| angles theta_k = (psi
     + 2 pi k) / w* that turn that block of m onto that of f^T m.  Any theta
     at which f R(theta) moves m by at most the guard band lies close to one
-    of them.  A candidate whose residual |f R(theta_k) m - m| is within atol
-    is a component.  Otherwise, if f moves m by at most the guard band at
-    some angle near theta_k, to first order in the angle
-    (:func:`_inside_band`), the point is a skip: the first such candidate in
-    element order, then candidate order.  A point with no block above the
-    band is a skip.  Matrices are built only for the candidates that a
-    screen keeps; each of those gets the arithmetic it would get alone (f^T m
-    and (f R) m by :func:`_act`, atan2 from math, as numpy's rounds some
-    angles differently)."""
+    of them.  Each candidate is decided in the frame of f^T m, where f
+    R(theta) m - m = f p with p = R(theta) m - f^T m, and f R(theta + h) m -
+    m = f (p + h q) + O(h^2) with q = A R(theta) m.  A candidate with |p| <=
+    atol is a component.  Otherwise, if the distance of p from the line
+    through q is at most the guard band (f moves m by at most the band at
+    some angle near theta, to first order in the angle), the point is a
+    skip: the first such candidate in element order, then candidate order.
+    A point with no block above the band is a skip.  p and q are built block
+    by block, with no matrix; f^T m comes from :func:`_act` and the angles
+    from math's atan2 (numpy's rounds some differently), so a point's
+    arithmetic does not depend on its stack."""
     circle, elements = spec.circle, np.stack(spec.finite.elements)
     weights = np.array(circle.weights)
     k2 = 2 * len(weights)
@@ -348,10 +342,9 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     above = norms > guard[:, None]
     rotating = above.any(axis=1)
     block = np.where(above, np.abs(weights) * norms, -1.0).argmax(axis=1)
-    reach = 2.0 * math.sqrt(spec.n) * guard
     targets = _act(np.swapaxes(elements, -1, -2), points[:, None])  # f^T m
     gap = np.linalg.norm(targets[..., k2:] - points[:, None, k2:], axis=-1)  # fixed coordinates
-    at, idx = np.nonzero(rotating[:, None] & (gap <= reach[:, None]))  # the pairs, point-major
+    at, idx = np.nonzero(rotating[:, None] & (gap <= guard[:, None]))  # the pairs, point-major
     source, target = points[at], targets[at, idx]
     columns = 2 * block[at, None] + np.arange(2)  # each pair's block: of f^T m, then of m
     blocks = np.stack([np.take_along_axis(v, columns, 1) for v in (target, source)])
@@ -364,12 +357,9 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     k = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     theta = ((psi[owner] + TWO_PI * k) / w[owner]) % TWO_PI
 
-    # The screen: p = R(theta) m - f^T m and q = A R(theta) m block by block,
-    # without matrices.  Near theta, |f R m - m| = |p + h q| to first order,
-    # at most sqrt(n) times the residual in the max norm, so a candidate
-    # whose p lies farther than ``reach`` from the line through q is neither.
-    # R(theta_k) turns block j by w_j psi / w*, then by 2 pi k w_j / w*, the
-    # column k of one table per block j* that lists candidates.
+    # p and q block by block.  R(theta_k) turns block j by w_j psi / w*, then
+    # by 2 pi k w_j / w*, the column k of one table per block j* that lists
+    # candidates.
     def spread(v):  # from the pairs to their candidates, along the last axis
         return np.repeat(v, counts, axis=-1)
 
@@ -382,19 +372,12 @@ def _circle_isotropies(spec: ActionSpec, points: np.ndarray, atol, guard, tol: f
     x, y = x * cos - y * sin, x * sin + y * cos  # (blocks, candidates)
     px, py = x - spread(target[:, 0:k2:2].T), y - spread(target[:, 1:k2:2].T)
     qx, qy = -weights[:, None] * y, weights[:, None] * x
+    fixed = spread(gap[at, idx] ** 2)
+    moved = (px * px + py * py).sum(axis=0) + fixed  # |p|^2
     slope = (px * qx + py * qy).sum(axis=0) / (qx * qx + qy * qy).sum(axis=0)
-    off = ((px - slope * qx) ** 2 + (py - slope * qy) ** 2).sum(axis=0) + spread(gap[at, idx] ** 2)
-    near = off <= spread(reach[at] ** 2)
-    owner, theta = owner[near], theta[near]
-    m = source[owner]  # (f R) m, with f R the matrix the descriptor averages
-    velocity = np.zeros_like(m)  # A m
-    velocity[:, 0:k2:2], velocity[:, 1:k2:2] = -weights * m[:, 1:k2:2], weights * m[:, 0:k2:2]
-    matrices = _group_matrices(spec, idx[owner], theta)
-    moved = _act(matrices, m) - m
-    fixes = np.abs(moved).max(axis=-1) <= atol[at[owner]]
-    rest, inside = np.flatnonzero(~fixes), np.zeros_like(fixes)
-    along = _act(matrices[rest], velocity[rest])
-    inside[rest] = _inside_band(moved[rest], along, guard[at[owner[rest]]])
+    off = ((px - slope * qx) ** 2 + (py - slope * qy) ** 2).sum(axis=0) + fixed
+    fixes = moved <= spread(atol[at] ** 2)
+    inside = ~fixes & (off <= spread(guard[at] ** 2))
     snapped = np.where(_angle_distance(theta[fixes], 0.0) <= max(tol, 1e-12), 0.0, theta[fixes])
 
     small = "the rotating part of the point lies inside the guard band"
@@ -417,14 +400,14 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
     itself; elsewhere :func:`_circle_isotropies` tries candidate angles.  A
     point's error is the first one in element order.  Points with one outcome
     share one descriptor."""
-    atol = tol * np.maximum(np.linalg.norm(points, axis=-1), 1.0)
+    atol = _tolerance(points, tol)
     guard = 1000.0 * atol
-    continuous = _circle_fixes(spec, points, tol)
+    continuous = _circle_fixes(spec, points, atol)
     elements = np.stack(spec.finite.elements)
     outcomes: list = [None] * len(points)  # (continuous, pairs), or an error message
 
     rows = np.flatnonzero(continuous)
-    residual = np.abs(_act(elements, points[rows, None]) - points[rows, None]).max(axis=-1)
+    residual = np.linalg.norm(_act(elements, points[rows, None]) - points[rows, None], axis=-1)
     belongs = residual <= atol[rows, None]
     inside = ~belongs & (residual <= guard[rows, None])
     first = np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
@@ -437,13 +420,11 @@ def _isotropies(spec: ActionSpec, points: np.ndarray, tol: float) -> list:
 
     rows = np.flatnonzero(~continuous)
     if rows.size:
-        # A point has up to (elements x |w|) candidate angles.  The screen
-        # holds about 16 floats per rotation block of each at once, and a
-        # candidate it keeps three n x n matrices (f, R(theta), f R(theta)):
-        # solve the points in passes of at most _PASS_FLOATS floats of those.
+        # A point has up to (elements x |w|) candidate angles, each held as
+        # about 16 floats per rotation block at once: solve the points in
+        # passes of at most _PASS_FLOATS floats of those.
         weights = spec.circle.weights
-        per_candidate = max(16 * len(weights), 3 * spec.n**2)
-        per_point = per_candidate * len(elements) * max(abs(w) for w in weights)
+        per_point = 16 * len(weights) * len(elements) * max(abs(w) for w in weights)
         step = max(1, _PASS_FLOATS // per_point)
         for start in range(0, len(rows), step):
             part = rows[start : start + step]

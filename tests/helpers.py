@@ -29,7 +29,6 @@ from dirac_reduce.action import (
     AmbiguousIsotropyError,
     IsotropyDescriptor,
     _angle_distance,
-    _circle_fixes,
 )
 from dirac_reduce.poly import Poly, parse_poly
 from dirac_reduce.polyfield import (
@@ -241,11 +240,12 @@ def assert_subspace_close(a: Subspace, b: Subspace, tol: float = 1e-9) -> None:
 
 # -- the per-candidate isotropy rule: the reference for action.isotropy -------
 #
-# One point, one element and one candidate angle at a time: the candidates
-# come from the point's rotation block above the guard band with the largest
-# |w| |m_j|, and each is decided by its residual |f R(theta) m - m| and, where
-# that exceeds the tolerance, by whether f moves m by at most the guard band
-# at some angle near theta, to first order in the angle.
+# One point, one element and one candidate angle at a time, with the matrices
+# f R(theta): the candidates come from the point's rotation block above the
+# guard band with the largest |w| |m_j|, and each is decided by its Euclidean
+# residual |f R(theta) m - m| and, where that exceeds the tolerance, by
+# whether f moves m by at most the guard band at some angle near theta, to
+# first order in the angle.
 
 
 def _product(g, m):
@@ -254,29 +254,18 @@ def _product(g, m):
     return sum((g[..., j] * m[..., j, None] for j in range(m.shape[-1])), np.zeros(1))
 
 
-def _inside_band(v, u, guard: float) -> bool:
-    """Whether some h has max_i |v_i + h u_i| <= guard, for one candidate:
-    each coordinate allows the h of one interval, and they must meet."""
-    low, high = -math.inf, math.inf
-    for a, b in zip(v.tolist(), u.tolist()):
-        if b == 0.0:
-            if abs(a) > guard:
-                return False
-            continue
-        ends = sorted(((-guard - a) / b, (guard - a) / b))
-        low, high = max(low, ends[0]), min(high, ends[1])
-    return low <= high
-
-
 def _reference_isotropy(spec: ActionSpec, m: np.ndarray, tol: float):
     """The descriptor, or the AmbiguousIsotropyError, of one point m."""
     atol = tol * max(float(np.linalg.norm(m, axis=-1)), 1.0)
     guard = 1000.0 * atol
-    if _circle_fixes(spec, m[None], tol)[0]:
-        # theta is free: f belongs iff it fixes m by itself
+    circle = spec.circle
+    k2 = 0 if circle is None else 2 * len(circle.weights)
+    if 2.0 * float(np.linalg.norm(m[:k2])) <= atol:
+        # no rotation moves m by more than 2 |m_rot|, so theta is free: f
+        # belongs iff it fixes m by itself
         pairs = []
         for idx, f in enumerate(spec.finite.elements):
-            residual = float(np.max(np.abs(_product(f, m) - m)))
+            residual = float(np.linalg.norm(_product(f, m) - m))
             if residual <= atol:
                 pairs.append((idx, 0.0))
             elif residual <= guard:
@@ -285,9 +274,7 @@ def _reference_isotropy(spec: ActionSpec, m: np.ndarray, tol: float):
                 )
         return IsotropyDescriptor(True, tuple(pairs))
 
-    circle = spec.circle
     weights = np.array(circle.weights)
-    k2 = 2 * len(weights)
     norms = [np.hypot(m[2 * j], m[2 * j + 1]) for j in range(len(weights))]
     if max(norms) <= guard:
         return AmbiguousIsotropyError("the rotating part of the point lies inside the guard band")
@@ -296,7 +283,6 @@ def _reference_isotropy(spec: ActionSpec, m: np.ndarray, tol: float):
     w = circle.weights[j]
     velocity = np.zeros(spec.n)  # A m
     velocity[0:k2:2], velocity[1:k2:2] = -weights * m[1:k2:2], weights * m[0:k2:2]
-    reach = 2.0 * math.sqrt(spec.n) * guard
     pairs = []
     for idx, f in enumerate(spec.finite.elements):
         target = _product(f.T, m)  # f^T m: f R(theta) m = m iff R(theta) m = f^T m
@@ -307,17 +293,16 @@ def _reference_isotropy(spec: ActionSpec, m: np.ndarray, tol: float):
         # stacks); each is then decided on its own, in order
         g = f @ circle.rotation(candidates)
         moved, along = _product(g, m) - m, _product(g, velocity)
-        # max_i |v_i + h u_i| >= |v + h u| / sqrt(n) >= the distance of v from
-        # the line through u, over sqrt(n): candidates beyond twice sqrt(n)
-        # guard of it are not within the band anywhere near theta
+        # f R(theta + h) m - m = moved + h along + O(h^2): the least of its
+        # norm over h is the distance of moved from the line through along
         slope = (moved * along).sum(axis=-1) / (along * along).sum(axis=-1)
-        away = np.linalg.norm(moved - slope[:, None] * along, axis=-1) > reach
-        residuals = np.abs(moved).max(axis=-1).tolist()
-        for theta, residual, v, u, far in zip(candidates, residuals, moved, along, away):
+        distances = np.linalg.norm(moved - slope[:, None] * along, axis=-1).tolist()
+        residuals = np.linalg.norm(moved, axis=-1).tolist()
+        for theta, residual, distance in zip(candidates, residuals, distances):
             if residual <= atol:
                 snap = _angle_distance(theta, 0.0) <= max(tol, 1e-12)
                 pairs.append((idx, 0.0 if snap else theta))
-            elif not far and _inside_band(v, u, guard):
+            elif distance <= guard:
                 return AmbiguousIsotropyError(
                     f"element {idx} with angle {theta:.6f} fixes the point only inside the "
                     "guard band"

@@ -4,13 +4,13 @@ Isotropy and fiber evaluation run once over a stack of all sample points;
 the per-point functions are stacks of one.  A point's descriptor or error
 must be what the reference in helpers.py gives it, bit for bit: that
 reference applies isotropy's one rule (each candidate (f, theta) of the
-point's rotation block with the largest |w| |m_j| decided by its residual
-|f R(theta) m - m|, and, where that is above the tolerance, by whether f
-moves m by at most the guard band near theta, to first order in the angle)
-to one point, element and candidate at a time.  The comparison runs
-on every bundled scenario, on the three benchmark workloads (seeds 7 and
-31) and on planted stacks around every guard band; the circle's rotations
-are built once per pass over the points, not once per candidate angle.
+point's rotation block with the largest |w| |m_j| decided by its Euclidean
+residual |f R(theta) m - m|, and, where that is above the tolerance, by
+whether f moves m by at most the guard band near theta, to first order in
+the angle) to one point, element and candidate at a time, with the matrices
+f R(theta).  The comparison runs on every bundled scenario, on the three
+benchmark workloads (seeds 7 and 31) and on planted stacks around every
+guard band; isotropy itself builds no rotation matrix.
 On the bundled scenarios and the workloads (seed 7) a point's fiber basis
 must not depend on the rest of the stack, bit for bit, and the stacked
 polynomial evaluation must be Poly.evaluate's arithmetic (lower triangle and
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dirac_reduce import polyfield, reduction
+from dirac_reduce import action, polyfield, reduction
 from dirac_reduce.action import (
     ActionSpec,
     AmbiguousIsotropyError,
@@ -360,22 +360,21 @@ def _counted(monkeypatch, owner, name: str) -> list:
 
 
 @pytest.mark.parametrize("weights", [(1,), (1, 2), (1000, 999)])
-def test_circle_isotropy_builds_rotations_per_stack_not_per_angle(weights, monkeypatch):
-    """The residual of every candidate angle of a pass over the points that
-    the screen keeps is one stacked product, so isotropy calls
-    CircleFactor.rotation once per pass, on 10 points as on 200, whatever
-    the number of candidates; solved per pair, it made one call per
-    candidate angle.  A pass holds at most _PASS_FLOATS floats: for each of
-    a point's |w| candidates per element, the larger of the screen's 16 per
-    rotation block and the three n x n matrices of a candidate it keeps."""
+def test_circle_isotropy_builds_no_rotation_and_solves_in_passes(weights, monkeypatch):
+    """Every candidate angle is decided block by block, in the frame of f^T
+    m, so isotropy never calls CircleFactor.rotation, on 10 points as on 200.
+    A pass over the points holds at most _PASS_FLOATS floats, 16 per
+    rotation block for each of a point's |w| candidates per element: at
+    weights (1000, 999), 200 points take 4 passes."""
     act = circle_action(weights, fixed_dim=1)
     points = np.random.default_rng(8).uniform(-2.0, 2.0, (200, act.n))
-    per_candidate = max(16 * len(weights), 3 * act.n**2)
-    per_pass = max(1, polyfield._PASS_FLOATS // (per_candidate * max(weights)))
+    per_pass = max(1, polyfield._PASS_FLOATS // (16 * len(weights) * max(weights)))
     for count in (10, 200):
-        calls = _counted(monkeypatch, CircleFactor, "rotation")
+        rotations = _counted(monkeypatch, CircleFactor, "rotation")
+        passes = _counted(monkeypatch, action, "_circle_isotropies")
         isotropy(act, points[:count])
-        assert len(calls) == -(-count // per_pass)
+        assert len(rotations) == 0
+        assert len(passes) == -(-count // per_pass)
 
 
 # stacks per workload (seed 7): one per shape (V(m) = 0 or not, dim Fix), so
