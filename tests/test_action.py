@@ -356,7 +356,7 @@ def test_two_large_blocks_merge_promptly():
 
 def test_a_stack_of_two_large_blocks_merges_promptly():
     """200 points at weights (1000, 999): a flat array of 1000 candidate
-    angles per point and element, their residuals one stacked product."""
+    angles per point and element, decided block by block with no matrix."""
     act = _large_weights_action()
     points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
     start = time.perf_counter()
@@ -367,7 +367,7 @@ def test_a_stack_of_two_large_blocks_merges_promptly():
 
 def test_a_stack_under_eight_elements_is_solved_promptly():
     """200 points at weights (1000, 999) under eight elements: 1.6 million
-    candidate angles, of which the screen keeps the few near the band."""
+    candidate angles, each decided block by block with no matrix."""
     act = _rotating_group((1000, 999))
     points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
     start = time.perf_counter()
@@ -380,7 +380,7 @@ def test_large_weights_are_solved_in_bounded_memory():
     """Under eight elements at weights (1000, 999), 200 points list up to
     1.6 million candidate angles, each screened by about 16 floats per
     rotation block; solved in passes of a bounded number of points,
-    isotropy's arrays peak near 9 MB (in one pass, 318 MB)."""
+    isotropy's arrays peak near 14 MB (in one pass, about 350 MB)."""
     act = _rotating_group((1000, 999))
     points = np.random.default_rng(3).uniform(0.4, 2.0, (200, 4))
     tracemalloc.start()
